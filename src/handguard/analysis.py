@@ -316,7 +316,7 @@ def paired_t_bonferroni(samples: dict, pairs) -> list:
             t_statistic=t_stat,
             raw_p=raw_p,
             corrected_p=corrected,
-            significant=corrected < 0.05,
+            significant=bool(corrected < 0.05),
             degenerate=degenerate,
         ))
     return results

@@ -40,9 +40,6 @@ class Point3:
         a = np.asarray(a, dtype=float).reshape(3)
         return cls(float(a[0]), float(a[1]), float(a[2]))
 
-    def distance_to(self, other: "Point3") -> float:
-        return float(np.linalg.norm(self.as_array() - other.as_array()))
-
 
 @dataclass(frozen=True)
 class HandOffset:

@@ -12,7 +12,6 @@ import enum
 from dataclasses import dataclass
 
 MOTOR_COUNT = 5
-MOTOR_SPACING_M = 0.02
 
 STEP_HIGH_S = 0.1
 STEP_LOW_S = 0.2

@@ -8,6 +8,13 @@ The estimator builds a DLT homography from the four correspondences,
 decomposes it into the two candidate planar poses, refines each with
 damped Gauss-Newton on the 6-DoF reprojection objective, and returns the
 candidate with the smaller residual together with the ambiguity ratio.
+
+Refinement stops after an accepted step that lowers the squared-pixel cost
+by at most GN_COST_RTOL of the new cost or has a norm below GN_STEP_TOL,
+or when rejected steps raise the damping above GN_DAMPING_MAX.  After
+GN_MAX_ITERATIONS it raises NoConvergence if the rms residual is above
+1 px; a candidate that fails that way is dropped, and estimate_pose raises
+NoConvergence only when both candidates fail.
 """
 
 from __future__ import annotations
@@ -26,6 +33,10 @@ GN_STEP_TOL = 1e-10
 GN_DAMPING_INIT = 1e-3
 GN_DAMPING_UP = 2.0
 GN_DAMPING_DOWN = 0.5
+GN_DAMPING_MAX = 1e4
+GN_COST_RTOL = 1e-10
+
+_EYE6 = np.eye(6)
 
 
 class NonPositiveDepth(ValueError):
@@ -200,15 +211,43 @@ def _mirrored_candidate(pose: RigidTransform) -> RigidTransform:
     return RigidTransform.from_orthonormalized(r @ pose.rotation, pose.translation)
 
 
-def _residuals(pose: RigidTransform, corners3d: np.ndarray,
-               observed: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
-    pts = (pose.rotation @ corners3d.T).T + pose.translation
+def _residuals(rotation: np.ndarray, translation: np.ndarray, corners3d: np.ndarray,
+               observed: np.ndarray, k: CameraIntrinsics) -> tuple:
+    """Reprojection residuals (8,), with the rotated and camera-frame corners."""
+    rotated = corners3d @ rotation.T
+    pts = rotated + translation
     z = pts[:, 2]
-    if np.any(z <= MIN_DEPTH_M):
+    if (z <= MIN_DEPTH_M).any():
         raise NonPositiveDepth("corner behind camera during refinement")
-    u = k.fx * pts[:, 0] / z + k.cx
-    v = k.fy * pts[:, 1] / z + k.cy
-    return (np.column_stack([u, v]) - observed).reshape(-1)
+    res = np.empty(8)
+    res[0::2] = k.fx * pts[:, 0] / z + k.cx - observed[:, 0]
+    res[1::2] = k.fy * pts[:, 1] / z + k.cy - observed[:, 1]
+    return res, rotated, pts
+
+
+def _jacobian(rotated: np.ndarray, pts: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
+    """8x6 Jacobian of the residuals in (rotation perturbation w, translation).
+
+    The rotation perturbation is left-multiplicative and acts on R@P only:
+    dp/dw = -[R@P]x, so row u of corner i is m x du/dp with m = R@P_i.
+    """
+    mx, my, mz = rotated[:, 0], rotated[:, 1], rotated[:, 2]
+    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
+    a, b = k.fx / z, k.fy / z
+    xz, yz = x / z, y / z
+    jac = np.zeros((8, 6))
+    ju, jv = jac[0::2], jac[1::2]
+    ju[:, 0] = -a * my * xz
+    ju[:, 1] = a * (mz + mx * xz)
+    ju[:, 2] = -a * my
+    ju[:, 3] = a
+    ju[:, 5] = -a * xz
+    jv[:, 0] = -b * (my * yz + mz)
+    jv[:, 1] = b * mx * yz
+    jv[:, 2] = b * mx
+    jv[:, 4] = b
+    jv[:, 5] = -b * yz
+    return jac
 
 
 def _refine(init: RigidTransform, corners3d: np.ndarray, observed: np.ndarray,
@@ -218,57 +257,45 @@ def _refine(init: RigidTransform, corners3d: np.ndarray, observed: np.ndarray,
     Returns (pose, rms_pixels).  Raises NoConvergence if the iteration cap
     is hit while the residual is still large.
     """
-    pose = init
+    rotation, translation = init.rotation, init.translation
     lam = GN_DAMPING_INIT
-    res = _residuals(pose, corners3d, observed, k)
+    res, rotated, pts = _residuals(rotation, translation, corners3d, observed, k)
     cost = float(res @ res)
+    jac = _jacobian(rotated, pts, k)
+    h, g = jac.T @ jac, jac.T @ res
     for _ in range(GN_MAX_ITERATIONS):
-        rotated = (pose.rotation @ corners3d.T).T
-        pts = rotated + pose.translation
-        jac = np.zeros((8, 6))
-        for i, (m, p) in enumerate(zip(rotated, pts)):
-            x, y, z = p
-            du_dp = np.array([k.fx / z, 0.0, -k.fx * x / z**2])
-            dv_dp = np.array([0.0, k.fy / z, -k.fy * y / z**2])
-            # left-multiplicative rotation perturbation acts on R@P only:
-            # dp/dw = -[R@P]x
-            skew = np.array([[0, -m[2], m[1]], [m[2], 0, -m[0]], [-m[1], m[0], 0]])
-            jac[2 * i, :3] = du_dp @ (-skew)
-            jac[2 * i, 3:] = du_dp
-            jac[2 * i + 1, :3] = dv_dp @ (-skew)
-            jac[2 * i + 1, 3:] = dv_dp
-        g = jac.T @ res
-        h = jac.T @ jac
         try:
-            step = np.linalg.solve(h + lam * np.eye(6), -g)
+            step = np.linalg.solve(h + lam * _EYE6, -g)
         except np.linalg.LinAlgError:
             lam *= GN_DAMPING_UP
             continue
-        r_new = rotation_from_axis_angle(step[:3], float(np.linalg.norm(step[:3]))) \
-            if np.linalg.norm(step[:3]) > 0 else np.eye(3)
-        candidate = RigidTransform.from_orthonormalized(
-            r_new @ pose.rotation, pose.translation + step[3:]
-        )
+        w = step[:3]
+        rotation_c = rotation_from_axis_angle(w, math.sqrt(w @ w)) @ rotation
+        translation_c = translation + step[3:]
         try:
-            res_c = _residuals(candidate, corners3d, observed, k)
+            res_c, rotated_c, pts_c = _residuals(
+                rotation_c, translation_c, corners3d, observed, k)
         except NonPositiveDepth:
             lam *= GN_DAMPING_UP
             continue
         cost_c = float(res_c @ res_c)
         if cost_c < cost:
-            pose, res, cost = candidate, res_c, cost_c
+            decrease = cost - cost_c
+            rotation, translation, res, cost = rotation_c, translation_c, res_c, cost_c
             lam *= GN_DAMPING_DOWN
-            if float(np.linalg.norm(step)) < GN_STEP_TOL:
+            if math.sqrt(step @ step) < GN_STEP_TOL or decrease <= GN_COST_RTOL * cost:
                 break
+            jac = _jacobian(rotated_c, pts_c, k)
+            h, g = jac.T @ jac, jac.T @ res
         else:
             lam *= GN_DAMPING_UP
-            if lam > 1e12:
+            if lam > GN_DAMPING_MAX:
                 break
     else:
         # cap hit: accept only if the fit is already tight
         if math.sqrt(cost / 8.0) > 1.0:
             raise NoConvergence("pose refinement did not converge")
-    return pose, math.sqrt(cost / 8.0)
+    return RigidTransform.from_orthonormalized(rotation, translation), math.sqrt(cost / 8.0)
 
 
 def estimate_pose(

@@ -9,7 +9,6 @@ Everything is reproducible from the scenario seed.
 
 from __future__ import annotations
 
-import enum
 import json
 from dataclasses import dataclass, field
 
@@ -23,7 +22,6 @@ from .geometry import (
     compose,
     hand_center,
     hand_in_robot_base,
-    invert,
 )
 
 RESPONSE_TIME_FLOOR_S = 0.05

@@ -240,6 +240,25 @@ class TestAnalyze:
         assert len(results) == 45
         assert all(r["corrected_p"] <= 1.0 for r in results)
 
+        # seeded trials whose recognition rate falls with the pattern index:
+        # participant rates vary, so no pair is degenerate and some pairs are
+        # significant after Bonferroni
+        from handguard.analysis import PATTERN_ORDER
+
+        rng = np.random.default_rng(4)
+        lines = ["participant,side,actual,perceived"]
+        for p in range(8):
+            for i, pattern in enumerate(PATTERN_ORDER):
+                for _ in range(10):
+                    hit = rng.random() < 0.95 - 0.08 * i
+                    perceived = pattern if hit else PATTERN_ORDER[(i + 1) % 10]
+                    lines.append(f"{p},volar,{pattern},{perceived}")
+        path.write_text("\n".join(lines) + "\n")
+        code, out, _ = run_cli(capsys, "analyze", "pairwise", str(path))
+        assert code == 0
+        significant = [r["significant"] for r in json.loads(out)]
+        assert any(significant) and not all(significant)
+
     def test_missing_pattern_exit_2(self, capsys, tmp_path):
         path = tmp_path / "trials.csv"
         path.write_text("participant,side,actual,perceived\n0,volar,1H,1H\n")

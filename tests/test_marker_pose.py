@@ -159,6 +159,27 @@ class TestEstimatePose:
         with pytest.raises(ValueError):
             estimate_pose(obs, 0.0, K)
 
+    def test_residual_evaluation_budget(self, monkeypatch):
+        # the stop rule ends refinement once progress stalls: two candidates
+        # cost at most 30 residual evaluations per pose on average
+        from handguard import marker_pose
+
+        calls = [0]
+        residuals = marker_pose._residuals
+
+        def counted(*args):
+            calls[0] += 1
+            return residuals(*args)
+
+        monkeypatch.setattr(marker_pose, "_residuals", counted)
+        rng = np.random.default_rng(21)
+        for i in range(50):
+            obs = synthesize_observation(
+                random_pose(rng), SIDE, K, pixel_noise_sigma=0.5, seed=3000 + i
+            )
+            estimate_pose(obs, SIDE, K)
+        assert calls[0] / 50 <= 30
+
     def test_noisy_accuracy_within_frozen_bounds(self):
         # Monte-Carlo accuracy envelope measured once for a 4 cm marker at
         # 0.6-1.4 m with 0.5 px corner noise; frozen in the fixture file.
@@ -175,6 +196,61 @@ class TestEstimatePose:
             rot_err.append(math.degrees(rotation_error_rad(est.pose.rotation, truth.rotation)))
         assert float(np.percentile(trans_err, 95)) <= bounds["p95_translation_m"]
         assert float(np.percentile(rot_err, 95)) <= bounds["p95_rotation_deg"]
+
+
+def reference_jacobian(rotated, pts, k):
+    # per-corner loop: du/dp (and dv/dp) times dp/dw = -[R@P]x, then du/dp for t
+    jac = np.zeros((8, 6))
+    for i, (m, p) in enumerate(zip(rotated, pts)):
+        x, y, z = p
+        du_dp = np.array([k.fx / z, 0.0, -k.fx * x / z**2])
+        dv_dp = np.array([0.0, k.fy / z, -k.fy * y / z**2])
+        skew = np.array([[0, -m[2], m[1]], [m[2], 0, -m[0]], [-m[1], m[0], 0]])
+        jac[2 * i, :3] = du_dp @ (-skew)
+        jac[2 * i, 3:] = du_dp
+        jac[2 * i + 1, :3] = dv_dp @ (-skew)
+        jac[2 * i + 1, 3:] = dv_dp
+    return jac
+
+
+class TestJacobian:
+    @staticmethod
+    def poses():
+        rng = np.random.default_rng(8)
+        corners3d = marker_corners_3d(SIDE)
+        for i in range(50):
+            pose = random_pose(rng)
+            obs = synthesize_observation(pose, SIDE, K, pixel_noise_sigma=0.5, seed=i)
+            yield pose, corners3d, obs.corners
+
+    def test_matches_per_corner_reference(self):
+        from handguard.marker_pose import _jacobian, _residuals
+
+        for pose, corners3d, observed in self.poses():
+            _, rotated, pts = _residuals(
+                pose.rotation, pose.translation, corners3d, observed, K)
+            ref = reference_jacobian(rotated, pts, K)
+            got = _jacobian(rotated, pts, K)
+            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref).max(axis=0))
+
+    def test_matches_central_differences(self):
+        from handguard.marker_pose import _jacobian, _residuals
+
+        eps = 1e-6
+        for pose, corners3d, observed in self.poses():
+            r, t = pose.rotation, pose.translation
+            _, rotated, pts = _residuals(r, t, corners3d, observed, K)
+            got = _jacobian(rotated, pts, K)
+            numeric = np.empty((8, 6))
+            for j in range(6):
+                sides = []
+                for s in (eps, -eps):
+                    d = np.zeros(6)
+                    d[j] = s
+                    rs = rotation_from_axis_angle(d[:3], eps) @ r
+                    sides.append(_residuals(rs, t + d[3:], corners3d, observed, K)[0])
+                numeric[:, j] = (sides[0] - sides[1]) / (2 * eps)
+            assert np.all(np.abs(got - numeric) <= 1e-5 * np.abs(numeric).max(axis=0))
 
 
 class TestCalibrateBase:
