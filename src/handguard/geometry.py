@@ -3,6 +3,15 @@
 Convention: a transform named ``x_from_y`` (or documented as target/source)
 maps coordinates expressed in frame *y* into frame *x*.  All rotations are
 stored as 3x3 orthonormal matrices; translations are in meters.
+
+Validation contract: the ``RigidTransform`` constructor checks external
+input (a 3x3 rotation with finite entries, orthonormal within
+``ORTHONORMALITY_TOL``, determinant +1; a finite translation) and rejects
+anything else.  ``RigidTransform.from_orthonormalized`` is the
+re-orthonormalizing boundary: it accepts a slightly non-orthonormal matrix
+(finite, columns not dependent) and returns a proper rotation built in
+closed form, so its result is not checked again.  ``compose`` goes through
+it, so products of rotations at the tolerance edge never raise.
 """
 
 from __future__ import annotations
@@ -63,13 +72,30 @@ class HandOffset:
         return np.array(self.offset, dtype=float)
 
 
-def _check_rotation(r: np.ndarray) -> None:
+def _rotation_entries(r: np.ndarray) -> list:
+    """The nine entries of a candidate rotation, row-major, as Python floats."""
     if r.shape != (3, 3):
         raise InvalidRotation("rotation must be 3x3")
-    err = np.abs(r.T @ r - np.eye(3)).max()
+    entries = r.ravel().tolist()
+    if not all(map(math.isfinite, entries)):
+        raise InvalidRotation("rotation entries must be finite")
+    return entries
+
+
+def _check_rotation(r: np.ndarray) -> None:
+    a, b, c, d, e, f, g, h, i = _rotation_entries(r)
+    # max |r.T @ r - I| over the six distinct entries of the symmetric product
+    err = max(
+        abs(a * a + d * d + g * g - 1.0),
+        abs(b * b + e * e + h * h - 1.0),
+        abs(c * c + f * f + i * i - 1.0),
+        abs(a * b + d * e + g * h),
+        abs(a * c + d * f + g * i),
+        abs(b * c + e * f + h * i),
+    )
     if err > ORTHONORMALITY_TOL:
         raise InvalidRotation(f"rotation is not orthonormal (max error {err:.3e})")
-    det = float(np.linalg.det(r))
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     if abs(det - 1.0) > ORTHONORMALITY_TOL:
         raise InvalidRotation(f"rotation determinant is {det}, expected +1")
 
@@ -83,9 +109,13 @@ class RigidTransform:
 
     def __post_init__(self):
         r = np.array(self.rotation, dtype=float)
-        t = np.array(self.translation, dtype=float).reshape(3)
         _check_rotation(r)
-        if not np.all(np.isfinite(t)):
+        self._freeze(r, self.translation)
+
+    def _freeze(self, r: np.ndarray, translation) -> None:
+        """Store a checked rotation and a finite translation, read-only."""
+        t = np.array(translation, dtype=float).reshape(3)
+        if not all(map(math.isfinite, t.tolist())):
             raise ValueError("translation must be finite")
         r.setflags(write=False)
         t.setflags(write=False)
@@ -102,22 +132,33 @@ class RigidTransform:
 
         This is the only sanctioned way to construct from a slightly
         non-orthonormal matrix; the plain constructor rejects such input.
+        Columns 0 and 1 are orthonormalized in turn and column 2 is their
+        cross product, so the result is a proper rotation by construction
+        and skips the constructor's re-check.
         """
-        r = np.array(rotation, dtype=float)
-        if r.shape != (3, 3):
-            raise InvalidRotation("rotation must be 3x3")
-        q = np.empty((3, 3))
-        for i in range(3):
-            v = r[:, i].copy()
-            for j in range(i):
-                v -= (q[:, j] @ r[:, i]) * q[:, j]
-            n = np.linalg.norm(v)
-            if n < 1e-12:
-                raise InvalidRotation("rotation columns are linearly dependent")
-            q[:, i] = v / n
-        if np.linalg.det(q) < 0:
-            q[:, 2] = -q[:, 2]
-        return cls(q, translation)
+        r = np.asarray(rotation, dtype=float)
+        a, b, c, d, e, f, g, h, i = _rotation_entries(r)
+        n = math.sqrt(a * a + d * d + g * g)
+        if n < 1e-12:
+            raise InvalidRotation("rotation columns are linearly dependent")
+        x0, y0, z0 = a / n, d / n, g / n
+        p = x0 * b + y0 * e + z0 * h
+        vx, vy, vz = b - p * x0, e - p * y0, h - p * z0
+        n = math.sqrt(vx * vx + vy * vy + vz * vz)
+        if n < 1e-12:
+            raise InvalidRotation("rotation columns are linearly dependent")
+        x1, y1, z1 = vx / n, vy / n, vz / n
+        if abs(x0 * x1 + y0 * y1 + z0 * z1) > ORTHONORMALITY_TOL:
+            # cancellation left column 1 off-orthogonal: the columns are
+            # too close to dependent for Gram-Schmidt in double precision
+            raise InvalidRotation("rotation columns are nearly dependent")
+        x2, y2, z2 = y0 * z1 - z0 * y1, z0 * x1 - x0 * z1, x0 * y1 - y0 * x1
+        # column 2's part off the plane of columns 0 and 1, whatever its sign
+        if abs(x2 * c + y2 * f + z2 * i) < 1e-12:
+            raise InvalidRotation("rotation columns are linearly dependent")
+        out = object.__new__(cls)
+        out._freeze(np.array([[x0, x1, x2], [y0, y1, y2], [z0, z1, z2]]), translation)
+        return out
 
     def apply(self, point) -> np.ndarray:
         p = np.asarray(point, dtype=float).reshape(3)

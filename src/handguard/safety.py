@@ -12,7 +12,7 @@ Down = -z, Back = -y.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -172,10 +172,10 @@ def select_direction(hand: Point3, tcp: Point3, tcp_velocity) -> Direction:
     return best
 
 
-def _pattern_finished(state: SafetyState, t: float) -> bool:
-    if state.active_pattern is None:
+def _pattern_finished(pattern: PatternId | None, started_at: float | None, t: float) -> bool:
+    if pattern is None:
         return True
-    return t >= state.pattern_started_at + pattern_duration(state.active_pattern)
+    return t >= started_at + pattern_duration(pattern)
 
 
 def step(
@@ -222,9 +222,7 @@ def step(
         else:
             mode = Mode.SAFE
 
-    if mode is not Mode.ALERT and _pattern_finished(
-        replace(state, active_pattern=active_pattern, pattern_started_at=pattern_started_at), t
-    ):
+    if mode is not Mode.ALERT and _pattern_finished(active_pattern, pattern_started_at, t):
         active_pattern = None
         pattern_started_at = None
 

@@ -21,7 +21,7 @@ from .geometry import (
     RigidTransform,
     compose,
     hand_center,
-    hand_in_robot_base,
+    invert,
 )
 
 RESPONSE_TIME_FLOOR_S = 0.05
@@ -370,7 +370,9 @@ def run(scenario: Scenario) -> tuple:
         CAMERA_ROTATION_WORLD_TO_CAM,
         -(CAMERA_ROTATION_WORLD_TO_CAM @ CAMERA_POSITION),
     )
-    base_in_camera = cam_from_world  # robot base frame == world frame
+    # robot base frame == world frame, so the base pose in the camera is
+    # cam_from_world and the camera pose in the base is its inverse
+    base_from_camera = invert(cam_from_world)
 
     human = _HumanAgent(scenario, rng)
     state = safety.SafetyState()
@@ -449,7 +451,7 @@ def run(scenario: Scenario) -> tuple:
             marker_visible = False
 
         if marker_visible:
-            hand_pose_in_base = hand_in_robot_base(est_marker_in_camera, base_in_camera)
+            hand_pose_in_base = compose(base_from_camera, est_marker_in_camera)
             hand_est = hand_center(hand_pose_in_base, scenario.hand_offset).as_array()
         # else: keep last known hand_est
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -59,6 +60,22 @@ class TestSimulate:
             assert code == 0
             outputs.append(trace.read_bytes())
         assert outputs[0] == outputs[1]
+
+    def test_default_scenario_golden_bytes(self, capsys, tmp_path):
+        # SHA-256 of the bundled 120 s scenario's outputs at seed 0, recorded
+        # before the geometry fast paths; the noiseless trace must not move.
+        trace, metrics = tmp_path / "t.csv", tmp_path / "m.json"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--seed", "0",
+            "--trace", str(trace), "--metrics", str(metrics),
+        )
+        assert code == 0
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
+            "ce4fde235e4d8393ac41663bf0411e7c304e534f04b01bed425b1f225a0be1bc"
+        )
+        assert hashlib.sha256(metrics.read_bytes()).hexdigest() == (
+            "ead01c822966bb49f7dbc8fcfef8429a83062bffa3e3e97a7a5831803c6673f6"
+        )
 
     def test_seed_sweep_writes_one_file_per_seed(self, capsys, tmp_path):
         scen = json.loads(scenario_path("default.json").read_text())

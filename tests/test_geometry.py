@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from handguard.geometry import (
+    ORTHONORMALITY_TOL,
     HandOffset,
     InvalidRotation,
     Point3,
@@ -22,6 +23,69 @@ from handguard.geometry import (
 def random_transform(rng):
     r = rotation_from_axis_angle(rng.normal(size=3), rng.uniform(-np.pi, np.pi))
     return RigidTransform(r, rng.uniform(-2, 2, size=3))
+
+
+def reference_orthonormalize(rotation):
+    """Reference for `from_orthonormalized`: the numpy column-by-column
+    Gram-Schmidt with a det < 0 flip of column 2 that the closed form
+    replaced, followed by the constructor's numpy check of its result."""
+    r = np.array(rotation, dtype=float)
+    q = np.empty((3, 3))
+    for i in range(3):
+        v = r[:, i].copy()
+        for j in range(i):
+            v -= (q[:, j] @ r[:, i]) * q[:, j]
+        n = np.linalg.norm(v)
+        if n < 1e-12:
+            raise InvalidRotation("rotation columns are linearly dependent")
+        q[:, i] = v / n
+    if np.linalg.det(q) < 0:
+        q[:, 2] = -q[:, 2]
+    if not reference_accepts(q):
+        raise InvalidRotation("rotation is not orthonormal")
+    return q
+
+
+def reference_error(r):
+    """Orthonormality error and determinant the way the numpy check took them."""
+    return np.abs(r.T @ r - np.eye(3)).max(), float(np.linalg.det(r))
+
+
+def reference_accepts(r):
+    err, det = reference_error(r)
+    return err <= ORTHONORMALITY_TOL and abs(det - 1.0) <= ORTHONORMALITY_TOL
+
+
+def accepts(r):
+    try:
+        RigidTransform(r, np.zeros(3))
+    except InvalidRotation:
+        return False
+    return True
+
+
+def symmetric(entries):
+    a, b, c, d, e, f = entries
+    return np.array([[a, b, c], [b, d, e], [c, e, f]])
+
+
+def traceless(m):
+    # det(I + eps * m) = 1 + eps * trace(m) + O(eps**2)
+    return m - np.trace(m) / 3.0 * np.eye(3)
+
+
+def unit(m):
+    return m / np.abs(m).max()
+
+
+axes = st.tuples(*[st.floats(-1, 1)] * 3).filter(lambda v: np.linalg.norm(v) > 1e-3)
+angles = st.floats(-np.pi, np.pi)
+perturbations = st.lists(st.floats(-1e-3, 1e-3), min_size=9, max_size=9)
+shapes = st.lists(st.floats(-1, 1), min_size=6, max_size=6).map(symmetric)
+# symmetric directions with max |entry| = 1: r @ (I + eps * bump) moves
+# r.T @ r off the identity by about 2 * eps * bump
+bumps = shapes.filter(lambda m: np.abs(m).max() >= 0.1).map(unit)
+traceless_bumps = shapes.map(traceless).filter(lambda m: np.abs(m).max() >= 0.1).map(unit)
 
 
 def homogeneous(t):
@@ -161,6 +225,118 @@ class TestHandCenter:
         o = HandOffset((0.02, -0.03, -0.08))
         expected = t.rotation @ np.array([0.02, -0.03, -0.08]) + t.translation
         assert np.abs(hand_center(t, o).as_array() - expected).max() < 1e-12
+
+
+class TestClosedFormAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(axis=axes, angle=angles, noise=perturbations, reflect=st.booleans())
+    def test_from_orthonormalized_matches_reference(self, axis, angle, noise, reflect):
+        r = rotation_from_axis_angle(axis, angle) + np.reshape(noise, (3, 3))
+        if reflect:
+            r = r @ np.diag([1.0, 1.0, -1.0])  # det < 0: column 2 is flipped
+        got = RigidTransform.from_orthonormalized(r, np.zeros(3)).rotation
+        assert np.abs(got - reference_orthonormalize(r)).max() <= 1e-14
+
+    @settings(max_examples=300, deadline=None)
+    @given(axis=axes, angle=angles, bump=bumps, k=st.floats(0.25, 4.0),
+           reflect=st.booleans())
+    def test_check_decides_like_reference(self, axis, angle, bump, k, reflect):
+        # r.T @ r - I is about k * TOL * bump, so k < 1 passes and k > 1 fails
+        # unless the determinant is off by more
+        r = rotation_from_axis_angle(axis, angle) @ (
+            np.eye(3) + 0.5 * k * ORTHONORMALITY_TOL * bump
+        )
+        if reflect:
+            r = -r
+        err, det = reference_error(r)
+        for margin in (err - ORTHONORMALITY_TOL, abs(det - 1.0) - ORTHONORMALITY_TOL):
+            # rounding may tip a matrix sitting on the boundary either way
+            assume(abs(margin) > 1e-5 * ORTHONORMALITY_TOL)
+        assert accepts(r) == reference_accepts(r)
+
+    def test_determinant_binds_inside_orthonormality_tol(self):
+        # a uniform 0.4e-9 stretch: r.T @ r is 0.8e-9 off, det 1.2e-9 off
+        r = rotation_y(0.7) * (1.0 + 0.4 * ORTHONORMALITY_TOL)
+        assert not reference_accepts(r)
+        with pytest.raises(InvalidRotation, match="determinant"):
+            RigidTransform(r, np.zeros(3))
+
+    @settings(max_examples=100, deadline=None)
+    @given(axis_a=axes, angle_a=angles, bump_a=traceless_bumps,
+           axis_b=axes, angle_b=angles, bump_b=traceless_bumps)
+    def test_compose_at_tolerance_edge(self, axis_a, angle_a, bump_a,
+                                       axis_b, angle_b, bump_b):
+        def edge(axis, angle, bump):
+            # about 0.9e-9 from orthonormal: just inside the constructor's check
+            return rotation_from_axis_angle(axis, angle) @ (
+                np.eye(3) + 0.45 * ORTHONORMALITY_TOL * bump
+            )
+
+        a = RigidTransform(edge(axis_a, angle_a, bump_a), [0.1, 0.2, 0.3])
+        b = RigidTransform(edge(axis_b, angle_b, bump_b), [-0.3, 0.0, 0.5])
+        out = compose(a, b)
+        assert accepts(out.rotation) and reference_accepts(out.rotation)
+        assert np.abs(out.rotation - a.rotation @ b.rotation).max() < 1e-8
+
+    @pytest.mark.parametrize("across", [[3.0, 0.0, -1.0], [-2.0, 1.0, 0.0], [1.0, 1.0, -1.0]])
+    def test_nearly_dependent_columns_raise_or_give_a_rotation(self, across):
+        # column 1 is column 0 plus s across it; for small s cancellation
+        # leaves Gram-Schmidt's column 1 off-orthogonal, and whether that
+        # crosses the tolerance depends on rounding, for the reference too
+        c0 = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+        outcomes = set()
+        for scale in np.logspace(-12, -5, 29):
+            r = np.column_stack([c0, c0 + scale * np.array(across), np.cross(c0, across)])
+            try:
+                got = RigidTransform.from_orthonormalized(r, np.zeros(3))
+            except InvalidRotation:
+                outcomes.add("raised")
+                continue
+            outcomes.add("built")
+            assert reference_accepts(got.rotation)
+        assert outcomes == {"raised", "built"}
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_dependent_columns_rejected(self, column):
+        r = np.eye(3)
+        r[:, column] = r[:, (column + 1) % 3] * 2.0
+        with pytest.raises(InvalidRotation, match="dependent"):
+            RigidTransform.from_orthonormalized(r, np.zeros(3))
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(InvalidRotation, match="3x3"):
+            RigidTransform.from_orthonormalized(np.eye(2), np.zeros(3))
+        with pytest.raises(InvalidRotation, match="3x3"):
+            RigidTransform(np.eye(4)[:3], np.zeros(3))
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_constructor_rejects(self, bad):
+        r = np.eye(3)
+        r[1, 2] = bad
+        with pytest.raises(InvalidRotation, match="finite"):
+            RigidTransform(r, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_from_orthonormalized_rejects(self, bad):
+        r = rotation_z(0.3)
+        r[2, 0] = bad
+        with pytest.raises(InvalidRotation, match="finite"):
+            RigidTransform.from_orthonormalized(r, np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_from_json_dict_rejects(self, bad):
+        doc = RigidTransform(rotation_x(0.4), [1.0, -2.0, 0.5]).to_json_dict()
+        doc["r"][4] = bad
+        with pytest.raises(InvalidRotation, match="finite"):
+            RigidTransform.from_json_dict(doc)
+
+    def test_translation_still_checked(self):
+        with pytest.raises(ValueError, match="translation"):
+            RigidTransform(np.eye(3), [0.0, float("nan"), 0.0])
+        with pytest.raises(ValueError, match="translation"):
+            RigidTransform.from_orthonormalized(np.eye(3), [float("inf"), 0.0, 0.0])
 
 
 class TestValidation:
