@@ -252,10 +252,15 @@ def rotation_z(angle: float) -> np.ndarray:
 
 def rotation_from_axis_angle(axis, angle: float) -> np.ndarray:
     """Rodrigues rotation about a (not necessarily unit) axis."""
-    a = np.asarray(axis, dtype=float).reshape(3)
-    n = np.linalg.norm(a)
+    x, y, z = np.asarray(axis, dtype=float).reshape(3).tolist()
+    n = math.hypot(x, y, z)
     if n < 1e-15:
         return np.eye(3)
-    a = a / n
-    k = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
-    return np.eye(3) + math.sin(angle) * k + (1 - math.cos(angle)) * (k @ k)
+    x, y, z = x / n, y / n, z / n
+    s, c = math.sin(angle), math.cos(angle)
+    v = 1.0 - c
+    return np.array([
+        [c + v * x * x, v * x * y - s * z, v * x * z + s * y],
+        [v * x * y + s * z, c + v * y * y, v * y * z - s * x],
+        [v * x * z - s * y, v * y * z + s * x, c + v * z * z],
+    ])

@@ -4,10 +4,12 @@ Stands in for the camera + fiducial detector: callers provide the four
 corner pixel observations (synthetic or from files) and get back the
 marker pose in the camera frame.
 
-The estimator builds a DLT homography from the four correspondences,
-decomposes it into the two candidate planar poses, refines each with
-damped Gauss-Newton on the 6-DoF reprojection objective, and returns the
-candidate with the smaller residual together with the ambiguity ratio.
+The estimator builds a DLT homography from the four correspondences and
+takes both planar-ambiguity poses from it in closed form with IPPE
+(Collins & Bartoli, "Infinitesimal Plane-based Pose Estimation", IJCV
+2014), so each candidate starts next to its own minimum.  It refines each
+with damped Gauss-Newton on the 6-DoF reprojection objective and returns
+the candidate with the smaller residual together with the ambiguity ratio.
 
 Refinement stops after an accepted step that lowers the squared-pixel cost
 by at most GN_COST_RTOL of the new cost or has a norm below GN_STEP_TOL,
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RigidTransform, rotation_from_axis_angle
+from .geometry import RigidTransform, compose, invert, rotation_from_axis_angle
 
 MIN_DEPTH_M = 1e-6
 
@@ -184,31 +186,64 @@ def _homography_dlt(plane_xy: np.ndarray, image_xy: np.ndarray) -> np.ndarray:
     return vt[-1].reshape(3, 3)
 
 
-def _pose_from_homography(h: np.ndarray) -> RigidTransform:
-    h1, h2, h3 = h[:, 0], h[:, 1], h[:, 2]
-    scale = 2.0 / (np.linalg.norm(h1) + np.linalg.norm(h2))
-    if h3[2] * scale < 0:
-        scale = -scale  # keep the marker in front of the camera
-    r1, r2, t = scale * h1, scale * h2, scale * h3
-    r = np.column_stack([r1, r2, np.cross(r1, r2)])
-    # Polar orthonormalization: nearest rotation in Frobenius norm.
-    u, _, vt = np.linalg.svd(r)
-    d = np.diag([1.0, 1.0, np.sign(np.linalg.det(u @ vt))])
-    return RigidTransform(u @ d @ vt, t)
+def _ippe_candidates(h: np.ndarray, corners3d: np.ndarray, normalized: np.ndarray) -> tuple:
+    """Both planar-ambiguity poses of the centred marker, in closed form (IPPE).
 
-
-def _mirrored_candidate(pose: RigidTransform) -> RigidTransform:
-    """Second planar-ambiguity initialization: marker normal reflected across the view ray."""
-    n = pose.rotation[:, 2]
-    d = pose.translation / np.linalg.norm(pose.translation)
-    n2 = 2.0 * float(n @ d) * d - n
-    axis = np.cross(n, n2)
-    sin_a = np.linalg.norm(axis)
-    cos_a = float(np.clip(n @ n2, -1.0, 1.0))
-    if sin_a < 1e-12:
-        return pose
-    r = rotation_from_axis_angle(axis, math.atan2(sin_a, cos_a))
-    return RigidTransform.from_orthonormalized(r @ pose.rotation, pose.translation)
+    Collins & Bartoli, "Infinitesimal Plane-based Pose Estimation", IJCV
+    2014: the homography's Jacobian at the marker centre fixes the first two
+    rotation columns up to the sign of their components along the view ray
+    through the centre; flipping that sign reflects the marker normal about
+    the ray.  Each rotation gets its translation by linear least squares on
+    the eight projection equations.
+    """
+    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = h.tolist()
+    p, q = h02 / h22, h12 / h22  # image of the marker centre
+    # Jacobian of the homography at the centre
+    j00, j01 = (h00 - h20 * p) / h22, (h01 - h21 * p) / h22
+    j10, j11 = (h10 - h20 * q) / h22, (h11 - h21 * q) / h22
+    # rv turns z onto the centre's ray (p, q, 1)/s; identity when p = q = 0
+    t = math.hypot(p, q)
+    rv = rotation_from_axis_angle((-q, p, 0.0), math.atan2(t, 1.0))
+    (v00, v01, _), (v10, v11, _), (v20, v21, _) = rv.tolist()
+    # A = B^-1 J with B = [[1, 0, -p], [0, 1, -q]] @ rv[:, :2]
+    b00, b01, b10, b11 = v00 - p * v20, v01 - p * v21, v10 - q * v20, v11 - q * v21
+    det = b00 * b11 - b01 * b10
+    a00, a01 = (b11 * j00 - b01 * j10) / det, (b11 * j01 - b01 * j11) / det
+    a10, a11 = (b00 * j10 - b10 * j00) / det, (b00 * j11 - b10 * j01) / det
+    # largest singular value of the 2x2 A
+    f = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
+    d = a00 * a11 - a01 * a10
+    gamma = math.sqrt((f + math.sqrt(max(f * f - 4.0 * d * d, 0.0))) / 2.0)
+    r00, r01, r10, r11 = a00 / gamma, a01 / gamma, a10 / gamma, a11 / gamma
+    # third row b of the two orthonormal columns: b b^T = I - R~^T R~
+    m00 = 1.0 - r00 * r00 - r10 * r10
+    m01 = -r00 * r01 - r10 * r11
+    m11 = 1.0 - r01 * r01 - r11 * r11
+    b0 = math.sqrt(max(m00, 0.0))
+    b1 = math.copysign(math.sqrt(max(m11, 0.0)), m01)
+    c0, c1, c2 = r10 * b1 - b0 * r11, b0 * r01 - r00 * b1, r00 * r11 - r10 * r01
+    u, v = normalized[:, 0], normalized[:, 1]
+    lhs = np.zeros((8, 3))
+    lhs[0::2, 0] = 1.0
+    lhs[1::2, 1] = 1.0
+    lhs[0::2, 2] = -u
+    lhs[1::2, 2] = -v
+    candidates = []
+    for s in (1.0, -1.0):
+        r = rv @ np.array([[r00, r01, s * c0], [r10, r11, s * c1], [s * b0, s * b1, c2]])
+        m = corners3d @ r.T
+        rhs = np.empty(8)
+        rhs[0::2] = u * m[:, 2] - m[:, 0]
+        rhs[1::2] = v * m[:, 2] - m[:, 1]
+        translation = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+        if translation[2] < 0:
+            # a homography that no pose explains exactly (an edge-on marker
+            # under noise) can put the fit behind the camera; mirroring the
+            # corners through the camera centre keeps every projection
+            r[:, :2] *= -1.0
+            translation = -translation
+        candidates.append(RigidTransform.from_orthonormalized(r, translation))
+    return tuple(candidates)
 
 
 def _residuals(rotation: np.ndarray, translation: np.ndarray, corners3d: np.ndarray,
@@ -307,8 +342,7 @@ def estimate_pose(
     corners3d = marker_corners_3d(marker_side)
     normalized = _normalized_corners(obs, intrinsics)
     h = _homography_dlt(corners3d[:, :2], normalized)
-    first = _pose_from_homography(h)
-    candidates = [first, _mirrored_candidate(first)]
+    candidates = _ippe_candidates(h, corners3d, normalized)
 
     refined = []
     for c in candidates:
@@ -342,8 +376,6 @@ def calibrate_base(
     Done once per camera placement; the result is persisted by the CLI for
     the session.
     """
-    from .geometry import compose, invert
-
     est = estimate_pose(obs, marker_side, intrinsics)
     # base-marker-in-camera composed with robot-base-in-base-marker
     return compose(est.pose, invert(base_marker_to_robot_base))

@@ -339,6 +339,34 @@ class TestNonFinite:
             RigidTransform.from_orthonormalized(np.eye(3), [float("inf"), 0.0, 0.0])
 
 
+def reference_axis_angle(axis, angle):
+    """Reference for `rotation_from_axis_angle`: the numpy Rodrigues form
+    I + sin(a) K + (1 - cos(a)) K @ K that the closed form replaced."""
+    a = np.asarray(axis, dtype=float).reshape(3)
+    n = np.linalg.norm(a)
+    if n < 1e-15:
+        return np.eye(3)
+    a = a / n
+    k = np.array([[0, -a[2], a[1]], [a[2], 0, -a[0]], [-a[1], a[0], 0]])
+    return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
+
+
+class TestRotationFromAxisAngle:
+    def test_matches_numpy_reference(self):
+        rng = np.random.default_rng(17)
+        for _ in range(2000):
+            direction = rng.normal(size=3)
+            axis = direction / np.linalg.norm(direction) * 10.0 ** rng.uniform(-6, 2)
+            angle = rng.uniform(-4, 4)
+            got = rotation_from_axis_angle(axis, angle)
+            assert np.abs(got - reference_axis_angle(axis, angle)).max() <= 1e-14
+            assert accepts(got)
+
+    @pytest.mark.parametrize("axis", [[0.0, 0.0, 0.0], [1e-16, 0.0, 0.0], [3e-16, -4e-16, 5e-17]])
+    def test_tiny_axis_gives_identity(self, axis):
+        assert np.array_equal(rotation_from_axis_angle(axis, 1.3), np.eye(3))
+
+
 class TestValidation:
     def test_point3_rejects_nan(self):
         with pytest.raises(ValueError):

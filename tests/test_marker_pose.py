@@ -180,6 +180,27 @@ class TestEstimatePose:
             estimate_pose(obs, SIDE, K)
         assert calls[0] / 50 <= 30
 
+    def test_residual_evaluation_budget_ippe(self, monkeypatch):
+        # IPPE starts both candidates next to their minima: the same 50 poses
+        # as above cost at most 16 residual evaluations per pose on average
+        from handguard import marker_pose
+
+        calls = [0]
+        residuals = marker_pose._residuals
+
+        def counted(*args):
+            calls[0] += 1
+            return residuals(*args)
+
+        monkeypatch.setattr(marker_pose, "_residuals", counted)
+        rng = np.random.default_rng(21)
+        for i in range(50):
+            obs = synthesize_observation(
+                random_pose(rng), SIDE, K, pixel_noise_sigma=0.5, seed=3000 + i
+            )
+            estimate_pose(obs, SIDE, K)
+        assert calls[0] / 50 <= 16
+
     def test_noisy_accuracy_within_frozen_bounds(self):
         # Monte-Carlo accuracy envelope measured once for a 4 cm marker at
         # 0.6-1.4 m with 0.5 px corner noise; frozen in the fixture file.
@@ -196,6 +217,75 @@ class TestEstimatePose:
             rot_err.append(math.degrees(rotation_error_rad(est.pose.rotation, truth.rotation)))
         assert float(np.percentile(trans_err, 95)) <= bounds["p95_translation_m"]
         assert float(np.percentile(rot_err, 95)) <= bounds["p95_rotation_deg"]
+
+
+def ippe_candidates(obs):
+    from handguard.marker_pose import _homography_dlt, _ippe_candidates, _normalized_corners
+
+    corners3d = marker_corners_3d(SIDE)
+    normalized = _normalized_corners(obs, K)
+    h = _homography_dlt(corners3d[:, :2], normalized)
+    return h, _ippe_candidates(h, corners3d, normalized)
+
+
+def in_front(pose):
+    return bool(np.all((marker_corners_3d(SIDE) @ pose.rotation.T + pose.translation)[:, 2] > 0))
+
+
+class TestIppeCandidates:
+    @staticmethod
+    def truths():
+        rng = np.random.default_rng(31)
+        return [random_pose(rng) for _ in range(200)]
+
+    def test_noiseless_one_candidate_is_exact(self):
+        for truth in self.truths():
+            _, candidates = ippe_candidates(synthesize_observation(truth, SIDE, K))
+            assert min(
+                max(np.abs(c.rotation - truth.rotation).max(),
+                    np.abs(c.translation - truth.translation).max())
+                for c in candidates
+            ) <= 1e-9
+
+    def test_candidates_are_proper_rotations_in_front(self):
+        for truth in self.truths():
+            _, candidates = ippe_candidates(synthesize_observation(truth, SIDE, K))
+            assert len(candidates) == 2
+            for c in candidates:
+                RigidTransform(c.rotation, c.translation)  # orthonormal, det +1
+                assert in_front(c)
+
+    def test_normals_reflect_about_the_centre_ray(self):
+        for truth in self.truths():
+            _, (a, b) = ippe_candidates(synthesize_observation(truth, SIDE, K))
+            ray = truth.translation / np.linalg.norm(truth.translation)
+            n1, n2 = a.rotation[:, 2], b.rotation[:, 2]
+            assert np.abs(2.0 * (n1 @ ray) * ray - n1 - n2).max() <= 1e-12
+
+    def test_centred_fronto_parallel_is_finite(self):
+        # the centre ray is the optical axis: the view-ray rotation is the identity
+        truth = RigidTransform(np.eye(3), [0.0, 0.0, 1.0])
+        _, candidates = ippe_candidates(synthesize_observation(truth, SIDE, K))
+        for c in candidates:
+            assert np.all(np.isfinite(c.rotation)) and np.all(np.isfinite(c.translation))
+            # the tilt is the square root of rounding-level terms here, so
+            # both candidates sit about 1e-8 rad off the identity
+            assert np.abs(c.as_matrix() - truth.as_matrix()).max() <= 1e-7
+
+    def test_edge_on_marker_under_noise(self):
+        # a marker seen almost edge-on (sim_noisy seed 10, step 12) spans
+        # 0.6 px in u; with 0.5 px noise its quad folds over and the exact homography sends two corners behind
+        # the camera, but both candidates stay in front and one converges
+        corners = np.array([
+            [668.0696998012323, 139.34880570587666], [668.1988473631603, 145.87422043988323],
+            [667.9084235736839, 124.18880487842367], [668.4690586196244, 117.31962693658676],
+        ])
+        h, candidates = ippe_candidates(MarkerObservation(0, corners))
+        w = np.column_stack([marker_corners_3d(SIDE)[:, :2], np.ones(4)]) @ h[2]
+        assert np.any(w > 0) and np.any(w < 0)
+        assert all(in_front(c) for c in candidates)
+        est = estimate_pose(MarkerObservation(0, corners), SIDE, K)
+        assert est.rms_reprojection_error < 1.0
 
 
 def reference_jacobian(rotated, pts, k):
