@@ -15,10 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .haptics import PatternId
+from .haptics import ALL_PATTERNS, PatternId
 
 # Canonical row/column order of the 10x10 perception matrix.
-PATTERN_ORDER = ("1H", "1L", "2H", "2L", "3H", "3L", "4H", "4L", "5H", "5L")
+PATTERN_ORDER = tuple(str(p) for p in ALL_PATTERNS)
+_PATTERN_INDEX = {p: i for i, p in enumerate(ALL_PATTERNS)}
 
 ROW_SUM_TOL = 0.02  # tolerates matrices rounded to 2 decimals
 
@@ -196,19 +197,38 @@ def t_two_sided_p(t: float, df: int) -> float:
 # --- confusion matrices ----------------------------------------------------
 
 
+def _trial_counts(trials, side: WristSide) -> tuple:
+    """(sorted participant ids, participant x actual x perceived counts) for one side."""
+    mine = [t for t in trials if t.wrist_side is side]
+    participants = sorted({t.participant_id for t in mine})
+    row = {pid: i for i, pid in enumerate(participants)}
+    counts = np.zeros((len(participants), 10, 10))
+    for t in mine:
+        counts[row[t.participant_id], _PATTERN_INDEX[t.actual], _PATTERN_INDEX[t.perceived]] += 1
+    return participants, counts
+
+
 def confusion_from_trials(trials, side: WristSide) -> ConfusionMatrix:
     """Row-normalized actual x perceived counts for one wrist side."""
-    index = {p: i for i, p in enumerate(PATTERN_ORDER)}
-    counts = np.zeros((10, 10))
-    for trial in trials:
-        if trial.wrist_side is not side:
-            continue
-        counts[index[str(trial.actual)], index[str(trial.perceived)]] += 1
+    counts = _trial_counts(trials, side)[1].sum(axis=0)
     row_totals = counts.sum(axis=1)
     missing = [PATTERN_ORDER[i] for i in range(10) if row_totals[i] == 0]
     if missing:
         raise MissingPattern(f"no trials for actual patterns {missing}")
     return ConfusionMatrix(counts / row_totals[:, None])
+
+
+def per_participant_rates(trials, side: WristSide) -> np.ndarray:
+    """participant x pattern recognition fractions, participants in id order."""
+    participants, counts = _trial_counts(trials, side)
+    totals = counts.sum(axis=2)
+    missing = np.argwhere(totals == 0)
+    if missing.size:
+        i, j = missing[0]
+        raise MissingPattern(
+            f"participant {participants[i]} has no trials for pattern {PATTERN_ORDER[j]}"
+        )
+    return np.diagonal(counts, axis1=1, axis2=2) / totals
 
 
 def recognition_rates(m: ConfusionMatrix) -> tuple:

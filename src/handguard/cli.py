@@ -184,27 +184,6 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _per_participant_rates(trials, side):
-    """participant x pattern matrix of per-pattern recognition fractions."""
-    participants = sorted({t.participant_id for t in trials if t.wrist_side is side})
-    table = np.zeros((len(participants), len(analysis.PATTERN_ORDER)))
-    for i, pid in enumerate(participants):
-        for j, pattern in enumerate(analysis.PATTERN_ORDER):
-            mine = [
-                t for t in trials
-                if t.participant_id == pid and t.wrist_side is side
-                and str(t.actual) == pattern
-            ]
-            if not mine:
-                raise analysis.MissingPattern(
-                    f"participant {pid} has no trials for pattern {pattern}"
-                )
-            table[i, j] = sum(
-                1 for t in mine if str(t.perceived) == pattern
-            ) / len(mine)
-    return table
-
-
 def cmd_analyze(args) -> int:
     mode = args.mode
     try:
@@ -226,7 +205,7 @@ def cmd_analyze(args) -> int:
                 "matrix": matrix.values.tolist(),
             }))
             return EXIT_OK
-        table = _per_participant_rates(trials, side)
+        table = analysis.per_participant_rates(trials, side)
         if mode == "anova":
             result = analysis.one_way_anova([table[:, j] for j in range(table.shape[1])])
         elif mode == "rmanova":

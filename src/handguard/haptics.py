@@ -47,14 +47,15 @@ class PatternId:
     @classmethod
     def parse(cls, text: str) -> "PatternId":
         text = text.strip().upper()
-        if len(text) != 2 or text[0] not in "12345" or text[1] not in "HL":
+        if text not in _PATTERNS_BY_ID:
             raise ValueError(f"unknown pattern id {text!r}")
-        return cls(Shape(int(text[0])), Speed(text[1]))
+        return _PATTERNS_BY_ID[text]
 
 
 ALL_PATTERNS = tuple(
     PatternId(shape, speed) for shape in Shape for speed in Speed
 )
+_PATTERNS_BY_ID = {str(p): p for p in ALL_PATTERNS}
 
 
 @dataclass(frozen=True)

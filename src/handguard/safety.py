@@ -47,13 +47,14 @@ class Direction(enum.Enum):
     BACK = "back"
 
 
-# Fixed tie-break order: Right, Left, Down, Back.
-_DIRECTION_VECTORS = (
-    (Direction.RIGHT, np.array([1.0, 0.0, 0.0])),
-    (Direction.LEFT, np.array([-1.0, 0.0, 0.0])),
-    (Direction.DOWN, np.array([0.0, 0.0, -1.0])),
-    (Direction.BACK, np.array([0.0, -1.0, 0.0])),
-)
+# Unit vector of each direction in the workspace frame.  Insertion order is
+# the tie-break order of select_direction: Right, Left, Down, Back.
+DIRECTION_VECTORS = {
+    Direction.RIGHT: np.array([1.0, 0.0, 0.0]),
+    Direction.LEFT: np.array([-1.0, 0.0, 0.0]),
+    Direction.DOWN: np.array([0.0, 0.0, -1.0]),
+    Direction.BACK: np.array([0.0, -1.0, 0.0]),
+}
 
 
 @dataclass(frozen=True)
@@ -163,9 +164,9 @@ def select_direction(hand: Point3, tcp: Point3, tcp_velocity) -> Direction:
         escape = np.array([1.0, 0.0, 0.0])
     else:
         escape = escape / norm
-    best = _DIRECTION_VECTORS[0][0]
+    best = next(iter(DIRECTION_VECTORS))
     best_dot = -np.inf
-    for direction, vec in _DIRECTION_VECTORS:
+    for direction, vec in DIRECTION_VECTORS.items():
         d = float(vec @ escape)
         if d > best_dot + 1e-12:
             best, best_dot = direction, d

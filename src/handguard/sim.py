@@ -5,24 +5,25 @@ waypoint path, tracks the (scripted, latency-modeled) human hand through
 the marker/mocap chain, drives the gimbal servo model, feeds distances to
 the safety state machine, and emits a per-step trace plus summary metrics.
 Everything is reproducible from the scenario seed.
+
+Each step builds the marker pose once, straight in the camera frame (the
+only re-orthonormalization, at the boundary into `marker_pose.project`).
+The estimated marker pose comes back to the base frame as a point: the hand
+offset goes through the estimated pose and then through base_from_camera.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gimbal, haptics, marker_pose, safety
-from .geometry import (
-    HandOffset,
-    Point3,
-    RigidTransform,
-    compose,
-    hand_center,
-    invert,
-)
+from .geometry import HandOffset, Point3, RigidTransform, invert
 
 RESPONSE_TIME_FLOOR_S = 0.05
 MOVEMENT_DETECTION_M = 1e-3
@@ -35,13 +36,8 @@ CAMERA_ROTATION_WORLD_TO_CAM = np.array(
 )
 # Wrist rest frame: x right (+x world), z toward the camera (+y world).
 WRIST_ROTATION = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]]).T
-
-_DIRECTION_WORLD = {
-    safety.Direction.RIGHT: np.array([1.0, 0.0, 0.0]),
-    safety.Direction.LEFT: np.array([-1.0, 0.0, 0.0]),
-    safety.Direction.DOWN: np.array([0.0, 0.0, -1.0]),
-    safety.Direction.BACK: np.array([0.0, -1.0, 0.0]),
-}
+# Wrist rest frame in the camera frame; the gimbal's marker rotation follows.
+CAMERA_FROM_WRIST = CAMERA_ROTATION_WORLD_TO_CAM @ WRIST_ROTATION
 
 
 class ScenarioError(ValueError):
@@ -107,6 +103,14 @@ class Scenario:
     hand_offset: HandOffset = HandOffset()
 
     def __post_init__(self):
+        for name in ("dt", "duration", "marker_side", "pixel_noise_sigma"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+                    or not math.isfinite(value):
+                raise ScenarioError(f"{name}: must be a finite number")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
+                or self.seed < 0:
+            raise ScenarioError("seed: must be an integer >= 0")
         if self.dt <= 0:
             raise ScenarioError("dt: must be > 0")
         if self.duration < self.dt:
@@ -134,14 +138,13 @@ class Scenario:
         return _scenario_from_dict(json.loads(text))
 
 
-_SCENARIO_KEYS = {
-    "dt", "duration", "seed", "robot_waypoints", "hand_home", "zones",
-    "mapping", "human", "gear", "camera", "marker_side", "pixel_noise_sigma",
-    "hand_offset",
-}
-_HUMAN_KEYS = {
-    "response_mean", "response_jitter_sigma", "mis_response_probability",
-    "hand_speed", "escape_displacement", "return_delay",
+# Nested sections built straight from their dataclass; its fields are the
+# section's keys.
+_SECTIONS = {
+    "zones": safety.SafetyZones,
+    "human": HumanModel,
+    "gear": gimbal.GearParams,
+    "camera": marker_pose.CameraIntrinsics,
 }
 
 
@@ -154,11 +157,8 @@ def _reject_unknown(doc: dict, allowed: set, path: str) -> None:
 def _scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario: expected a JSON object")
-    _reject_unknown(doc, _SCENARIO_KEYS, "scenario")
-    kwargs = {}
-    for key in ("dt", "duration", "seed", "marker_side", "pixel_noise_sigma"):
-        if key in doc:
-            kwargs[key] = doc[key]
+    _reject_unknown(doc, {f.name for f in dataclasses.fields(Scenario)}, "scenario")
+    kwargs = dict(doc)  # scalars pass through; Scenario checks them
     try:
         if "robot_waypoints" in doc:
             wps = []
@@ -170,27 +170,16 @@ def _scenario_from_dict(doc: dict) -> Scenario:
             kwargs["hand_home"] = Point3(*doc["hand_home"])
         if "hand_offset" in doc:
             kwargs["hand_offset"] = HandOffset(tuple(doc["hand_offset"]))
-        if "zones" in doc:
-            _reject_unknown(
-                doc["zones"],
-                {"activation_distance", "critical_distance", "resume_hysteresis"},
-                "zones",
-            )
-            kwargs["zones"] = safety.SafetyZones(**doc["zones"])
         if "mapping" in doc:
             pairs = tuple(
                 (pattern, safety.Direction(direction))
                 for pattern, direction in doc["mapping"].items()
             )
             kwargs["mapping"] = safety.DirectionMapping(pairs)
-        if "human" in doc:
-            _reject_unknown(doc["human"], _HUMAN_KEYS, "human")
-            kwargs["human"] = HumanModel(**doc["human"])
-        if "gear" in doc:
-            _reject_unknown(doc["gear"], {"n_a", "n_b", "n_s"}, "gear")
-            kwargs["gear"] = gimbal.GearParams(**doc["gear"])
-        if "camera" in doc:
-            kwargs["camera"] = marker_pose.CameraIntrinsics.from_json_dict(doc["camera"])
+        for key, cls in _SECTIONS.items():
+            if key in doc:
+                _reject_unknown(doc[key], {f.name for f in dataclasses.fields(cls)}, key)
+                kwargs[key] = cls(**doc[key])
     except ScenarioError:
         raise
     except (TypeError, ValueError, KeyError) as exc:
@@ -321,7 +310,7 @@ class _HumanAgent:
             wrong = [d for d in safety.Direction if d is not direction]
             direction = wrong[self.rng.integers(len(wrong))]
         self.respond_at = t + latency
-        self.escape_direction = _DIRECTION_WORLD[direction]
+        self.escape_direction = safety.DIRECTION_VECTORS[direction]
         self.escaping = False
         self.returning = False
         self.return_at = None
@@ -374,12 +363,13 @@ def run(scenario: Scenario) -> tuple:
     # cam_from_world and the camera pose in the base is its inverse
     base_from_camera = invert(cam_from_world)
 
+    offset = scenario.hand_offset.as_array()
+
     human = _HumanAgent(scenario, rng)
     state = safety.SafetyState()
     servo = gimbal.ServoState()
     robot_time = 0.0
     tcp = _position_on_loop(legs, 0.0)
-    tcp_prev = tcp.copy()
     hand_est = human.position.copy()
 
     trace = []
@@ -417,11 +407,11 @@ def run(scenario: Scenario) -> tuple:
         actual = gimbal.marker_deltas(
             gimbal.MotorDeltas(servo.angle_a, servo.angle_b), scenario.gear
         )
-        marker_rot_world = WRIST_ROTATION @ gimbal.marker_rotation(actual)
-        marker_t_world = hand_true - marker_rot_world @ scenario.hand_offset.as_array()
-        marker_in_camera = compose(
-            cam_from_world,
-            RigidTransform.from_orthonormalized(marker_rot_world, marker_t_world),
+        # the marker sits at the hand minus the rotated hand offset; building
+        # it straight in the camera frame hands project a proper rotation
+        marker_rot = CAMERA_FROM_WRIST @ gimbal.marker_rotation(actual)
+        marker_in_camera = RigidTransform.from_orthonormalized(
+            marker_rot, cam_from_world.apply(hand_true) - marker_rot @ offset
         )
 
         # mocap chain: real estimation only when pixel noise is injected
@@ -451,18 +441,18 @@ def run(scenario: Scenario) -> tuple:
             marker_visible = False
 
         if marker_visible:
-            hand_pose_in_base = compose(base_from_camera, est_marker_in_camera)
-            hand_est = hand_center(hand_pose_in_base, scenario.hand_offset).as_array()
+            hand_est = base_from_camera.apply(est_marker_in_camera.apply(offset))
         # else: keep last known hand_est
 
         distance_true = float(np.linalg.norm(hand_true - tcp))
         distance_est = float(np.linalg.norm(hand_est - tcp))
+        tcp_point = Point3.from_array(tcp)
 
         state, commands = safety.step(
             state,
             distance_est,
             Point3.from_array(hand_est),
-            Point3.from_array(tcp),
+            tcp_point,
             tcp_velocity,
             t,
             zones=scenario.zones,
@@ -486,7 +476,7 @@ def run(scenario: Scenario) -> tuple:
         trace.append(TraceRecord(
             t=t,
             hand=Point3.from_array(hand_true),
-            tcp=Point3.from_array(tcp),
+            tcp=tcp_point,
             distance=distance_true,
             zone=zone,
             state_mode=state.mode,

@@ -16,6 +16,7 @@ from handguard.analysis import (
     f_cdf,
     f_sf,
     one_way_anova,
+    per_participant_rates,
     paired_t_bonferroni,
     read_trials_csv,
     recognition_rates,
@@ -261,6 +262,54 @@ class TestConfusionFromTrials:
         m = confusion_from_trials(trials, WristSide.VOLAR)
         diag, mean = recognition_rates(m)
         assert abs(mean - true_rate) < 0.02
+
+
+def reference_per_participant_rates(trials, side):
+    """The per-trial triple loop that per_participant_rates replaced."""
+    participants = sorted({t.participant_id for t in trials if t.wrist_side is side})
+    table = np.zeros((len(participants), len(PATTERN_ORDER)))
+    for i, pid in enumerate(participants):
+        for j, pattern in enumerate(PATTERN_ORDER):
+            mine = [
+                t for t in trials
+                if t.participant_id == pid and t.wrist_side is side
+                and str(t.actual) == pattern
+            ]
+            if not mine:
+                raise MissingPattern(
+                    f"participant {pid} has no trials for pattern {pattern}"
+                )
+            table[i, j] = sum(1 for t in mine if str(t.perceived) == pattern) / len(mine)
+    return table
+
+
+class TestPerParticipantRates:
+    @staticmethod
+    def random_trials(rng, participants=(3, 11, 7), reps=4):
+        trials = []
+        for side in WristSide:
+            for pid in participants:
+                for p in PATTERN_ORDER:
+                    for _ in range(int(rng.integers(1, reps + 1))):
+                        perceived = p if rng.random() < 0.7 else PATTERN_ORDER[rng.integers(10)]
+                        trials.append(TrialRecord(pid, side, PatternId.parse(p),
+                                                  PatternId.parse(perceived)))
+        return [trials[i] for i in rng.permutation(len(trials))]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_reference_exactly(self, seed):
+        trials = self.random_trials(np.random.default_rng(seed))
+        for side in WristSide:
+            got = per_participant_rates(trials, side)
+            assert got.shape == (3, 10)
+            assert np.array_equal(got, reference_per_participant_rates(trials, side))
+
+    def test_missing_pattern_names_participant(self):
+        trials = self.random_trials(np.random.default_rng(0))
+        trials = [t for t in trials
+                  if not (t.participant_id == 7 and str(t.actual) == "3L")]
+        with pytest.raises(MissingPattern, match="participant 7 has no trials for pattern 3L"):
+            per_participant_rates(trials, WristSide.VOLAR)
 
 
 class TestBundledMatrices:

@@ -77,6 +77,37 @@ class TestSimulate:
             "ead01c822966bb49f7dbc8fcfef8429a83062bffa3e3e97a7a5831803c6673f6"
         )
 
+    def test_noisy_near_path_golden_bytes(self, capsys, tmp_path):
+        # SHA-256 of a 1.5 s run with 0.5 px corner noise and the robot loop
+        # moved near the hand, so estimate_pose drives every step and the run
+        # holds a pattern and halts.  Splitting the RNG streams moves this pin.
+        scen = json.loads(scenario_path("default.json").read_text())
+        scen.update({
+            "seed": 0,
+            "duration": 1.5,
+            "pixel_noise_sigma": 0.5,
+            "robot_waypoints": [
+                {"point": [0.0, 0.35, 0.2], "speed": 0.1},
+                {"point": [0.0, 0.62, 0.2], "speed": 0.1},
+            ],
+        })
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scen))
+        trace, metrics = tmp_path / "t.csv", tmp_path / "m.json"
+        code, _, _ = run_cli(
+            capsys, "simulate", "--scenario", str(path),
+            "--trace", str(trace), "--metrics", str(metrics),
+        )
+        assert code == 0
+        doc = json.loads(metrics.read_text())
+        assert doc["halts"] >= 1 and sum(doc["pattern_activations"].values()) >= 1
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == (
+            "628e7fffa3ea5eda3ed2b84b7f0d1ca1b39a2fddbed0d0d81b53284f49833358"
+        )
+        assert hashlib.sha256(metrics.read_bytes()).hexdigest() == (
+            "a0a1b8e2851ca0003ae96179b7e0563e8298d582637789380095c60e72990d6d"
+        )
+
     def test_seed_sweep_writes_one_file_per_seed(self, capsys, tmp_path):
         scen = json.loads(scenario_path("default.json").read_text())
         scen["duration"] = 2.0
@@ -103,6 +134,18 @@ class TestSimulate:
         )
         assert code == 2
         assert "zones" in err
+
+    def test_non_numeric_scalar_reports_field_and_exit_2(self, capsys, tmp_path):
+        scen = json.loads(scenario_path("default.json").read_text())
+        scen["dt"] = "0.01"
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scen))
+        code, _, err = run_cli(
+            capsys, "simulate", "--scenario", str(path),
+            "--trace", str(tmp_path / "t.csv"), "--metrics", str(tmp_path / "m.json"),
+        )
+        assert code == 2
+        assert "dt" in err
 
     def test_missing_scenario_file(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -137,6 +137,35 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match="mis_response"):
             default_scenario(human={"mis_response_probability": 1.5})
 
+    @pytest.mark.parametrize("name, value", [
+        ("dt", "0.01"),
+        ("duration", None),
+        ("marker_side", "x"),
+        ("pixel_noise_sigma", [1]),
+        ("dt", True),
+        ("duration", float("nan")),
+        ("marker_side", float("inf")),
+        ("seed", "7"),
+        ("seed", 1.5),
+        ("seed", -1),
+    ])
+    def test_bad_scalar_names_field(self, name, value):
+        with pytest.raises(ScenarioError, match=f"^{name}: "):
+            default_scenario(**{name: value})
+
+    @pytest.mark.parametrize(
+        "section", ["zones", "human", "gear", "camera", "robot_waypoints[1]"]
+    )
+    def test_unknown_key_names_section(self, section):
+        doc = json.loads(scenario_path("default.json").read_text())
+        if section == "robot_waypoints[1]":
+            doc["robot_waypoints"][1]["bogus"] = 1
+        else:
+            doc[section]["bogus"] = 1
+        with pytest.raises(ScenarioError) as info:
+            Scenario.from_json_dict(doc)
+        assert str(info.value).startswith(f"{section}: unknown keys ['bogus']")
+
 
 class TestRun:
     def test_deterministic_trace_bytes(self):
