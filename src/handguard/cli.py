@@ -55,7 +55,7 @@ def _read_observations(path: str) -> list:
                     corners=np.array(parts[1:]).reshape(4, 2),
                 )
                 rows.append((line_no, obs, None))
-            except (ValueError, marker_pose.DegenerateCorners) as exc:
+            except ValueError as exc:
                 rows.append((line_no, None, str(exc)))
     return rows
 
@@ -138,8 +138,7 @@ def cmd_pose(args) -> int:
             continue
         try:
             est = marker_pose.estimate_pose(obs, args.marker_side, intrinsics)
-        except (marker_pose.DegenerateCorners, marker_pose.NoConvergence,
-                marker_pose.NonPositiveDepth) as exc:
+        except marker_pose.PoseError as exc:
             print(json.dumps({"line": line_no, "error": str(exc)}))
             failures += 1
             continue
@@ -174,8 +173,7 @@ def cmd_calibrate(args) -> int:
         base_in_camera = marker_pose.calibrate_base(
             usable[0], args.marker_side, intrinsics, base_marker_to_robot_base
         )
-    except (marker_pose.DegenerateCorners, marker_pose.NoConvergence,
-            marker_pose.NonPositiveDepth) as exc:
+    except marker_pose.PoseError as exc:
         return _fail(f"calibration failed: {exc}", EXIT_DATA_ERROR)
     payload = base_in_camera.to_json()
     if args.out:

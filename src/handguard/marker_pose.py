@@ -4,19 +4,19 @@ Stands in for the camera + fiducial detector: callers provide the four
 corner pixel observations (synthetic or from files) and get back the
 marker pose in the camera frame.
 
-The estimator builds a DLT homography from the four correspondences and
-takes both planar-ambiguity poses from it in closed form with IPPE
-(Collins & Bartoli, "Infinitesimal Plane-based Pose Estimation", IJCV
+The estimator maps the marker square onto the four corners with a
+closed-form homography and takes both planar-ambiguity poses from it with
+IPPE (Collins & Bartoli, "Infinitesimal Plane-based Pose Estimation", IJCV
 2014), so each candidate starts next to its own minimum.  It refines each
-with damped Gauss-Newton on the 6-DoF reprojection objective and returns
-the candidate with the smaller residual together with the ambiguity ratio.
+with damped Gauss-Newton on the 6-DoF reprojection objective and keeps the
+candidate with the smaller residual together with the ambiguity ratio.
 
 Refinement stops after an accepted step that lowers the squared-pixel cost
 by at most GN_COST_RTOL of the new cost or has a norm below GN_STEP_TOL,
-or when rejected steps raise the damping above GN_DAMPING_MAX.  After
-GN_MAX_ITERATIONS it raises NoConvergence if the rms residual is above
-1 px; a candidate that fails that way is dropped, and estimate_pose raises
-NoConvergence only when both candidates fail.
+when rejected steps raise the damping above GN_DAMPING_MAX, or after
+GN_MAX_ITERATIONS.  However it stops, one gate follows: estimate_pose
+raises NoConvergence when the kept fit is worse than MAX_RMS_PX.  Every
+failure to find a pose is a PoseError.
 """
 
 from __future__ import annotations
@@ -37,20 +37,28 @@ GN_DAMPING_UP = 2.0
 GN_DAMPING_DOWN = 0.5
 GN_DAMPING_MAX = 1e4
 GN_COST_RTOL = 1e-10
+MAX_RMS_PX = 1.0
 
 _EYE6 = np.eye(6)
+# Sends the marker's corners, in half-sides, to the projective basis:
+# TL, TR and BL onto the axes and BR onto (1, 1, 1).
+_SQUARE_TO_BASIS = np.array([[1.0, -1.0, 0.0], [1.0, 0.0, 1.0], [0.0, -1.0, 1.0]])
 
 
-class NonPositiveDepth(ValueError):
+class PoseError(ValueError):
+    """The corners admit no usable marker pose."""
+
+
+class NonPositiveDepth(PoseError):
     """A marker corner is behind or on the camera plane."""
 
 
-class DegenerateCorners(ValueError):
+class DegenerateCorners(PoseError):
     """Observed corners are collinear or enclose no area."""
 
 
-class NoConvergence(RuntimeError):
-    """Refinement hit the iteration cap with residual above threshold."""
+class NoConvergence(PoseError):
+    """The best pose candidate fits the corners worse than MAX_RMS_PX."""
 
 
 @dataclass(frozen=True)
@@ -173,17 +181,20 @@ def _normalized_corners(obs: MarkerObservation, k: CameraIntrinsics) -> np.ndarr
     return np.column_stack([(c[:, 0] - k.cx) / k.fx, (c[:, 1] - k.cy) / k.fy])
 
 
-def _homography_dlt(plane_xy: np.ndarray, image_xy: np.ndarray) -> np.ndarray:
-    """3x3 homography mapping (X, Y, 1) to normalized image coords, via DLT."""
-    rows = []
-    for (x, y), (u, v) in zip(plane_xy, image_xy):
-        rows.append([-x, -y, -1, 0, 0, 0, u * x, u * y, u])
-        rows.append([0, 0, 0, -x, -y, -1, v * x, v * y, v])
-    a = np.array(rows)
-    _, s, vt = np.linalg.svd(a)
-    if s[-2] < 1e-12:
-        raise DegenerateCorners("homography system is rank deficient")
-    return vt[-1].reshape(3, 3)
+def _square_homography(normalized: np.ndarray, marker_side: float) -> np.ndarray:
+    """3x3 homography mapping marker-plane (X, Y, 1) to normalized image coords.
+
+    Projective-basis form: corners 0, 1 and 3, scaled so they sum to corner
+    2, times the constant that sends the marker's corners to that basis.
+    """
+    p = np.vstack([normalized.T, np.ones(4)])
+    basis = p[:, [0, 1, 3]]
+    try:
+        scale = np.linalg.solve(basis, p[:, 2])
+    except np.linalg.LinAlgError:
+        raise DegenerateCorners("corners are collinear or enclose no area") from None
+    half = marker_side / 2.0
+    return (basis * scale) @ (_SQUARE_TO_BASIS / [half, half, 1.0])
 
 
 def _ippe_candidates(h: np.ndarray, corners3d: np.ndarray, normalized: np.ndarray) -> tuple:
@@ -287,11 +298,7 @@ def _jacobian(rotated: np.ndarray, pts: np.ndarray, k: CameraIntrinsics) -> np.n
 
 def _refine(init: RigidTransform, corners3d: np.ndarray, observed: np.ndarray,
             k: CameraIntrinsics) -> tuple:
-    """Damped Gauss-Newton on the 6-DoF reprojection objective.
-
-    Returns (pose, rms_pixels).  Raises NoConvergence if the iteration cap
-    is hit while the residual is still large.
-    """
+    """Damped Gauss-Newton on the 6-DoF reprojection objective; (pose, rms_pixels)."""
     rotation, translation = init.rotation, init.translation
     lam = GN_DAMPING_INIT
     res, rotated, pts = _residuals(rotation, translation, corners3d, observed, k)
@@ -326,10 +333,6 @@ def _refine(init: RigidTransform, corners3d: np.ndarray, observed: np.ndarray,
             lam *= GN_DAMPING_UP
             if lam > GN_DAMPING_MAX:
                 break
-    else:
-        # cap hit: accept only if the fit is already tight
-        if math.sqrt(cost / 8.0) > 1.0:
-            raise NoConvergence("pose refinement did not converge")
     return RigidTransform.from_orthonormalized(rotation, translation), math.sqrt(cost / 8.0)
 
 
@@ -341,23 +344,17 @@ def estimate_pose(
         raise ValueError("marker_side must be positive")
     corners3d = marker_corners_3d(marker_side)
     normalized = _normalized_corners(obs, intrinsics)
-    h = _homography_dlt(corners3d[:, :2], normalized)
-    candidates = _ippe_candidates(h, corners3d, normalized)
-
-    refined = []
-    for c in candidates:
+    fits = []
+    for c in _ippe_candidates(_square_homography(normalized, marker_side), corners3d, normalized):
         try:
-            refined.append(_refine(c, corners3d, obs.corners, intrinsics))
-        except (NonPositiveDepth, NoConvergence):
+            fits.append(_refine(c, corners3d, obs.corners, intrinsics))
+        except NonPositiveDepth:
             continue
-    if not refined:
-        raise NoConvergence("no pose candidate converged")
-    refined.sort(key=lambda pr: pr[1])
-    best_pose, best_rms = refined[0]
-    if len(refined) > 1:
-        ratio = (refined[1][1] + 1e-15) / (best_rms + 1e-15)
-    else:
-        ratio = float("inf")
+    fits.sort(key=lambda pr: pr[1])
+    if not fits or fits[0][1] > MAX_RMS_PX:
+        raise NoConvergence(f"no pose candidate fits within {MAX_RMS_PX} px")
+    (best_pose, best_rms), *rest = fits
+    ratio = (rest[0][1] + 1e-15) / (best_rms + 1e-15) if rest else float("inf")
     return PoseEstimate(
         pose=best_pose,
         rms_reprojection_error=best_rms,

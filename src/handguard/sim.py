@@ -86,6 +86,12 @@ def sample_response_time(
     return max(draw, RESPONSE_TIME_FLOOR_S)
 
 
+def _require_finite(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
+            or not math.isfinite(value):
+        raise ScenarioError(f"{name}: must be a finite number")
+
+
 @dataclass(frozen=True)
 class Scenario:
     dt: float = 0.01
@@ -104,10 +110,7 @@ class Scenario:
 
     def __post_init__(self):
         for name in ("dt", "duration", "marker_side", "pixel_noise_sigma"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-                    or not math.isfinite(value):
-                raise ScenarioError(f"{name}: must be a finite number")
+            _require_finite(name, getattr(self, name))
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
                 or self.seed < 0:
             raise ScenarioError("seed: must be an integer >= 0")
@@ -118,6 +121,7 @@ class Scenario:
         if len(self.robot_waypoints) < 2:
             raise ScenarioError("robot_waypoints: at least 2 waypoints required")
         for i, (_, speed) in enumerate(self.robot_waypoints):
+            _require_finite(f"robot_waypoints[{i}].speed", speed)
             if speed <= 0:
                 raise ScenarioError(f"robot_waypoints[{i}].speed: must be > 0")
         if self.marker_side <= 0:
@@ -139,7 +143,7 @@ class Scenario:
 
 
 # Nested sections built straight from their dataclass; its fields are the
-# section's keys.
+# section's keys, and each numeric field must be a finite number.
 _SECTIONS = {
     "zones": safety.SafetyZones,
     "human": HumanModel,
@@ -164,11 +168,13 @@ def _scenario_from_dict(doc: dict) -> Scenario:
             wps = []
             for i, entry in enumerate(doc["robot_waypoints"]):
                 _reject_unknown(entry, {"point", "speed"}, f"robot_waypoints[{i}]")
-                wps.append((Point3(*entry["point"]), float(entry["speed"])))
+                wps.append((Point3(*entry["point"]), entry["speed"]))
             kwargs["robot_waypoints"] = tuple(wps)
         if "hand_home" in doc:
             kwargs["hand_home"] = Point3(*doc["hand_home"])
         if "hand_offset" in doc:
+            for i, value in enumerate(doc["hand_offset"]):
+                _require_finite(f"hand_offset[{i}]", value)
             kwargs["hand_offset"] = HandOffset(tuple(doc["hand_offset"]))
         if "mapping" in doc:
             pairs = tuple(
@@ -179,6 +185,9 @@ def _scenario_from_dict(doc: dict) -> Scenario:
         for key, cls in _SECTIONS.items():
             if key in doc:
                 _reject_unknown(doc[key], {f.name for f in dataclasses.fields(cls)}, key)
+                for f in dataclasses.fields(cls):
+                    if f.name in doc[key] and isinstance(f.default, numbers.Real):
+                        _require_finite(f"{key}.{f.name}", doc[key][f.name])
                 kwargs[key] = cls(**doc[key])
     except ScenarioError:
         raise
@@ -436,8 +445,7 @@ def run(scenario: Scenario) -> tuple:
                     obs, scenario.marker_side, scenario.camera
                 )
                 est_marker_in_camera = est.pose
-        except (marker_pose.NonPositiveDepth, marker_pose.DegenerateCorners,
-                marker_pose.NoConvergence):
+        except marker_pose.PoseError:
             marker_visible = False
 
         if marker_visible:

@@ -1,6 +1,7 @@
 import dataclasses
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -148,10 +149,29 @@ class TestScenarioValidation:
         ("seed", "7"),
         ("seed", 1.5),
         ("seed", -1),
+        ("human.hand_speed", float("nan")),
+        ("zones.resume_hysteresis", float("nan")),
+        ("zones.critical_distance", "0.2"),
+        ("gear.n_a", float("inf")),
+        ("camera.fx", True),
+        ("robot_waypoints[1].speed", True),
+        ("robot_waypoints[1].speed", "0.04"),
+        ("hand_offset[0]", float("nan")),
     ])
     def test_bad_scalar_names_field(self, name, value):
-        with pytest.raises(ScenarioError, match=f"^{name}: "):
-            default_scenario(**{name: value})
+        doc = json.loads(scenario_path("default.json").read_text())
+        if name.startswith("robot_waypoints"):
+            doc["robot_waypoints"][1]["speed"] = value
+        elif name.startswith("hand_offset"):
+            doc["hand_offset"] = [value, 0.0, 0.0]
+        elif "." in name:
+            section, key = name.split(".")
+            doc[section][key] = value
+        else:
+            doc[name] = value
+        message = "must be an integer >= 0" if name == "seed" else "must be a finite number"
+        with pytest.raises(ScenarioError, match=f"^{re.escape(name)}: {message}$"):
+            Scenario.from_json_dict(doc)
 
     @pytest.mark.parametrize(
         "section", ["zones", "human", "gear", "camera", "robot_waypoints[1]"]
