@@ -10,6 +10,9 @@ IPPE (Collins & Bartoli, "Infinitesimal Plane-based Pose Estimation", IJCV
 2014), so each candidate starts next to its own minimum.  It refines each
 with damped Gauss-Newton on the 6-DoF reprojection objective and keeps the
 candidate with the smaller residual together with the ambiguity ratio.
+The Gauss-Newton loop runs on Python floats: it builds the normal
+equations JᵀJ and Jᵀr directly, never the 8x6 J, and solves the damped
+6x6 system with an unrolled Cholesky factorization.
 
 Refinement stops after an accepted step that lowers the squared-pixel cost
 by at most GN_COST_RTOL of the new cost or has a norm below GN_STEP_TOL,
@@ -39,7 +42,6 @@ GN_DAMPING_MAX = 1e4
 GN_COST_RTOL = 1e-10
 MAX_RMS_PX = 1.0
 
-_EYE6 = np.eye(6)
 # Sends the marker's corners, in half-sides, to the projective basis:
 # TL, TR and BL onto the axes and BR onto (1, 1, 1).
 _SQUARE_TO_BASIS = np.array([[1.0, -1.0, 0.0], [1.0, 0.0, 1.0], [0.0, -1.0, 1.0]])
@@ -205,7 +207,7 @@ def _ippe_candidates(h: np.ndarray, corners3d: np.ndarray, normalized: np.ndarra
     rotation columns up to the sign of their components along the view ray
     through the centre; flipping that sign reflects the marker normal about
     the ray.  Each rotation gets its translation by linear least squares on
-    the eight projection equations.
+    the eight projection equations, in closed form.
     """
     (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = h.tolist()
     p, q = h02 / h22, h12 / h22  # image of the marker centre
@@ -233,20 +235,23 @@ def _ippe_candidates(h: np.ndarray, corners3d: np.ndarray, normalized: np.ndarra
     b0 = math.sqrt(max(m00, 0.0))
     b1 = math.copysign(math.sqrt(max(m11, 0.0)), m01)
     c0, c1, c2 = r10 * b1 - b0 * r11, b0 * r01 - r00 * b1, r00 * r11 - r10 * r01
-    u, v = normalized[:, 0], normalized[:, 1]
-    lhs = np.zeros((8, 3))
-    lhs[0::2, 0] = 1.0
-    lhs[1::2, 1] = 1.0
-    lhs[0::2, 2] = -u
-    lhs[1::2, 2] = -v
+    # the projection equations tx - u tz = bu, ty - v tz = bv: centring
+    # them on the corners' mean removes tx and ty and leaves tz
+    uv = normalized.tolist()
+    u_mean, v_mean = sum(u for u, _ in uv) / 4.0, sum(v for _, v in uv) / 4.0
+    duv = [(u - u_mean, v - v_mean) for u, v in uv]
+    spread = sum(du * du + dv * dv for du, dv in duv)
     candidates = []
     for s in (1.0, -1.0):
         r = rv @ np.array([[r00, r01, s * c0], [r10, r11, s * c1], [s * b0, s * b1, c2]])
-        m = corners3d @ r.T
-        rhs = np.empty(8)
-        rhs[0::2] = u * m[:, 2] - m[:, 0]
-        rhs[1::2] = v * m[:, 2] - m[:, 1]
-        translation = np.linalg.lstsq(lhs, rhs, rcond=None)[0]
+        buv = [(u * mz - mx, v * mz - my)
+               for (u, v), (mx, my, mz) in zip(uv, (corners3d @ r.T).tolist())]
+        tz = -sum(du * bu + dv * bv for (du, dv), (bu, bv) in zip(duv, buv)) / spread
+        translation = np.array([
+            sum(bu for bu, _ in buv) / 4.0 + u_mean * tz,
+            sum(bv for _, bv in buv) / 4.0 + v_mean * tz,
+            tz,
+        ])
         if translation[2] < 0:
             # a homography that no pose explains exactly (an edge-on marker
             # under noise) can put the fit behind the camera; mirroring the
@@ -257,83 +262,191 @@ def _ippe_candidates(h: np.ndarray, corners3d: np.ndarray, normalized: np.ndarra
     return tuple(candidates)
 
 
-def _residuals(rotation: np.ndarray, translation: np.ndarray, corners3d: np.ndarray,
-               observed: np.ndarray, k: CameraIntrinsics) -> tuple:
-    """Reprojection residuals (8,), with the rotated and camera-frame corners."""
-    rotated = corners3d @ rotation.T
-    pts = rotated + translation
-    z = pts[:, 2]
-    if (z <= MIN_DEPTH_M).any():
-        raise NonPositiveDepth("corner behind camera during refinement")
-    res = np.empty(8)
-    res[0::2] = k.fx * pts[:, 0] / z + k.cx - observed[:, 0]
-    res[1::2] = k.fy * pts[:, 1] / z + k.cy - observed[:, 1]
-    return res, rotated, pts
+def _residuals(r, t, xy, observed, k: CameraIntrinsics) -> tuple:
+    """Reprojection residuals and each corner's camera-frame geometry.
 
-
-def _jacobian(rotated: np.ndarray, pts: np.ndarray, k: CameraIntrinsics) -> np.ndarray:
-    """8x6 Jacobian of the residuals in (rotation perturbation w, translation).
-
-    The rotation perturbation is left-multiplicative and acts on R@P only:
-    dp/dw = -[R@P]x, so row u of corner i is m x du/dp with m = R@P_i.
+    r holds the rotation's nine entries row by row, t the translation, xy
+    the four marker-plane corners (X, Y) (z = 0) and observed their four
+    pixels (u, v).  Returns the eight residuals (u0, v0, ..., u3, v3) and,
+    per corner, (mx, my, mz, x, y, z): the rotated corner m = R@P and the
+    camera-frame point m + t.
     """
-    mx, my, mz = rotated[:, 0], rotated[:, 1], rotated[:, 2]
-    x, y, z = pts[:, 0], pts[:, 1], pts[:, 2]
-    a, b = k.fx / z, k.fy / z
-    xz, yz = x / z, y / z
-    jac = np.zeros((8, 6))
-    ju, jv = jac[0::2], jac[1::2]
-    ju[:, 0] = -a * my * xz
-    ju[:, 1] = a * (mz + mx * xz)
-    ju[:, 2] = -a * my
-    ju[:, 3] = a
-    ju[:, 5] = -a * xz
-    jv[:, 0] = -b * (my * yz + mz)
-    jv[:, 1] = b * mx * yz
-    jv[:, 2] = b * mx
-    jv[:, 4] = b
-    jv[:, 5] = -b * yz
-    return jac
+    r00, r01, _, r10, r11, _, r20, r21, _ = r
+    tx, ty, tz = t
+    fx, fy, cx, cy = k.fx, k.fy, k.cx, k.cy
+    res, geometry = [], []
+    for (px, py), (u, v) in zip(xy, observed):
+        mx, my, mz = r00 * px + r01 * py, r10 * px + r11 * py, r20 * px + r21 * py
+        x, y, z = mx + tx, my + ty, mz + tz
+        if z <= MIN_DEPTH_M:
+            raise NonPositiveDepth("corner behind camera during refinement")
+        res += (fx * x / z + cx - u, fy * y / z + cy - v)
+        geometry.append((mx, my, mz, x, y, z))
+    return res, geometry
+
+
+def _normal_equations(geometry, res, k: CameraIntrinsics) -> tuple:
+    """JᵀJ and Jᵀr of the 8x6 residual Jacobian J in (rotation perturbation w, t).
+
+    JᵀJ comes as its upper triangle, row by row (21 entries).  The rotation
+    perturbation is left-multiplicative and acts on R@P only: dp/dw =
+    -[R@P]x, so row u of corner i is m x du/dp with m = R@P_i.  A u row has
+    no ty term and a v row no tx term, so entry (3, 4) is 0.
+    """
+    fx, fy = k.fx, k.fy
+    h00 = h01 = h02 = h03 = h04 = h05 = h11 = h12 = h13 = h14 = h15 = 0.0
+    h22 = h23 = h24 = h25 = h33 = h35 = h44 = h45 = h55 = 0.0
+    g0 = g1 = g2 = g3 = g4 = g5 = 0.0
+    for (mx, my, mz, x, y, z), eu, ev in zip(geometry, res[0::2], res[1::2]):
+        a, b = fx / z, fy / z
+        xz, yz = x / z, y / z
+        # row u is (u0, u1, u2, a, 0, u5), row v is (v0, v1, v2, 0, b, v5)
+        u0, u1, u2, u5 = -a * my * xz, a * (mz + mx * xz), -a * my, -a * xz
+        v0, v1, v2, v5 = -b * (my * yz + mz), b * mx * yz, b * mx, -b * yz
+        h00 += u0 * u0 + v0 * v0
+        h01 += u0 * u1 + v0 * v1
+        h02 += u0 * u2 + v0 * v2
+        h03 += u0 * a
+        h04 += v0 * b
+        h05 += u0 * u5 + v0 * v5
+        h11 += u1 * u1 + v1 * v1
+        h12 += u1 * u2 + v1 * v2
+        h13 += u1 * a
+        h14 += v1 * b
+        h15 += u1 * u5 + v1 * v5
+        h22 += u2 * u2 + v2 * v2
+        h23 += u2 * a
+        h24 += v2 * b
+        h25 += u2 * u5 + v2 * v5
+        h33 += a * a
+        h35 += a * u5
+        h44 += b * b
+        h45 += b * v5
+        h55 += u5 * u5 + v5 * v5
+        g0 += u0 * eu + v0 * ev
+        g1 += u1 * eu + v1 * ev
+        g2 += u2 * eu + v2 * ev
+        g3 += a * eu
+        g4 += b * ev
+        g5 += u5 * eu + v5 * ev
+    h = (h00, h01, h02, h03, h04, h05, h11, h12, h13, h14, h15,
+         h22, h23, h24, h25, h33, 0.0, h35, h44, h45, h55)
+    return h, (g0, g1, g2, g3, g4, g5)
+
+
+def _inverse_root(pivot: float) -> float:
+    if not pivot > 0.0:
+        raise np.linalg.LinAlgError("damped normal matrix is not positive definite")
+    return 1.0 / math.sqrt(pivot)
+
+
+def _damped_step(h, g, lam: float) -> tuple:
+    """Solve (H + lam*I) s = -g by an unrolled Cholesky factorization L Lᵀ.
+
+    h is the upper triangle of the symmetric 6x6 H, row by row.  A pivot
+    that is not positive raises LinAlgError, as numpy's Cholesky would.
+    """
+    (a00, a01, a02, a03, a04, a05, a11, a12, a13, a14, a15,
+     a22, a23, a24, a25, a33, a34, a35, a44, a45, a55) = h
+    g0, g1, g2, g3, g4, g5 = g
+    # column j of L, with i_j = 1 / L[j][j]
+    i0 = _inverse_root(a00 + lam)
+    l10, l20, l30, l40, l50 = a01 * i0, a02 * i0, a03 * i0, a04 * i0, a05 * i0
+    i1 = _inverse_root(a11 + lam - l10 * l10)
+    l21 = (a12 - l20 * l10) * i1
+    l31 = (a13 - l30 * l10) * i1
+    l41 = (a14 - l40 * l10) * i1
+    l51 = (a15 - l50 * l10) * i1
+    i2 = _inverse_root(a22 + lam - l20 * l20 - l21 * l21)
+    l32 = (a23 - l30 * l20 - l31 * l21) * i2
+    l42 = (a24 - l40 * l20 - l41 * l21) * i2
+    l52 = (a25 - l50 * l20 - l51 * l21) * i2
+    i3 = _inverse_root(a33 + lam - l30 * l30 - l31 * l31 - l32 * l32)
+    l43 = (a34 - l40 * l30 - l41 * l31 - l42 * l32) * i3
+    l53 = (a35 - l50 * l30 - l51 * l31 - l52 * l32) * i3
+    i4 = _inverse_root(a44 + lam - l40 * l40 - l41 * l41 - l42 * l42 - l43 * l43)
+    l54 = (a45 - l50 * l40 - l51 * l41 - l52 * l42 - l53 * l43) * i4
+    i5 = _inverse_root(a55 + lam - l50 * l50 - l51 * l51 - l52 * l52 - l53 * l53 - l54 * l54)
+    # L y = -g, then Lᵀ s = y
+    y0 = -g0 * i0
+    y1 = (-g1 - l10 * y0) * i1
+    y2 = (-g2 - l20 * y0 - l21 * y1) * i2
+    y3 = (-g3 - l30 * y0 - l31 * y1 - l32 * y2) * i3
+    y4 = (-g4 - l40 * y0 - l41 * y1 - l42 * y2 - l43 * y3) * i4
+    y5 = (-g5 - l50 * y0 - l51 * y1 - l52 * y2 - l53 * y3 - l54 * y4) * i5
+    s5 = y5 * i5
+    s4 = (y4 - l54 * s5) * i4
+    s3 = (y3 - l43 * s4 - l53 * s5) * i3
+    s2 = (y2 - l32 * s3 - l42 * s4 - l52 * s5) * i2
+    s1 = (y1 - l21 * s2 - l31 * s3 - l41 * s4 - l51 * s5) * i1
+    s0 = (y0 - l10 * s1 - l20 * s2 - l30 * s3 - l40 * s4 - l50 * s5) * i0
+    return s0, s1, s2, s3, s4, s5
+
+
+def _rotate(w0: float, w1: float, w2: float, r) -> tuple:
+    """Entries of rotation_from_axis_angle(w, |w|) @ R, R given row by row."""
+    n = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+    if n < 1e-15:
+        return r
+    x, y, z = w0 / n, w1 / n, w2 / n
+    s, c = math.sin(n), math.cos(n)
+    v = 1.0 - c
+    q00, q01, q02 = c + v * x * x, v * x * y - s * z, v * x * z + s * y
+    q10, q11, q12 = v * x * y + s * z, c + v * y * y, v * y * z - s * x
+    q20, q21, q22 = v * x * z - s * y, v * y * z + s * x, c + v * z * z
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+    return (
+        q00 * r00 + q01 * r10 + q02 * r20, q00 * r01 + q01 * r11 + q02 * r21,
+        q00 * r02 + q01 * r12 + q02 * r22,
+        q10 * r00 + q11 * r10 + q12 * r20, q10 * r01 + q11 * r11 + q12 * r21,
+        q10 * r02 + q11 * r12 + q12 * r22,
+        q20 * r00 + q21 * r10 + q22 * r20, q20 * r01 + q21 * r11 + q22 * r21,
+        q20 * r02 + q21 * r12 + q22 * r22,
+    )
 
 
 def _refine(init: RigidTransform, corners3d: np.ndarray, observed: np.ndarray,
             k: CameraIntrinsics) -> tuple:
-    """Damped Gauss-Newton on the 6-DoF reprojection objective; (pose, rms_pixels)."""
-    rotation, translation = init.rotation, init.translation
+    """Damped Gauss-Newton on the 6-DoF reprojection objective; (pose, rms_pixels).
+
+    The corners lie in the marker's z = 0 plane.  The loop runs on Python
+    floats: at 8 residuals and 6 unknowns numpy's per-call cost is most of
+    the work.
+    """
+    r, t = init.rotation.ravel().tolist(), init.translation.tolist()
+    xy, obs = corners3d[:, :2].tolist(), observed.tolist()
     lam = GN_DAMPING_INIT
-    res, rotated, pts = _residuals(rotation, translation, corners3d, observed, k)
-    cost = float(res @ res)
-    jac = _jacobian(rotated, pts, k)
-    h, g = jac.T @ jac, jac.T @ res
+    res, geometry = _residuals(r, t, xy, obs, k)
+    cost = sum([e * e for e in res])
+    h, g = _normal_equations(geometry, res, k)
     for _ in range(GN_MAX_ITERATIONS):
         try:
-            step = np.linalg.solve(h + lam * _EYE6, -g)
+            s0, s1, s2, s3, s4, s5 = _damped_step(h, g, lam)
         except np.linalg.LinAlgError:
             lam *= GN_DAMPING_UP
             continue
-        w = step[:3]
-        rotation_c = rotation_from_axis_angle(w, math.sqrt(w @ w)) @ rotation
-        translation_c = translation + step[3:]
+        r_c = _rotate(s0, s1, s2, r)
+        t_c = (t[0] + s3, t[1] + s4, t[2] + s5)
         try:
-            res_c, rotated_c, pts_c = _residuals(
-                rotation_c, translation_c, corners3d, observed, k)
+            res_c, geometry_c = _residuals(r_c, t_c, xy, obs, k)
         except NonPositiveDepth:
             lam *= GN_DAMPING_UP
             continue
-        cost_c = float(res_c @ res_c)
+        cost_c = sum([e * e for e in res_c])
         if cost_c < cost:
             decrease = cost - cost_c
-            rotation, translation, res, cost = rotation_c, translation_c, res_c, cost_c
+            r, t, res, cost = r_c, t_c, res_c, cost_c
             lam *= GN_DAMPING_DOWN
-            if math.sqrt(step @ step) < GN_STEP_TOL or decrease <= GN_COST_RTOL * cost:
+            step_sq = s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3 + s4 * s4 + s5 * s5
+            if math.sqrt(step_sq) < GN_STEP_TOL or decrease <= GN_COST_RTOL * cost:
                 break
-            jac = _jacobian(rotated_c, pts_c, k)
-            h, g = jac.T @ jac, jac.T @ res
+            h, g = _normal_equations(geometry_c, res, k)
         else:
             lam *= GN_DAMPING_UP
             if lam > GN_DAMPING_MAX:
                 break
-    return RigidTransform.from_orthonormalized(rotation, translation), math.sqrt(cost / 8.0)
+    pose = RigidTransform.from_orthonormalized(np.reshape(r, (3, 3)), t)
+    return pose, math.sqrt(cost / 8.0)
 
 
 def estimate_pose(

@@ -62,7 +62,9 @@ class HumanModel:
     return_delay: float = 1.0
 
     def __post_init__(self):
-        means = {str(haptics.PatternId.parse(k)): float(v) for k, v in self.response_mean.items()}
+        means = {str(haptics.PatternId.parse(k)): v for k, v in self.response_mean.items()}
+        for pattern, mean in means.items():
+            _require_finite(f"human.response_mean.{pattern}", mean)
         if any(v < 0 for v in means.values()):
             raise ScenarioError("human.response_mean: times must be >= 0")
         object.__setattr__(self, "response_mean", means)
@@ -158,6 +160,13 @@ def _reject_unknown(doc: dict, allowed: set, path: str) -> None:
         raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
 
 
+def _finite_coords(name: str, coords) -> tuple:
+    coords = tuple(coords)
+    for i, value in enumerate(coords):
+        _require_finite(f"{name}[{i}]", value)
+    return coords
+
+
 def _scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario: expected a JSON object")
@@ -168,14 +177,13 @@ def _scenario_from_dict(doc: dict) -> Scenario:
             wps = []
             for i, entry in enumerate(doc["robot_waypoints"]):
                 _reject_unknown(entry, {"point", "speed"}, f"robot_waypoints[{i}]")
-                wps.append((Point3(*entry["point"]), entry["speed"]))
+                point = _finite_coords(f"robot_waypoints[{i}].point", entry["point"])
+                wps.append((Point3(*point), entry["speed"]))
             kwargs["robot_waypoints"] = tuple(wps)
         if "hand_home" in doc:
-            kwargs["hand_home"] = Point3(*doc["hand_home"])
+            kwargs["hand_home"] = Point3(*_finite_coords("hand_home", doc["hand_home"]))
         if "hand_offset" in doc:
-            for i, value in enumerate(doc["hand_offset"]):
-                _require_finite(f"hand_offset[{i}]", value)
-            kwargs["hand_offset"] = HandOffset(tuple(doc["hand_offset"]))
+            kwargs["hand_offset"] = HandOffset(_finite_coords("hand_offset", doc["hand_offset"]))
         if "mapping" in doc:
             pairs = tuple(
                 (pattern, safety.Direction(direction))

@@ -14,11 +14,24 @@ from handguard.geometry import (
     rotation_y,
 )
 from handguard.marker_pose import (
+    GN_COST_RTOL,
+    GN_DAMPING_DOWN,
+    GN_DAMPING_INIT,
+    GN_DAMPING_MAX,
+    GN_DAMPING_UP,
+    GN_MAX_ITERATIONS,
+    GN_STEP_TOL,
+    MIN_DEPTH_M,
     CameraIntrinsics,
     DegenerateCorners,
     MarkerObservation,
     NoConvergence,
     NonPositiveDepth,
+    PoseError,
+    _damped_step,
+    _normal_equations,
+    _refine,
+    _residuals,
     calibrate_base,
     estimate_pose,
     marker_corners_3d,
@@ -134,8 +147,6 @@ class TestEstimatePose:
     def test_residual_optimality_under_noise(self):
         # the returned pose never fits worse than refinement initialized at
         # the ground truth would
-        from handguard.marker_pose import _refine
-
         rng = np.random.default_rng(5)
         for i in range(50):
             truth = random_pose(rng)
@@ -338,6 +349,71 @@ def reference_jacobian(rotated, pts, k):
     return jac
 
 
+def reference_residuals(rotation, translation, corners3d, observed, k):
+    # residuals (8,) on numpy arrays, with the rotated and camera-frame corners
+    rotated = corners3d @ rotation.T
+    pts = rotated + translation
+    z = pts[:, 2]
+    if (z <= MIN_DEPTH_M).any():
+        raise NonPositiveDepth("corner behind camera during refinement")
+    res = np.empty(8)
+    res[0::2] = k.fx * pts[:, 0] / z + k.cx - observed[:, 0]
+    res[1::2] = k.fy * pts[:, 1] / z + k.cy - observed[:, 1]
+    return res, rotated, pts
+
+
+def reference_refine(init, corners3d, observed, k):
+    # the same damped Gauss-Newton and stop rules on numpy arrays, with
+    # np.linalg.solve for the damped step
+    rotation, translation = init.rotation, init.translation
+    lam = GN_DAMPING_INIT
+    res, rotated, pts = reference_residuals(rotation, translation, corners3d, observed, k)
+    cost = float(res @ res)
+    jac = reference_jacobian(rotated, pts, k)
+    h, g = jac.T @ jac, jac.T @ res
+    for _ in range(GN_MAX_ITERATIONS):
+        try:
+            step = np.linalg.solve(h + lam * np.eye(6), -g)
+        except np.linalg.LinAlgError:
+            lam *= GN_DAMPING_UP
+            continue
+        w = step[:3]
+        rotation_c = rotation_from_axis_angle(w, math.sqrt(w @ w)) @ rotation
+        translation_c = translation + step[3:]
+        try:
+            res_c, rotated_c, pts_c = reference_residuals(
+                rotation_c, translation_c, corners3d, observed, k)
+        except NonPositiveDepth:
+            lam *= GN_DAMPING_UP
+            continue
+        cost_c = float(res_c @ res_c)
+        if cost_c < cost:
+            decrease = cost - cost_c
+            rotation, translation, res, cost = rotation_c, translation_c, res_c, cost_c
+            lam *= GN_DAMPING_DOWN
+            if math.sqrt(step @ step) < GN_STEP_TOL or decrease <= GN_COST_RTOL * cost:
+                break
+            jac = reference_jacobian(rotated_c, pts_c, k)
+            h, g = jac.T @ jac, jac.T @ res
+        else:
+            lam *= GN_DAMPING_UP
+            if lam > GN_DAMPING_MAX:
+                break
+    return RigidTransform.from_orthonormalized(rotation, translation), math.sqrt(cost / 8.0)
+
+
+def scalar_residuals(pose, corners3d, observed):
+    # the Python-float form of _residuals, its geometry as a (4, 6) array
+    res, geometry = _residuals(pose.rotation.ravel().tolist(), pose.translation.tolist(),
+                               corners3d[:, :2].tolist(), observed.tolist(), K)
+    return np.array(res), np.array(geometry)
+
+
+def upper(a):
+    # the upper triangle of a 6x6 matrix, row by row
+    return a[np.triu_indices(6)]
+
+
 class TestJacobian:
     @staticmethod
     def poses():
@@ -349,23 +425,28 @@ class TestJacobian:
             yield pose, corners3d, obs.corners
 
     def test_matches_per_corner_reference(self):
-        from handguard.marker_pose import _jacobian, _residuals
-
+        # the normal equations equal JᵀJ and Jᵀr of the per-corner Jacobian,
+        # each entry to 1e-12 of the scale of the terms summed into it
         for pose, corners3d, observed in self.poses():
-            _, rotated, pts = _residuals(
+            res_ref, rotated, pts = reference_residuals(
                 pose.rotation, pose.translation, corners3d, observed, K)
-            ref = reference_jacobian(rotated, pts, K)
-            got = _jacobian(rotated, pts, K)
-            assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref).max(axis=0))
+            res, geometry = scalar_residuals(pose, corners3d, observed)
+            assert np.abs(res - res_ref).max() <= 1e-12 * np.abs(observed).max()
+            assert np.abs(geometry - np.hstack([rotated, pts])).max() <= 1e-15
+            jac = reference_jacobian(rotated, pts, K)
+            h, g = _normal_equations(geometry.tolist(), res.tolist(), K)
+            h_ref = jac.T @ jac
+            h_scale = np.sqrt(np.outer(np.diag(h_ref), np.diag(h_ref)))
+            assert np.all(np.abs(np.array(h) - upper(h_ref)) <= 1e-12 * upper(h_scale))
+            g_scale = np.linalg.norm(jac, axis=0) * np.linalg.norm(res_ref)
+            assert np.all(np.abs(np.array(g) - jac.T @ res_ref) <= 1e-12 * g_scale)
 
     def test_matches_central_differences(self):
-        from handguard.marker_pose import _jacobian, _residuals
-
         eps = 1e-6
         for pose, corners3d, observed in self.poses():
             r, t = pose.rotation, pose.translation
-            _, rotated, pts = _residuals(r, t, corners3d, observed, K)
-            got = _jacobian(rotated, pts, K)
+            _, geometry = scalar_residuals(pose, corners3d, observed)
+            got = reference_jacobian(geometry[:, :3], geometry[:, 3:], K)
             numeric = np.empty((8, 6))
             for j in range(6):
                 sides = []
@@ -373,9 +454,102 @@ class TestJacobian:
                     d = np.zeros(6)
                     d[j] = s
                     rs = rotation_from_axis_angle(d[:3], eps) @ r
-                    sides.append(_residuals(rs, t + d[3:], corners3d, observed, K)[0])
+                    shifted = RigidTransform(rs, t + d[3:])
+                    sides.append(scalar_residuals(shifted, corners3d, observed)[0])
                 numeric[:, j] = (sides[0] - sides[1]) / (2 * eps)
             assert np.all(np.abs(got - numeric) <= 1e-5 * np.abs(numeric).max(axis=0))
+
+
+class TestDampedStep:
+    @staticmethod
+    def spd(rng, cond):
+        q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
+        a = (q * np.geomspace(1.0, 1.0 / cond, 6)) @ q.T * rng.uniform(1e-2, 1e6)
+        return (a + a.T) / 2.0
+
+    def test_matches_numpy_solve(self):
+        # two backward-stable solves differ by up to about cond * 1e-16
+        # relative (numpy's own Cholesky differs from its LU solve by 5e-7
+        # at cond 1e10), so the 1e-8 agreement holds up to cond 1e8; the
+        # relative residual is checked at every condition number
+        rng = np.random.default_rng(12)
+        for cond in (1e0, 1e2, 1e4, 1e6, 1e8, 1e10):
+            for _ in range(20):
+                a, g = self.spd(rng, cond), rng.normal(size=6)
+                lam = float(rng.choice([0.0, 1e-3 * a[0, 0]]))
+                damped = a + lam * np.eye(6)
+                got = np.array(_damped_step(tuple(upper(a).tolist()), tuple(g.tolist()), lam))
+                residual = np.linalg.norm(damped @ got + g)
+                assert residual <= 1e-14 * np.linalg.norm(damped, 2) * np.linalg.norm(got)
+                if cond <= 1e8:
+                    ref = np.linalg.solve(damped, -g)
+                    assert np.linalg.norm(got - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("a", [
+        np.diag([1.0, 2.0, 3.0, -1.0, 5.0, 6.0]),
+        np.zeros((6, 6)),
+        np.ones((6, 6)),
+        np.full((6, 6), np.nan),
+    ], ids=["indefinite", "zero", "rank-one", "nan"])
+    def test_not_positive_definite_raises(self, a):
+        with pytest.raises(np.linalg.LinAlgError):
+            _damped_step(tuple(upper(a).tolist()), (1.0,) * 6, 0.0)
+
+    def test_failed_solve_raises_damping(self, monkeypatch):
+        # a step the solve rejects doubles the damping and refinement goes on
+        from handguard import marker_pose
+
+        lams = []
+
+        def fails_once(h, g, lam):
+            lams.append(lam)
+            if len(lams) == 1:
+                raise np.linalg.LinAlgError("rejected")
+            return _damped_step(h, g, lam)
+
+        truth = random_pose(np.random.default_rng(4))
+        obs = synthesize_observation(truth, SIDE, K, pixel_noise_sigma=0.5, seed=4)
+        _, rms = _refine(truth, marker_corners_3d(SIDE), obs.corners, K)
+        monkeypatch.setattr(marker_pose, "_damped_step", fails_once)
+        _, rms_after_failure = _refine(truth, marker_corners_3d(SIDE), obs.corners, K)
+        assert lams[:2] == [GN_DAMPING_INIT, GN_DAMPING_INIT * GN_DAMPING_UP]
+        assert abs(rms_after_failure - rms) <= 1e-9
+
+
+class TestScalarRefine:
+    def test_matches_numpy_reference(self):
+        # _refine agrees with the numpy reference from both IPPE starts, or
+        # raises the same exception
+        truths = TestIppeCandidates.truths()
+        frames = [MarkerObservation(0, EDGE_ON_CORNERS)] + [
+            synthesize_observation(truth, SIDE, K, pixel_noise_sigma=sigma, seed=i)
+            for sigma in (0.5, 2.0) for i, truth in enumerate(truths)]
+        corners3d = marker_corners_3d(SIDE)
+        fitted = 0
+        for obs in frames:
+            for start in ippe_candidates(obs)[1]:
+                outcomes = []
+                for refine in (_refine, reference_refine):
+                    try:
+                        outcomes.append(refine(start, corners3d, obs.corners, K))
+                    except PoseError as exc:
+                        outcomes.append(type(exc))
+                (got, ref) = outcomes
+                if isinstance(ref, type):
+                    assert got is ref
+                    continue
+                fitted += 1
+                assert abs(got[1] - ref[1]) <= 1e-9
+                assert np.abs(got[0].rotation - ref[0].rotation).max() <= 1e-6
+                assert np.abs(got[0].translation - ref[0].translation).max() <= 1e-7
+        assert fitted > len(frames)
+
+    def test_start_behind_camera_raises(self):
+        start = RigidTransform(np.eye(3), [0.0, 0.0, -1.0])
+        observed = project(RigidTransform(np.eye(3), [0.0, 0.0, 1.0]), SIDE, K)
+        for refine in (_refine, reference_refine):
+            with pytest.raises(NonPositiveDepth):
+                refine(start, marker_corners_3d(SIDE), observed, K)
 
 
 class TestCalibrateBase:

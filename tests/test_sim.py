@@ -157,18 +157,26 @@ class TestScenarioValidation:
         ("robot_waypoints[1].speed", True),
         ("robot_waypoints[1].speed", "0.04"),
         ("hand_offset[0]", float("nan")),
+        ("human.response_mean.1L", float("nan")),
+        ("human.response_mean.3L", "0.3"),
+        ("human.response_mean.5H", True),
+        ("hand_home[0]", True),
+        ("hand_home[1]", "x"),
+        ("hand_home[2]", float("nan")),
+        ("robot_waypoints[0].point[0]", True),
+        ("robot_waypoints[1].point[1]", "x"),
+        ("robot_waypoints[1].point[2]", float("nan")),
     ])
     def test_bad_scalar_names_field(self, name, value):
         doc = json.loads(scenario_path("default.json").read_text())
-        if name.startswith("robot_waypoints"):
-            doc["robot_waypoints"][1]["speed"] = value
-        elif name.startswith("hand_offset"):
-            doc["hand_offset"] = [value, 0.0, 0.0]
-        elif "." in name:
-            section, key = name.split(".")
-            doc[section][key] = value
-        else:
-            doc[name] = value
+        doc["hand_offset"] = [0.0, 0.0, -0.1]  # the bundled scenario leaves it out
+        # walk the dotted, indexed name down to the value it names
+        *path, last = [int(part) if part.isdigit() else part
+                       for part in re.findall(r"[^.\[\]]+", name)]
+        target = doc
+        for part in path:
+            target = target[part]
+        target[last] = value
         message = "must be an integer >= 0" if name == "seed" else "must be a finite number"
         with pytest.raises(ScenarioError, match=f"^{re.escape(name)}: {message}$"):
             Scenario.from_json_dict(doc)
