@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .haptics import ALL_PATTERNS, PatternId
+from .haptics import _PATTERNS_BY_ID, ALL_PATTERNS, PatternId
 
 # Canonical row/column order of the 10x10 perception matrix.
 PATTERN_ORDER = tuple(str(p) for p in ALL_PATTERNS)
@@ -34,6 +34,9 @@ class MissingPattern(ValueError):
 class WristSide(enum.Enum):
     VOLAR = "volar"
     DORSAL = "dorsal"
+
+
+_SIDES = {side.value: side for side in WristSide}
 
 
 @dataclass(frozen=True)
@@ -245,13 +248,15 @@ def read_trials_csv(path) -> list:
         header = next(reader)
         if [c.strip().lower() for c in header] != ["participant", "side", "actual", "perceived"]:
             raise ValueError("expected header participant,side,actual,perceived")
+        # exact tokens come from the lookup tables; anything else takes the
+        # tolerant parse, which also raises the error for a bad token
         for i, row in enumerate(reader, start=2):
             try:
                 trials.append(TrialRecord(
                     participant_id=int(row[0]),
-                    wrist_side=WristSide(row[1].strip().lower()),
-                    actual=PatternId.parse(row[2]),
-                    perceived=PatternId.parse(row[3]),
+                    wrist_side=_SIDES.get(row[1]) or WristSide(row[1].strip().lower()),
+                    actual=_PATTERNS_BY_ID.get(row[2]) or PatternId.parse(row[2]),
+                    perceived=_PATTERNS_BY_ID.get(row[3]) or PatternId.parse(row[3]),
                 ))
             except (ValueError, IndexError) as exc:
                 raise ValueError(f"row {i}: {exc}") from exc

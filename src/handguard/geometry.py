@@ -7,11 +7,14 @@ stored as 3x3 orthonormal matrices; translations are in meters.
 Validation contract: the ``RigidTransform`` constructor checks external
 input (a 3x3 rotation with finite entries, orthonormal within
 ``ORTHONORMALITY_TOL``, determinant +1; a finite translation) and rejects
-anything else.  ``RigidTransform.from_orthonormalized`` is the
-re-orthonormalizing boundary: it accepts a slightly non-orthonormal matrix
-(finite, columns not dependent) and returns a proper rotation built in
-closed form, so its result is not checked again.  ``compose`` goes through
-it, so products of rotations at the tolerance edge never raise.
+anything else.  ``orthonormalized`` is the one re-orthonormalizing
+boundary, a scalar Gram-Schmidt on a rotation's nine entries: it accepts a
+slightly non-orthonormal matrix (finite, columns not dependent) and returns
+a proper rotation built in closed form, so its result is not checked again.
+``RigidTransform.from_orthonormalized`` is the same boundary for arrays, and
+``compose`` goes through it, so products of rotations at the tolerance edge
+never raise.  The simulation step and the pose estimator's start points call
+``orthonormalized`` on Python floats directly.
 """
 
 from __future__ import annotations
@@ -100,6 +103,38 @@ def _check_rotation(r: np.ndarray) -> None:
         raise InvalidRotation(f"rotation determinant is {det}, expected +1")
 
 
+def orthonormalized(entries) -> tuple:
+    """Gram-Schmidt on the nine entries of a near-rotation, row by row.
+
+    The one re-orthonormalization boundary, on Python floats: columns 0 and
+    1 are orthonormalized in turn and column 2 is their cross product, so the
+    nine entries returned form a proper rotation.  Raises InvalidRotation on
+    non-finite entries or (nearly) dependent columns.
+    """
+    a, b, c, d, e, f, g, h, i = entries
+    if not all(map(math.isfinite, entries)):
+        raise InvalidRotation("rotation entries must be finite")
+    n = math.sqrt(a * a + d * d + g * g)
+    if n < 1e-12:
+        raise InvalidRotation("rotation columns are linearly dependent")
+    x0, y0, z0 = a / n, d / n, g / n
+    p = x0 * b + y0 * e + z0 * h
+    vx, vy, vz = b - p * x0, e - p * y0, h - p * z0
+    n = math.sqrt(vx * vx + vy * vy + vz * vz)
+    if n < 1e-12:
+        raise InvalidRotation("rotation columns are linearly dependent")
+    x1, y1, z1 = vx / n, vy / n, vz / n
+    if abs(x0 * x1 + y0 * y1 + z0 * z1) > ORTHONORMALITY_TOL:
+        # cancellation left column 1 off-orthogonal: the columns are
+        # too close to dependent for Gram-Schmidt in double precision
+        raise InvalidRotation("rotation columns are nearly dependent")
+    x2, y2, z2 = y0 * z1 - z0 * y1, z0 * x1 - x0 * z1, x0 * y1 - y0 * x1
+    # column 2's part off the plane of columns 0 and 1, whatever its sign
+    if abs(x2 * c + y2 * f + z2 * i) < 1e-12:
+        raise InvalidRotation("rotation columns are linearly dependent")
+    return x0, x1, x2, y0, y1, y2, z0, z1, z2
+
+
 @dataclass(frozen=True)
 class RigidTransform:
     """An SE(3) pose: p_target = rotation @ p_source + translation."""
@@ -132,32 +167,12 @@ class RigidTransform:
 
         This is the only sanctioned way to construct from a slightly
         non-orthonormal matrix; the plain constructor rejects such input.
-        Columns 0 and 1 are orthonormalized in turn and column 2 is their
-        cross product, so the result is a proper rotation by construction
-        and skips the constructor's re-check.
+        The rotation goes through `orthonormalized`, whose result is a
+        proper rotation by construction and skips the constructor's re-check.
         """
-        r = np.asarray(rotation, dtype=float)
-        a, b, c, d, e, f, g, h, i = _rotation_entries(r)
-        n = math.sqrt(a * a + d * d + g * g)
-        if n < 1e-12:
-            raise InvalidRotation("rotation columns are linearly dependent")
-        x0, y0, z0 = a / n, d / n, g / n
-        p = x0 * b + y0 * e + z0 * h
-        vx, vy, vz = b - p * x0, e - p * y0, h - p * z0
-        n = math.sqrt(vx * vx + vy * vy + vz * vz)
-        if n < 1e-12:
-            raise InvalidRotation("rotation columns are linearly dependent")
-        x1, y1, z1 = vx / n, vy / n, vz / n
-        if abs(x0 * x1 + y0 * y1 + z0 * z1) > ORTHONORMALITY_TOL:
-            # cancellation left column 1 off-orthogonal: the columns are
-            # too close to dependent for Gram-Schmidt in double precision
-            raise InvalidRotation("rotation columns are nearly dependent")
-        x2, y2, z2 = y0 * z1 - z0 * y1, z0 * x1 - x0 * z1, x0 * y1 - y0 * x1
-        # column 2's part off the plane of columns 0 and 1, whatever its sign
-        if abs(x2 * c + y2 * f + z2 * i) < 1e-12:
-            raise InvalidRotation("rotation columns are linearly dependent")
+        entries = orthonormalized(_rotation_entries(np.asarray(rotation, dtype=float)))
         out = object.__new__(cls)
-        out._freeze(np.array([[x0, x1, x2], [y0, y1, y2], [z0, z1, z2]]), translation)
+        out._freeze(np.reshape(entries, (3, 3)), translation)
         return out
 
     def apply(self, point) -> np.ndarray:

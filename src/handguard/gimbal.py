@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import rotation_x, rotation_y
-
 
 class GimbalDegeneracy(ValueError):
     """Target direction lies on the lateral-axis singularity."""
@@ -106,9 +104,18 @@ def correction_angles(marker_normal_target) -> MarkerDeltas:
     )
 
 
+def marker_rotation_entries(m: MarkerDeltas) -> tuple:
+    """The nine entries, row by row, of R = Ry(theta_c) @ Rx(theta_p)."""
+    cc, sc = math.cos(m.d_theta_c), math.sin(m.d_theta_c)
+    cp, sp = math.cos(m.d_theta_p), math.sin(m.d_theta_p)
+    return (cc, sc * sp, sc * cp,
+            0.0, cp, -sp,
+            -sc, cc * sp, cc * cp)
+
+
 def marker_rotation(m: MarkerDeltas) -> np.ndarray:
     """Forward map of the gimbal: R = Ry(theta_c) @ Rx(theta_p)."""
-    return rotation_y(m.d_theta_c) @ rotation_x(m.d_theta_p)
+    return np.reshape(marker_rotation_entries(m), (3, 3))
 
 
 def _slew(current: float, target: float, max_step: float, limit: float) -> float:

@@ -2,7 +2,8 @@
 
 Stands in for the camera + fiducial detector: callers provide the four
 corner pixel observations (synthetic or from files) and get back the
-marker pose in the camera frame.
+marker pose in the camera frame.  `project_corners` is the one camera
+model, on Python floats; `project` wraps it for poses and arrays.
 
 The estimator maps the marker square onto the four corners with a
 closed-form homography and takes both planar-ambiguity poses from it with
@@ -12,7 +13,9 @@ with damped Gauss-Newton on the 6-DoF reprojection objective and keeps the
 candidate with the smaller residual together with the ambiguity ratio.
 The Gauss-Newton loop runs on Python floats: it builds the normal
 equations JᵀJ and Jᵀr directly, never the 8x6 J, and solves the damped
-6x6 system with an unrolled Cholesky factorization.
+6x6 system with an unrolled Cholesky factorization.  Candidates and fits
+are rotation entries and translations; only the kept fit becomes a
+RigidTransform.
 
 Refinement stops after an accepted step that lowers the squared-pixel cost
 by at most GN_COST_RTOL of the new cost or has a norm below GN_STEP_TOL,
@@ -29,7 +32,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RigidTransform, compose, invert, rotation_from_axis_angle
+from .geometry import (
+    RigidTransform,
+    compose,
+    invert,
+    orthonormalized,
+    rotation_from_axis_angle,
+)
 
 MIN_DEPTH_M = 1e-6
 
@@ -149,17 +158,31 @@ def _quad_min_triangle_area(c: np.ndarray) -> float:
     return min(areas)
 
 
+def project_corners(r, t, half: float, k: CameraIntrinsics) -> list:
+    """The camera model on Python floats: the four corners' (u, v) pixels.
+
+    r holds the marker rotation's nine entries row by row, t the marker's
+    translation in the camera frame and half the half-side; corner order
+    is TL, TR, BR, BL as in marker_corners_3d.
+    """
+    r00, r01, _, r10, r11, _, r20, r21, _ = r
+    tx, ty, tz = t
+    uv = []
+    for px, py in ((-half, half), (half, half), (half, -half), (-half, -half)):
+        z = r20 * px + r21 * py + tz
+        if z <= MIN_DEPTH_M:
+            raise NonPositiveDepth("marker corner at or behind the camera plane")
+        uv.append((k.fx * (r00 * px + r01 * py + tx) / z + k.cx,
+                   k.fy * (r10 * px + r11 * py + ty) / z + k.cy))
+    return uv
+
+
 def project(
     pose: RigidTransform, marker_side: float, intrinsics: CameraIntrinsics
 ) -> np.ndarray:
     """Pixel coordinates of the four marker corners, shape (4, 2)."""
-    pts = (pose.rotation @ marker_corners_3d(marker_side).T).T + pose.translation
-    z = pts[:, 2]
-    if np.any(z <= MIN_DEPTH_M):
-        raise NonPositiveDepth("marker corner at or behind the camera plane")
-    u = intrinsics.fx * pts[:, 0] / z + intrinsics.cx
-    v = intrinsics.fy * pts[:, 1] / z + intrinsics.cy
-    return np.column_stack([u, v])
+    return np.array(project_corners(pose.rotation.ravel().tolist(), pose.translation.tolist(),
+                                    marker_side / 2.0, intrinsics))
 
 
 def synthesize_observation(
@@ -207,7 +230,9 @@ def _ippe_candidates(h: np.ndarray, corners3d: np.ndarray, normalized: np.ndarra
     rotation columns up to the sign of their components along the view ray
     through the centre; flipping that sign reflects the marker normal about
     the ray.  Each rotation gets its translation by linear least squares on
-    the eight projection equations, in closed form.
+    the eight projection equations, in closed form.  Each candidate comes
+    back as (rotation entries row by row, translation), the rotation passed
+    through the Gram-Schmidt boundary.
     """
     (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = h.tolist()
     p, q = h02 / h22, h12 / h22  # image of the marker centre
@@ -247,18 +272,18 @@ def _ippe_candidates(h: np.ndarray, corners3d: np.ndarray, normalized: np.ndarra
         buv = [(u * mz - mx, v * mz - my)
                for (u, v), (mx, my, mz) in zip(uv, (corners3d @ r.T).tolist())]
         tz = -sum(du * bu + dv * bv for (du, dv), (bu, bv) in zip(duv, buv)) / spread
-        translation = np.array([
+        translation = (
             sum(bu for bu, _ in buv) / 4.0 + u_mean * tz,
             sum(bv for _, bv in buv) / 4.0 + v_mean * tz,
             tz,
-        ])
-        if translation[2] < 0:
+        )
+        if tz < 0:
             # a homography that no pose explains exactly (an edge-on marker
             # under noise) can put the fit behind the camera; mirroring the
             # corners through the camera centre keeps every projection
             r[:, :2] *= -1.0
-            translation = -translation
-        candidates.append(RigidTransform.from_orthonormalized(r, translation))
+            translation = tuple(-x for x in translation)
+        candidates.append((orthonormalized(r.ravel().tolist()), translation))
     return tuple(candidates)
 
 
@@ -405,15 +430,16 @@ def _rotate(w0: float, w1: float, w2: float, r) -> tuple:
     )
 
 
-def _refine(init: RigidTransform, corners3d: np.ndarray, observed: np.ndarray,
+def _refine(r, t, corners3d: np.ndarray, observed: np.ndarray,
             k: CameraIntrinsics) -> tuple:
-    """Damped Gauss-Newton on the 6-DoF reprojection objective; (pose, rms_pixels).
+    """Damped Gauss-Newton on the 6-DoF reprojection objective.
 
+    Starts from rotation entries r (row by row) and translation t, and
+    returns the refined (r, t, rms_pixels); r is not re-orthonormalized.
     The corners lie in the marker's z = 0 plane.  The loop runs on Python
     floats: at 8 residuals and 6 unknowns numpy's per-call cost is most of
     the work.
     """
-    r, t = init.rotation.ravel().tolist(), init.translation.tolist()
     xy, obs = corners3d[:, :2].tolist(), observed.tolist()
     lam = GN_DAMPING_INIT
     res, geometry = _residuals(r, t, xy, obs, k)
@@ -445,8 +471,7 @@ def _refine(init: RigidTransform, corners3d: np.ndarray, observed: np.ndarray,
             lam *= GN_DAMPING_UP
             if lam > GN_DAMPING_MAX:
                 break
-    pose = RigidTransform.from_orthonormalized(np.reshape(r, (3, 3)), t)
-    return pose, math.sqrt(cost / 8.0)
+    return r, t, math.sqrt(cost / 8.0)
 
 
 def estimate_pose(
@@ -458,18 +483,19 @@ def estimate_pose(
     corners3d = marker_corners_3d(marker_side)
     normalized = _normalized_corners(obs, intrinsics)
     fits = []
-    for c in _ippe_candidates(_square_homography(normalized, marker_side), corners3d, normalized):
+    for r, t in _ippe_candidates(_square_homography(normalized, marker_side), corners3d,
+                                 normalized):
         try:
-            fits.append(_refine(c, corners3d, obs.corners, intrinsics))
+            fits.append(_refine(r, t, corners3d, obs.corners, intrinsics))
         except NonPositiveDepth:
             continue
-    fits.sort(key=lambda pr: pr[1])
-    if not fits or fits[0][1] > MAX_RMS_PX:
+    fits.sort(key=lambda fit: fit[2])
+    if not fits or fits[0][2] > MAX_RMS_PX:
         raise NoConvergence(f"no pose candidate fits within {MAX_RMS_PX} px")
-    (best_pose, best_rms), *rest = fits
-    ratio = (rest[0][1] + 1e-15) / (best_rms + 1e-15) if rest else float("inf")
+    (best_r, best_t, best_rms), *rest = fits
+    ratio = (rest[0][2] + 1e-15) / (best_rms + 1e-15) if rest else float("inf")
     return PoseEstimate(
-        pose=best_pose,
+        pose=RigidTransform.from_orthonormalized(np.reshape(best_r, (3, 3)), best_t),
         rms_reprojection_error=best_rms,
         ambiguity_ratio=max(1.0, ratio),
     )

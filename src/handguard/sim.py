@@ -6,10 +6,18 @@ the marker/mocap chain, drives the gimbal servo model, feeds distances to
 the safety state machine, and emits a per-step trace plus summary metrics.
 Everything is reproducible from the scenario seed.
 
-Each step builds the marker pose once, straight in the camera frame (the
-only re-orthonormalization, at the boundary into `marker_pose.project`).
-The estimated marker pose comes back to the base frame as a point: the hand
-offset goes through the estimated pose and then through base_from_camera.
+The per-step geometry runs on Python floats: at 3-vectors and 3x3
+matrices numpy's per-call cost is most of the work.  Each step builds the
+marker rotation in closed form, straight in the camera frame, and passes it
+through the one Gram-Schmidt boundary (`geometry.orthonormalized`) into the
+one camera model (`marker_pose.project_corners`).  The estimated marker pose
+comes back to the base frame as a point: the hand offset goes through the
+estimated pose and then through base_from_camera.  The true distance and
+the human model stay on numpy, so the logged distances keep their bits.
+
+`run` records the trace as one row of plain values per step (a `Trace`);
+`TraceRecord`s are built only when the trace is indexed or iterated, and
+the summary metrics are folds over the rows after the loop.
 """
 
 from __future__ import annotations
@@ -18,12 +26,13 @@ import dataclasses
 import json
 import math
 import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import gimbal, haptics, marker_pose, safety
-from .geometry import HandOffset, Point3, RigidTransform, invert
+from .geometry import HandOffset, Point3, RigidTransform, invert, orthonormalized
 
 RESPONSE_TIME_FLOOR_S = 0.05
 MOVEMENT_DETECTION_M = 1e-3
@@ -38,6 +47,28 @@ CAMERA_ROTATION_WORLD_TO_CAM = np.array(
 WRIST_ROTATION = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]]).T
 # Wrist rest frame in the camera frame; the gimbal's marker rotation follows.
 CAMERA_FROM_WRIST = CAMERA_ROTATION_WORLD_TO_CAM @ WRIST_ROTATION
+
+
+_CAMERA_FROM_WRIST_ROWS = CAMERA_FROM_WRIST.tolist()
+
+
+def _camera_from_marker(m) -> tuple:
+    """Entries of CAMERA_FROM_WRIST @ m, both given row by row."""
+    (a, b, c), (d, e, f), (g, h, i) = _CAMERA_FROM_WRIST_ROWS
+    m00, m01, m02, m10, m11, m12, m20, m21, m22 = m
+    return (
+        a * m00 + b * m10 + c * m20, a * m01 + b * m11 + c * m21, a * m02 + b * m12 + c * m22,
+        d * m00 + e * m10 + f * m20, d * m01 + e * m11 + f * m21, d * m02 + e * m12 + f * m22,
+        g * m00 + h * m10 + i * m20, g * m01 + h * m11 + i * m21, g * m02 + h * m12 + i * m22,
+    )
+
+
+def _transform_point(r, t, x: float, y: float, z: float) -> tuple:
+    """r @ (x, y, z) + t on Python floats, r given row by row."""
+    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
+    return (r00 * x + r01 * y + r02 * z + t[0],
+            r10 * x + r11 * y + r12 * z + t[1],
+            r20 * x + r21 * y + r22 * z + t[2])
 
 
 class ScenarioError(ValueError):
@@ -162,6 +193,8 @@ def _reject_unknown(doc: dict, allowed: set, path: str) -> None:
 
 def _finite_coords(name: str, coords) -> tuple:
     coords = tuple(coords)
+    if len(coords) != 3:
+        raise ScenarioError(f"{name}: expected 3 coordinates")
     for i, value in enumerate(coords):
         _require_finite(f"{name}[{i}]", value)
     return coords
@@ -217,25 +250,66 @@ class TraceRecord:
     commanded_direction: safety.Direction | None
     marker_visible: bool
 
-    def to_csv_row(self) -> str:
-        return ",".join([
-            f"{self.t:.4f}",
-            f"{self.hand.x:.6f}", f"{self.hand.y:.6f}", f"{self.hand.z:.6f}",
-            f"{self.tcp.x:.6f}", f"{self.tcp.y:.6f}", f"{self.tcp.z:.6f}",
-            f"{self.distance:.6f}",
-            self.zone.value,
-            self.state_mode.value,
+    @classmethod
+    def from_row(cls, row) -> "TraceRecord":
+        """The record of one `Trace` row."""
+        t, hx, hy, hz, px, py, pz, distance, zone, mode, pattern, halted, direction, \
+            visible = row
+        return cls(
+            t=t,
+            hand=Point3(hx, hy, hz),
+            tcp=Point3(px, py, pz),
+            distance=distance,
+            zone=safety.Zone(zone),
+            state_mode=safety.Mode(mode),
+            active_pattern=haptics.PatternId.parse(pattern) if pattern else None,
+            robot_halted=halted,
+            commanded_direction=safety.Direction(direction) if direction else None,
+            marker_visible=visible,
+        )
+
+    def row(self) -> tuple:
+        """The record as one `Trace` row of plain values."""
+        return (
+            self.t, self.hand.x, self.hand.y, self.hand.z,
+            self.tcp.x, self.tcp.y, self.tcp.z, self.distance,
+            self.zone.value, self.state_mode.value,
             str(self.active_pattern) if self.active_pattern else "",
-            "1" if self.robot_halted else "0",
+            self.robot_halted,
             self.commanded_direction.value if self.commanded_direction else "",
-            "1" if self.marker_visible else "0",
-        ])
+            self.marker_visible,
+        )
+
+    def to_csv_row(self) -> str:
+        return _CSV_ROW % self.row()
 
 
 TRACE_CSV_HEADER = (
     "t,hand_x,hand_y,hand_z,tcp_x,tcp_y,tcp_z,distance,zone,state,"
     "active_pattern,robot_halted,direction,marker_visible"
 )
+# one trace row: t, hand xyz, TCP xyz, distance, zone, state, pattern, halted,
+# direction, visible
+_CSV_ROW = "%.4f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%s,%s,%s,%d,%s,%d"
+_DISTANCE, _HALTED = 7, 11
+
+
+class Trace(Sequence):
+    """A run's trace, one row of plain values per step (see TraceRecord.row).
+
+    Indexing and iteration build TraceRecords on demand; a slice is a Trace.
+    """
+
+    def __init__(self, rows):
+        self.rows = list(rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Trace(self.rows[index])
+        return TraceRecord.from_row(self.rows[index])
 
 
 @dataclass
@@ -366,11 +440,14 @@ class _HumanAgent:
 
 
 def run(scenario: Scenario) -> tuple:
-    """Execute one simulation; returns (trace records, metrics)."""
+    """Execute one simulation; returns (Trace, metrics)."""
     rng = np.random.default_rng(scenario.seed)
     dt = scenario.dt
     steps = int(round(scenario.duration / dt))
     legs = _leg_table(scenario.robot_waypoints)
+    camera = scenario.camera
+    half_side = scenario.marker_side / 2.0
+    ox, oy, oz = scenario.hand_offset.offset
 
     cam_from_world = RigidTransform(
         CAMERA_ROTATION_WORLD_TO_CAM,
@@ -379,24 +456,20 @@ def run(scenario: Scenario) -> tuple:
     # robot base frame == world frame, so the base pose in the camera is
     # cam_from_world and the camera pose in the base is its inverse
     base_from_camera = invert(cam_from_world)
-
-    offset = scenario.hand_offset.as_array()
+    cw_r, cw_t = cam_from_world.rotation.ravel().tolist(), cam_from_world.translation.tolist()
+    bc_r, bc_t = base_from_camera.rotation.ravel().tolist(), base_from_camera.translation.tolist()
 
     human = _HumanAgent(scenario, rng)
     state = safety.SafetyState()
     servo = gimbal.ServoState()
     robot_time = 0.0
     tcp = _position_on_loop(legs, 0.0)
-    hand_est = human.position.copy()
+    hand_est = tuple(human.position.tolist())
 
-    trace = []
-    metrics = SimMetrics(
-        min_distance=float("inf"),
-        critical_violations=0,
-        pattern_activations={},
-        measured_response_times={},
-        halts=0,
-    )
+    rows = []
+    pattern_activations = {}
+    measured_response_times = {}
+    halts = 0
     # open response-time measurements: (pattern key, start t, hand at start)
     pending_measurements = []
     prev_halted = False
@@ -409,7 +482,8 @@ def run(scenario: Scenario) -> tuple:
         tcp = _position_on_loop(legs, robot_time)
         tcp_velocity = (tcp - tcp_prev) / dt if k > 0 else np.zeros(3)
 
-        hand_true = human.position.copy()
+        hand_true = human.position
+        hx, hy, hz = hand_true.tolist()
 
         # gimbal keeps the marker normal on the camera
         to_camera = CAMERA_POSITION - hand_true
@@ -425,50 +499,53 @@ def run(scenario: Scenario) -> tuple:
             gimbal.MotorDeltas(servo.angle_a, servo.angle_b), scenario.gear
         )
         # the marker sits at the hand minus the rotated hand offset; building
-        # it straight in the camera frame hands project a proper rotation
-        marker_rot = CAMERA_FROM_WRIST @ gimbal.marker_rotation(actual)
-        marker_in_camera = RigidTransform.from_orthonormalized(
-            marker_rot, cam_from_world.apply(hand_true) - marker_rot @ offset
+        # it straight in the camera frame and through the Gram-Schmidt
+        # boundary hands the camera model a proper rotation
+        marker_r = orthonormalized(_camera_from_marker(gimbal.marker_rotation_entries(actual)))
+        marker_t = _transform_point(
+            marker_r, _transform_point(cw_r, cw_t, hx, hy, hz), -ox, -oy, -oz
         )
 
         # mocap chain: real estimation only when pixel noise is injected
         marker_visible = True
-        est_marker_in_camera = marker_in_camera
+        est_r, est_t = marker_r, marker_t
         try:
-            corners = marker_pose.project(
-                marker_in_camera, scenario.marker_side, scenario.camera
-            )
-            if (corners < 0).any() or \
-                    (corners[:, 0] > scenario.camera.image_width).any() or \
-                    (corners[:, 1] > scenario.camera.image_height).any():
+            uv = marker_pose.project_corners(marker_r, marker_t, half_side, camera)
+            if any(u < 0 or v < 0 or u > camera.image_width or v > camera.image_height
+                   for u, v in uv):
                 marker_visible = False
             elif scenario.pixel_noise_sigma > 0:
                 obs = marker_pose.MarkerObservation(
                     marker_id=0,
-                    corners=corners + rng.normal(
-                        0.0, scenario.pixel_noise_sigma, size=corners.shape
+                    corners=np.array(uv) + rng.normal(
+                        0.0, scenario.pixel_noise_sigma, size=(4, 2)
                     ),
                 )
-                est = marker_pose.estimate_pose(
-                    obs, scenario.marker_side, scenario.camera
-                )
-                est_marker_in_camera = est.pose
+                est = marker_pose.estimate_pose(obs, scenario.marker_side, camera)
+                est_r = est.pose.rotation.ravel().tolist()
+                est_t = est.pose.translation.tolist()
         except marker_pose.PoseError:
             marker_visible = False
 
         if marker_visible:
-            hand_est = base_from_camera.apply(est_marker_in_camera.apply(offset))
+            hand_est = _transform_point(bc_r, bc_t, *_transform_point(est_r, est_t, ox, oy, oz))
         # else: keep last known hand_est
 
+        # distance_true and the human model stay on numpy: np.linalg.norm of
+        # a 3-vector goes through BLAS ddot, whose bits a Python sum of
+        # squares does not always match, and metrics.json prints
+        # min_distance in full
         distance_true = float(np.linalg.norm(hand_true - tcp))
-        distance_est = float(np.linalg.norm(hand_est - tcp))
-        tcp_point = Point3.from_array(tcp)
+        px, py, pz = tcp.tolist()
+        ex, ey, ez = hand_est
+        dx, dy, dz = ex - px, ey - py, ez - pz
+        distance_est = math.sqrt(dx * dx + dy * dy + dz * dz)
 
         state, commands = safety.step(
             state,
             distance_est,
-            Point3.from_array(hand_est),
-            tcp_point,
+            Point3(ex, ey, ez),
+            Point3(px, py, pz),
             tcp_velocity,
             t,
             zones=scenario.zones,
@@ -476,35 +553,23 @@ def run(scenario: Scenario) -> tuple:
         )
         for command in commands:
             if command.kind is safety.CommandKind.HALT_ROBOT:
-                metrics.halts += 1
+                halts += 1
             elif command.kind is safety.CommandKind.START_PATTERN:
                 key = str(command.pattern)
-                metrics.pattern_activations[key] = (
-                    metrics.pattern_activations.get(key, 0) + 1
-                )
+                pattern_activations[key] = pattern_activations.get(key, 0) + 1
                 if human.on_pattern(command.pattern, t):
                     pending_measurements.append((key, t, hand_true.copy()))
 
-        zone = safety.classify(distance_est, scenario.zones)
-        direction = None
-        if state.active_pattern is not None:
-            direction = scenario.mapping.direction_for(state.active_pattern)
-        trace.append(TraceRecord(
-            t=t,
-            hand=Point3.from_array(hand_true),
-            tcp=tcp_point,
-            distance=distance_true,
-            zone=zone,
-            state_mode=state.mode,
-            active_pattern=state.active_pattern,
-            robot_halted=state.robot_halted,
-            commanded_direction=direction,
-            marker_visible=marker_visible,
+        pattern = state.active_pattern
+        rows.append((
+            t, hx, hy, hz, px, py, pz, distance_true,
+            safety.classify(distance_est, scenario.zones).value,
+            state.mode.value,
+            str(pattern) if pattern else "",
+            state.robot_halted,
+            scenario.mapping.direction_for(pattern).value if pattern else "",
+            marker_visible,
         ))
-
-        metrics.min_distance = min(metrics.min_distance, distance_true)
-        if distance_true < scenario.zones.critical_distance and not prev_halted:
-            metrics.critical_violations += 1
         prev_halted = state.robot_halted
 
         human.step(t, distance_true)
@@ -513,21 +578,34 @@ def run(scenario: Scenario) -> tuple:
         still_open = []
         for key, t0, origin in pending_measurements:
             if float(np.linalg.norm(human.position - origin)) > MOVEMENT_DETECTION_M:
-                metrics.measured_response_times.setdefault(key, []).append(
+                measured_response_times.setdefault(key, []).append(
                     round((k + 1) * dt - t0, 10)
                 )
             else:
                 still_open.append((key, t0, origin))
         pending_measurements = still_open
 
-    return trace, metrics
+    # a step violates when it enters the critical zone while the robot was
+    # not already halted
+    distances = [row[_DISTANCE] for row in rows]
+    halted_before = [False] + [row[_HALTED] for row in rows[:-1]]
+    metrics = SimMetrics(
+        min_distance=min(distances),
+        critical_violations=sum(
+            d < scenario.zones.critical_distance and not h
+            for d, h in zip(distances, halted_before)
+        ),
+        pattern_activations=pattern_activations,
+        measured_response_times=measured_response_times,
+        halts=halts,
+    )
+    return Trace(rows), metrics
 
 
-def write_trace_csv(trace, path) -> None:
+def write_trace_csv(trace: Trace, path) -> None:
     with open(path, "w") as fh:
         fh.write(TRACE_CSV_HEADER + "\n")
-        for record in trace:
-            fh.write(record.to_csv_row() + "\n")
+        fh.writelines([_CSV_ROW % row + "\n" for row in trace.rows])
 
 
 def write_metrics_json(metrics: SimMetrics, path) -> None:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -365,6 +366,20 @@ class TestTrialsCsv:
         path.write_text("participant,side,actual,perceived\n1,volar,9Z,1H\n")
         with pytest.raises(ValueError, match="row 2"):
             read_trials_csv(path)
+
+    def test_case_and_padding_tolerated(self, tmp_path):
+        path = tmp_path / "trials.csv"
+        good = "participant,side,actual,perceived\n1, Volar ,1h, 3l \n2,DORSAL,5H,5H\n"
+        path.write_text(good)
+        assert read_trials_csv(path) == [
+            TrialRecord(1, WristSide.VOLAR, PatternId.parse("1H"), PatternId.parse("3L")),
+            TrialRecord(2, WristSide.DORSAL, PatternId.parse("5H"), PatternId.parse("5H")),
+        ]
+        for bad, message in (("3,volar,1H, 9z\n", "row 4: unknown pattern id '9Z'"),
+                             ("3,palm,1H,1H\n", "row 4: 'palm' is not a valid WristSide")):
+            path.write_text(good + bad)
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                read_trials_csv(path)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "trials.csv"

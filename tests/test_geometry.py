@@ -13,6 +13,7 @@ from handguard.geometry import (
     hand_center,
     hand_in_robot_base,
     invert,
+    orthonormalized,
     rotation_from_axis_angle,
     rotation_x,
     rotation_y,
@@ -54,6 +55,21 @@ def reference_error(r):
 def reference_accepts(r):
     err, det = reference_error(r)
     return err <= ORTHONORMALITY_TOL and abs(det - 1.0) <= ORTHONORMALITY_TOL
+
+
+def assert_boundary_agrees(r):
+    """`orthonormalized` on the nine entries gives `from_orthonormalized`'s
+    rotation bit for bit, or raises the same InvalidRotation message."""
+    def outcome(build):
+        try:
+            return [x.hex() for x in build()]
+        except InvalidRotation as exc:
+            return str(exc)
+
+    r = np.asarray(r, dtype=float)
+    via_transform = outcome(
+        lambda: RigidTransform.from_orthonormalized(r, np.zeros(3)).rotation.ravel().tolist())
+    assert outcome(lambda: orthonormalized(r.ravel().tolist())) == via_transform
 
 
 def accepts(r):
@@ -236,6 +252,7 @@ class TestClosedFormAgainstReference:
             r = r @ np.diag([1.0, 1.0, -1.0])  # det < 0: column 2 is flipped
         got = RigidTransform.from_orthonormalized(r, np.zeros(3)).rotation
         assert np.abs(got - reference_orthonormalize(r)).max() <= 1e-14
+        assert_boundary_agrees(r)
 
     @settings(max_examples=300, deadline=None)
     @given(axis=axes, angle=angles, bump=bumps, k=st.floats(0.25, 4.0),
@@ -287,6 +304,7 @@ class TestClosedFormAgainstReference:
         outcomes = set()
         for scale in np.logspace(-12, -5, 29):
             r = np.column_stack([c0, c0 + scale * np.array(across), np.cross(c0, across)])
+            assert_boundary_agrees(r)
             try:
                 got = RigidTransform.from_orthonormalized(r, np.zeros(3))
             except InvalidRotation:
@@ -302,6 +320,7 @@ class TestClosedFormAgainstReference:
         r[:, column] = r[:, (column + 1) % 3] * 2.0
         with pytest.raises(InvalidRotation, match="dependent"):
             RigidTransform.from_orthonormalized(r, np.zeros(3))
+        assert_boundary_agrees(r)
 
     def test_wrong_shape_rejected(self):
         with pytest.raises(InvalidRotation, match="3x3"):
@@ -324,6 +343,7 @@ class TestNonFinite:
         r[2, 0] = bad
         with pytest.raises(InvalidRotation, match="finite"):
             RigidTransform.from_orthonormalized(r, np.zeros(3))
+        assert_boundary_agrees(r)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_from_json_dict_rejects(self, bad):

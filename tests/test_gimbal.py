@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from handguard.geometry import rotation_x, rotation_y
 from handguard.gimbal import (
     GearParams,
     GimbalDegeneracy,
@@ -110,6 +111,15 @@ class TestCorrectionAngles:
             reached = marker_rotation(angles) @ np.array([0.0, 0.0, 1.0])
             assert np.abs(reached - d).max() < 1e-9
             checked += 1
+
+    def test_closed_form_rotation_matches_product(self):
+        # Ry(theta_c) @ Rx(theta_p) on a seeded grid of angles, both signs
+        rng = np.random.default_rng(9)
+        for p in np.concatenate([np.linspace(-math.pi, math.pi, 25), rng.uniform(-4, 4, 25)]):
+            for c in np.concatenate([np.linspace(-math.pi, math.pi, 25), rng.uniform(-4, 4, 25)]):
+                m = MarkerDeltas(float(p), float(c))
+                expected = rotation_y(m.d_theta_c) @ rotation_x(m.d_theta_p)
+                assert np.abs(marker_rotation(m) - expected).max() <= 1e-15
 
 
 class TestServo:

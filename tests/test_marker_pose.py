@@ -36,6 +36,7 @@ from handguard.marker_pose import (
     estimate_pose,
     marker_corners_3d,
     project,
+    project_corners,
     synthesize_observation,
 )
 
@@ -55,6 +56,28 @@ def random_pose(rng, max_tilt=0.6):
 def rotation_error_rad(r_a, r_b):
     c = (np.trace(r_a.T @ r_b) - 1.0) / 2.0
     return math.acos(min(1.0, max(-1.0, c)))
+
+
+def entries(pose):
+    # a pose as the (rotation entries row by row, translation) floats _refine takes
+    return pose.rotation.ravel().tolist(), pose.translation.tolist()
+
+
+def refine_pose(start, corners3d, observed, k):
+    # _refine from and to a RigidTransform, the way estimate_pose builds its winner
+    r, t, rms = _refine(*entries(start), corners3d, observed, k)
+    return RigidTransform.from_orthonormalized(np.reshape(r, (3, 3)), t), rms
+
+
+def reference_project(pose, marker_side, intrinsics):
+    # the numpy camera model that project_corners replaced
+    pts = (pose.rotation @ marker_corners_3d(marker_side).T).T + pose.translation
+    z = pts[:, 2]
+    if np.any(z <= MIN_DEPTH_M):
+        raise NonPositiveDepth("marker corner at or behind the camera plane")
+    u = intrinsics.fx * pts[:, 0] / z + intrinsics.cx
+    v = intrinsics.fy * pts[:, 1] / z + intrinsics.cy
+    return np.column_stack([u, v])
 
 
 class TestProjection:
@@ -87,6 +110,35 @@ class TestProjection:
         c = marker_corners_3d(SIDE)
         assert np.allclose(c[:, 2], 0.0)
         assert np.allclose(np.abs(c[:, :2]), SIDE / 2)
+
+    def test_float_camera_model_matches_reference(self):
+        # the 200 IPPE truths: the same pixels as the numpy camera model
+        for truth in TestIppeCandidates.truths():
+            got = np.array(project_corners(*entries(truth), SIDE / 2.0, K))
+            assert np.abs(got - reference_project(truth, SIDE, K)).max() <= 1e-9
+            assert np.array_equal(project(truth, SIDE, K), got)
+
+    def test_float_camera_model_rejects_like_reference(self):
+        # the truths pushed behind the camera, and tilted markers straddling
+        # its plane: the same exception, or pixels within rounding of the
+        # reference (they grow large as a corner nears the plane)
+        outcomes = set()
+        for truth in TestIppeCandidates.truths():
+            r, (x, y, z) = truth.rotation, truth.translation
+            for pose in (RigidTransform(r, [x, y, -z]), RigidTransform(r, [x, y, 0.01])):
+                try:
+                    ref = reference_project(pose, SIDE, K)
+                except NonPositiveDepth:
+                    with pytest.raises(NonPositiveDepth):
+                        project_corners(*entries(pose), SIDE / 2.0, K)
+                    with pytest.raises(NonPositiveDepth):
+                        project(pose, SIDE, K)
+                    outcomes.add("rejected")
+                    continue
+                got = project(pose, SIDE, K)
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+                outcomes.add("projected")
+        assert outcomes == {"projected", "rejected"}
 
 
 class TestSynthesize:
@@ -154,7 +206,7 @@ class TestEstimatePose:
                 truth, SIDE, K, pixel_noise_sigma=0.5, seed=2000 + i
             )
             est = estimate_pose(obs, SIDE, K)
-            _, rms_from_truth = _refine(truth, marker_corners_3d(SIDE), obs.corners, K)
+            *_, rms_from_truth = _refine(*entries(truth), marker_corners_3d(SIDE), obs.corners, K)
             assert est.rms_reprojection_error <= rms_from_truth + 1e-9
 
     def test_ambiguity_ratio_reported(self):
@@ -242,12 +294,14 @@ def reference_homography_dlt(plane_xy, image_xy):
 
 
 def ippe_candidates(obs):
+    # the homography and both candidates, each through the checking constructor
     from handguard.marker_pose import _ippe_candidates, _normalized_corners, _square_homography
 
     corners3d = marker_corners_3d(SIDE)
     normalized = _normalized_corners(obs, K)
     h = _square_homography(normalized, SIDE)
-    return h, _ippe_candidates(h, corners3d, normalized)
+    return h, tuple(RigidTransform(np.reshape(r, (3, 3)), t)
+                    for r, t in _ippe_candidates(h, corners3d, normalized))
 
 
 # a marker seen almost edge-on (sim_noisy seed 10, step 12): it spans 0.6 px
@@ -509,9 +563,9 @@ class TestDampedStep:
 
         truth = random_pose(np.random.default_rng(4))
         obs = synthesize_observation(truth, SIDE, K, pixel_noise_sigma=0.5, seed=4)
-        _, rms = _refine(truth, marker_corners_3d(SIDE), obs.corners, K)
+        *_, rms = _refine(*entries(truth), marker_corners_3d(SIDE), obs.corners, K)
         monkeypatch.setattr(marker_pose, "_damped_step", fails_once)
-        _, rms_after_failure = _refine(truth, marker_corners_3d(SIDE), obs.corners, K)
+        *_, rms_after_failure = _refine(*entries(truth), marker_corners_3d(SIDE), obs.corners, K)
         assert lams[:2] == [GN_DAMPING_INIT, GN_DAMPING_INIT * GN_DAMPING_UP]
         assert abs(rms_after_failure - rms) <= 1e-9
 
@@ -529,7 +583,7 @@ class TestScalarRefine:
         for obs in frames:
             for start in ippe_candidates(obs)[1]:
                 outcomes = []
-                for refine in (_refine, reference_refine):
+                for refine in (refine_pose, reference_refine):
                     try:
                         outcomes.append(refine(start, corners3d, obs.corners, K))
                     except PoseError as exc:
@@ -547,7 +601,7 @@ class TestScalarRefine:
     def test_start_behind_camera_raises(self):
         start = RigidTransform(np.eye(3), [0.0, 0.0, -1.0])
         observed = project(RigidTransform(np.eye(3), [0.0, 0.0, 1.0]), SIDE, K)
-        for refine in (_refine, reference_refine):
+        for refine in (refine_pose, reference_refine):
             with pytest.raises(NonPositiveDepth):
                 refine(start, marker_corners_3d(SIDE), observed, K)
 

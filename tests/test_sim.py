@@ -8,12 +8,13 @@ import pytest
 
 from handguard.geometry import Point3
 from handguard.haptics import PatternId
-from handguard.safety import SafetyZones
+from handguard.safety import Direction, Mode, SafetyZones, Zone
 from handguard.sim import (
     HumanModel,
     Scenario,
     ScenarioError,
     TRACE_CSV_HEADER,
+    Trace,
     UnknownPattern,
     robot_tcp_position,
     run,
@@ -181,6 +182,22 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match=f"^{re.escape(name)}: {message}$"):
             Scenario.from_json_dict(doc)
 
+    @pytest.mark.parametrize("name, coords", [
+        ("hand_home", [0.15, 0.6]),
+        ("hand_home", [0.15, 0.6, 0.2, 0.0]),
+        ("robot_waypoints[1].point", [0.0, 0.55]),
+        ("robot_waypoints[1].point", [0.0, 0.55, 0.2, 1.0]),
+        ("hand_offset", [0.0, -0.1]),
+    ])
+    def test_coordinate_count_names_field(self, name, coords):
+        doc = json.loads(scenario_path("default.json").read_text())
+        if name.startswith("robot_waypoints"):
+            doc["robot_waypoints"][1]["point"] = coords
+        else:
+            doc[name] = coords
+        with pytest.raises(ScenarioError, match=f"^{re.escape(name)}: expected 3 coordinates$"):
+            Scenario.from_json_dict(doc)
+
     @pytest.mark.parametrize(
         "section", ["zones", "human", "gear", "camera", "robot_waypoints[1]"]
     )
@@ -297,3 +314,34 @@ class TestRun:
         assert lines[0] == TRACE_CSV_HEADER
         assert len(lines) == 1 + len(trace)
         assert all(len(line.split(",")) == 14 for line in lines[1:])
+
+
+class TestTrace:
+    def test_records_hold_their_rows(self):
+        # 15 s reaches the first pattern (about 11 s in)
+        trace, _ = run(default_scenario(duration=15.0))
+        assert isinstance(trace, Trace) and len(trace) == len(trace.rows) == 1500
+        records = list(trace)
+        assert [rec.row() for rec in records] == trace.rows
+        first_pattern = next(i for i, row in enumerate(trace.rows) if row[10])
+        for i in (0, first_pattern, -1):
+            row, rec = trace.rows[i], trace[i]
+            assert rec == records[i]
+            assert (rec.t, rec.distance, rec.robot_halted, rec.marker_visible) == \
+                (row[0], row[7], row[11], row[13])
+            assert rec.hand == Point3(*row[1:4]) and rec.tcp == Point3(*row[4:7])
+            assert rec.zone is Zone(row[8]) and rec.state_mode is Mode(row[9])
+            assert rec.active_pattern == (PatternId.parse(row[10]) if row[10] else None)
+            assert rec.commanded_direction == (Direction(row[12]) if row[12] else None)
+        assert trace[0].active_pattern is None
+        assert trace[first_pattern].commanded_direction is not None
+
+    def test_slices_are_traces(self):
+        trace, _ = run(default_scenario(duration=1.0))
+        part = trace[10:20:3]
+        assert isinstance(part, Trace)
+        assert part.rows == trace.rows[10:20:3]
+        assert list(part) == [trace[i] for i in range(10, 20, 3)]
+        assert len(trace[5:]) == len(trace) - 5
+        with pytest.raises(IndexError):
+            trace[len(trace)]
