@@ -69,13 +69,14 @@ class ConfusionMatrix:
     def from_csv(cls, path) -> "ConfusionMatrix":
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        header = [c.strip() for c in rows[0][1:]]
+        header = [c.strip() for c in rows[0][1:]] if rows else []
         if tuple(header) != PATTERN_ORDER:
             raise ValueError(f"header must list patterns in order {PATTERN_ORDER}")
         values = []
         for i, row in enumerate(rows[1:], start=2):
-            if row[0].strip() != PATTERN_ORDER[len(values)]:
-                raise ValueError(f"row {i}: unexpected pattern label {row[0]!r}")
+            label = row[0].strip() if row else ""
+            if len(values) == len(PATTERN_ORDER) or label != PATTERN_ORDER[len(values)]:
+                raise ValueError(f"row {i}: unexpected pattern label {label!r}")
             values.append([float(c) for c in row[1:]])
         return cls(np.array(values))
 
@@ -245,7 +246,7 @@ def read_trials_csv(path) -> list:
     trials = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, [])
         if [c.strip().lower() for c in header] != ["participant", "side", "actual", "perceived"]:
             raise ValueError("expected header participant,side,actual,perceived")
         # exact tokens come from the lookup tables; anything else takes the

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -35,7 +36,14 @@ def _require_file(path: str) -> Path:
 
 def _read_intrinsics(path: str) -> marker_pose.CameraIntrinsics:
     with open(_require_file(path)) as fh:
-        return marker_pose.CameraIntrinsics.from_json_dict(json.load(fh))
+        return sim.build_section(marker_pose.CameraIntrinsics, json.load(fh), "intrinsics")
+
+
+def _marker_side(text: str) -> float:
+    side = float(text)
+    if not 0 < side < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number: {text}")
+    return side
 
 
 def _read_observations(path: str) -> list:
@@ -76,9 +84,11 @@ def cmd_simulate(args) -> int:
     if args.seeds:
         try:
             lo, hi = (int(x) for x in args.seeds.split(".."))
-            seeds = list(range(lo, hi + 1))
         except ValueError:
             return _fail("--seeds expects a..b", EXIT_USAGE)
+        if lo > hi:
+            return _fail(f"--seeds {args.seeds}: a must be <= b", EXIT_USAGE)
+        seeds = list(range(lo, hi + 1))
 
     for seed in seeds:
         doc["seed"] = seed
@@ -284,13 +294,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pose", help="estimate marker poses from corner observations")
     p.add_argument("observations", help="CSV: marker_id,u0,v0,u1,v1,u2,v2,u3,v3")
     p.add_argument("--intrinsics", required=True, help="camera intrinsics JSON")
-    p.add_argument("--marker-side", type=float, default=0.04, help="marker side, m")
+    p.add_argument("--marker-side", type=_marker_side, default=0.04, help="marker side, m")
     p.set_defaults(func=cmd_pose)
 
     p = sub.add_parser("calibrate", help="estimate robot base pose in the camera frame")
     p.add_argument("observations", help="base-marker observation CSV")
     p.add_argument("--intrinsics", required=True)
-    p.add_argument("--marker-side", type=float, default=0.04)
+    p.add_argument("--marker-side", type=_marker_side, default=0.04)
     p.add_argument("--base-transform",
                    help="JSON transform base-marker -> robot base (default identity)")
     p.add_argument("--out", help="write the calibration JSON here as well")

@@ -217,6 +217,8 @@ class RigidTransform:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RigidTransform":
+        if not isinstance(d, dict) or not {"r", "t"} <= d.keys():
+            raise ValueError("transform: expected a JSON object with keys r and t")
         r = np.array(d["r"], dtype=float).reshape(3, 3)
         t = np.array(d["t"], dtype=float)
         return cls(r, t)

@@ -95,10 +95,6 @@ class CameraIntrinsics:
             "image_width": self.image_width, "image_height": self.image_height,
         }
 
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "CameraIntrinsics":
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class MarkerObservation:
@@ -478,8 +474,8 @@ def estimate_pose(
     obs: MarkerObservation, marker_side: float, intrinsics: CameraIntrinsics
 ) -> PoseEstimate:
     """Estimate the marker pose in the camera frame from four corner pixels."""
-    if marker_side <= 0:
-        raise ValueError("marker_side must be positive")
+    if not 0 < marker_side < math.inf:
+        raise ValueError("marker_side must be a positive finite number")
     corners3d = marker_corners_3d(marker_side)
     normalized = _normalized_corners(obs, intrinsics)
     fits = []

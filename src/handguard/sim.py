@@ -15,9 +15,12 @@ comes back to the base frame as a point: the hand offset goes through the
 estimated pose and then through base_from_camera.  The true distance and
 the human model stay on numpy, so the logged distances keep their bits.
 
-`run` records the trace as one row of plain values per step (a `Trace`);
-`TraceRecord`s are built only when the trace is indexed or iterated, and
-the summary metrics are folds over the rows after the loop.
+`run` records the trace as one `TraceRow` of plain values per step.  The
+row's fields are the trace CSV's columns, so a new column is one field plus
+its format in `_CSV_ROW`.  `min_distance`, `critical_violations` and `halts`
+are folds over the rows after the loop; pattern activations and response
+times are counted in the loop, because a row does not show a pattern that
+restarts with the same id.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ import dataclasses
 import json
 import math
 import numbers
-from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,8 +178,7 @@ class Scenario:
         return _scenario_from_dict(json.loads(text))
 
 
-# Nested sections built straight from their dataclass; its fields are the
-# section's keys, and each numeric field must be a finite number.
+# Nested sections built straight from their dataclass (see build_section).
 _SECTIONS = {
     "zones": safety.SafetyZones,
     "human": HumanModel,
@@ -189,6 +191,19 @@ def _reject_unknown(doc: dict, allowed: set, path: str) -> None:
     unknown = set(doc) - allowed
     if unknown:
         raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
+
+
+def build_section(cls, doc, path: str):
+    """A section dataclass built from its JSON object.  Its fields are the
+    keys, and each numeric field must be a finite number; ScenarioError names
+    the offending key or field."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{path}: expected a JSON object")
+    _reject_unknown(doc, {f.name for f in dataclasses.fields(cls)}, path)
+    for f in dataclasses.fields(cls):
+        if f.name in doc and isinstance(f.default, numbers.Real):
+            _require_finite(f"{path}.{f.name}", doc[f.name])
+    return cls(**doc)
 
 
 def _finite_coords(name: str, coords) -> tuple:
@@ -225,11 +240,7 @@ def _scenario_from_dict(doc: dict) -> Scenario:
             kwargs["mapping"] = safety.DirectionMapping(pairs)
         for key, cls in _SECTIONS.items():
             if key in doc:
-                _reject_unknown(doc[key], {f.name for f in dataclasses.fields(cls)}, key)
-                for f in dataclasses.fields(cls):
-                    if f.name in doc[key] and isinstance(f.default, numbers.Real):
-                        _require_finite(f"{key}.{f.name}", doc[key][f.name])
-                kwargs[key] = cls(**doc[key])
+                kwargs[key] = build_section(cls, doc[key], key)
     except ScenarioError:
         raise
     except (TypeError, ValueError, KeyError) as exc:
@@ -237,79 +248,27 @@ def _scenario_from_dict(doc: dict) -> Scenario:
     return Scenario(**kwargs)
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRow(NamedTuple):
+    """One simulation step as plain values; the fields are the CSV columns."""
+
     t: float
-    hand: Point3
-    tcp: Point3
-    distance: float
-    zone: safety.Zone
-    state_mode: safety.Mode
-    active_pattern: haptics.PatternId | None
+    hand_x: float
+    hand_y: float
+    hand_z: float
+    tcp_x: float
+    tcp_y: float
+    tcp_z: float
+    distance: float  # true hand-TCP distance, m
+    zone: str  # safety.Zone value of the estimated distance
+    state: str  # safety.Mode value
+    active_pattern: str  # pattern id, or "" when none is active
     robot_halted: bool
-    commanded_direction: safety.Direction | None
+    direction: str  # safety.Direction value of the active pattern, or ""
     marker_visible: bool
 
-    @classmethod
-    def from_row(cls, row) -> "TraceRecord":
-        """The record of one `Trace` row."""
-        t, hx, hy, hz, px, py, pz, distance, zone, mode, pattern, halted, direction, \
-            visible = row
-        return cls(
-            t=t,
-            hand=Point3(hx, hy, hz),
-            tcp=Point3(px, py, pz),
-            distance=distance,
-            zone=safety.Zone(zone),
-            state_mode=safety.Mode(mode),
-            active_pattern=haptics.PatternId.parse(pattern) if pattern else None,
-            robot_halted=halted,
-            commanded_direction=safety.Direction(direction) if direction else None,
-            marker_visible=visible,
-        )
 
-    def row(self) -> tuple:
-        """The record as one `Trace` row of plain values."""
-        return (
-            self.t, self.hand.x, self.hand.y, self.hand.z,
-            self.tcp.x, self.tcp.y, self.tcp.z, self.distance,
-            self.zone.value, self.state_mode.value,
-            str(self.active_pattern) if self.active_pattern else "",
-            self.robot_halted,
-            self.commanded_direction.value if self.commanded_direction else "",
-            self.marker_visible,
-        )
-
-    def to_csv_row(self) -> str:
-        return _CSV_ROW % self.row()
-
-
-TRACE_CSV_HEADER = (
-    "t,hand_x,hand_y,hand_z,tcp_x,tcp_y,tcp_z,distance,zone,state,"
-    "active_pattern,robot_halted,direction,marker_visible"
-)
-# one trace row: t, hand xyz, TCP xyz, distance, zone, state, pattern, halted,
-# direction, visible
+TRACE_CSV_HEADER = ",".join(TraceRow._fields)
 _CSV_ROW = "%.4f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%s,%s,%s,%d,%s,%d"
-_DISTANCE, _HALTED = 7, 11
-
-
-class Trace(Sequence):
-    """A run's trace, one row of plain values per step (see TraceRecord.row).
-
-    Indexing and iteration build TraceRecords on demand; a slice is a Trace.
-    """
-
-    def __init__(self, rows):
-        self.rows = list(rows)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Trace(self.rows[index])
-        return TraceRecord.from_row(self.rows[index])
 
 
 @dataclass
@@ -358,20 +317,6 @@ def _position_on_loop(legs, time_in_motion: float) -> np.ndarray:
             return start + direction * (length * tm / leg_time)
         tm -= leg_time
     return legs[-1][0] + legs[-1][1] * legs[-1][2]
-
-
-def robot_tcp_position(waypoints, t: float, halt_intervals=()) -> Point3:
-    """TCP position at time t for a looping waypoint path with halt intervals.
-
-    waypoints: sequence of (Point3, leg speed) pairs; halt_intervals:
-    sequence of (start, end) times during which the robot is frozen.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    halted_before = 0.0
-    for start, end in halt_intervals:
-        halted_before += max(0.0, min(end, t) - start)
-    return Point3.from_array(_position_on_loop(_leg_table(waypoints), t - halted_before))
 
 
 class _HumanAgent:
@@ -440,7 +385,7 @@ class _HumanAgent:
 
 
 def run(scenario: Scenario) -> tuple:
-    """Execute one simulation; returns (Trace, metrics)."""
+    """Execute one simulation; returns (list of TraceRows, metrics)."""
     rng = np.random.default_rng(scenario.seed)
     dt = scenario.dt
     steps = int(round(scenario.duration / dt))
@@ -469,7 +414,6 @@ def run(scenario: Scenario) -> tuple:
     rows = []
     pattern_activations = {}
     measured_response_times = {}
-    halts = 0
     # open response-time measurements: (pattern key, start t, hand at start)
     pending_measurements = []
     prev_halted = False
@@ -552,16 +496,14 @@ def run(scenario: Scenario) -> tuple:
             mapping=scenario.mapping,
         )
         for command in commands:
-            if command.kind is safety.CommandKind.HALT_ROBOT:
-                halts += 1
-            elif command.kind is safety.CommandKind.START_PATTERN:
+            if command.kind is safety.CommandKind.START_PATTERN:
                 key = str(command.pattern)
                 pattern_activations[key] = pattern_activations.get(key, 0) + 1
                 if human.on_pattern(command.pattern, t):
                     pending_measurements.append((key, t, hand_true.copy()))
 
         pattern = state.active_pattern
-        rows.append((
+        rows.append(TraceRow(
             t, hx, hy, hz, px, py, pz, distance_true,
             safety.classify(distance_est, scenario.zones).value,
             state.mode.value,
@@ -586,26 +528,26 @@ def run(scenario: Scenario) -> tuple:
         pending_measurements = still_open
 
     # a step violates when it enters the critical zone while the robot was
-    # not already halted
-    distances = [row[_DISTANCE] for row in rows]
-    halted_before = [False] + [row[_HALTED] for row in rows[:-1]]
+    # not already halted; a halt is a step that halts a robot that was not
+    # halted before (safety.step cannot resume and halt in one step)
+    halted_before = [False] + [row.robot_halted for row in rows[:-1]]
     metrics = SimMetrics(
-        min_distance=min(distances),
+        min_distance=min(row.distance for row in rows),
         critical_violations=sum(
-            d < scenario.zones.critical_distance and not h
-            for d, h in zip(distances, halted_before)
+            row.distance < scenario.zones.critical_distance and not before
+            for row, before in zip(rows, halted_before)
         ),
         pattern_activations=pattern_activations,
         measured_response_times=measured_response_times,
-        halts=halts,
+        halts=sum(row.robot_halted and not before for row, before in zip(rows, halted_before)),
     )
-    return Trace(rows), metrics
+    return rows, metrics
 
 
-def write_trace_csv(trace: Trace, path) -> None:
+def write_trace_csv(rows, path) -> None:
     with open(path, "w") as fh:
         fh.write(TRACE_CSV_HEADER + "\n")
-        fh.writelines([_CSV_ROW % row + "\n" for row in trace.rows])
+        fh.writelines([_CSV_ROW % row + "\n" for row in rows])
 
 
 def write_metrics_json(metrics: SimMetrics, path) -> None:

@@ -23,6 +23,13 @@ def intrinsics_file(tmp_path):
     return str(path)
 
 
+def usage_error(*argv):
+    """Exit code of an argument that argparse itself rejects."""
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    return info.value.code
+
+
 def observation_line(pose, marker_id=0, side=0.04):
     corners = project(pose, side, CameraIntrinsics())
     return f"{marker_id}," + ",".join(f"{v:.6f}" for v in corners.ravel())
@@ -122,6 +129,16 @@ class TestSimulate:
         for seed in (1, 2, 3):
             assert (tmp_path / f"t.{seed}.csv").exists()
             assert (tmp_path / f"m.{seed}.json").exists()
+
+    def test_descending_seed_sweep_exit_2(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys, "simulate",
+            "--trace", str(tmp_path / "t.csv"), "--metrics", str(tmp_path / "m.json"),
+            "--seeds", "5..3",
+        )
+        assert code == 2
+        assert "--seeds" in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_zone_key_reports_field_and_exit_2(self, capsys, tmp_path):
         scen = json.loads(scenario_path("default.json").read_text())
@@ -225,6 +242,34 @@ class TestPose:
         assert code == 2
 
 
+@pytest.mark.parametrize("command", ["pose", "calibrate"])
+class TestBadPoseInputs:
+    @pytest.fixture
+    def obs_file(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text(observation_line(RigidTransform(np.eye(3), [0, 0, 1.0])) + "\n")
+        return str(path)
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"fx": 800.0, "focal": 800.0}, "intrinsics: unknown keys ['focal']"),
+        ({"fx": "800"}, "intrinsics.fx: must be a finite number"),
+        ([800.0, 800.0, 640.0, 360.0], "intrinsics: expected a JSON object"),
+    ])
+    def test_bad_intrinsics_exit_2(self, capsys, tmp_path, obs_file, command, doc, message):
+        path = tmp_path / "intrinsics.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, command, obs_file, "--intrinsics", str(path))
+        assert code == 2
+        assert message in err
+
+    @pytest.mark.parametrize("side", ["0", "-0.04", "nan", "inf"])
+    def test_bad_marker_side_exit_2(self, capsys, obs_file, intrinsics_file, command, side):
+        code = usage_error(command, obs_file, "--intrinsics", intrinsics_file,
+                           "--marker-side", side)
+        assert code == 2
+        assert "must be a positive finite number" in capsys.readouterr().err
+
+
 class TestCalibrate:
     def test_round_trip_with_identity_marker_frame(self, capsys, tmp_path,
                                                    intrinsics_file):
@@ -239,6 +284,23 @@ class TestCalibrate:
         assert code == 0
         got = RigidTransform.from_json(out_file.read_text())
         assert np.abs(got.as_matrix() - truth.as_matrix()).max() < 1e-6
+
+
+    @pytest.mark.parametrize("missing", ["r", "t"])
+    def test_base_transform_without_key_exit_2(self, capsys, tmp_path, intrinsics_file,
+                                               missing):
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(observation_line(RigidTransform(np.eye(3), [0, 0, 1.0])) + "\n")
+        doc = RigidTransform.identity().to_json_dict()
+        del doc[missing]
+        base = tmp_path / "base.json"
+        base.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            capsys, "calibrate", str(obs_file),
+            "--intrinsics", intrinsics_file, "--base-transform", str(base),
+        )
+        assert code == 2
+        assert "keys r and t" in err
 
 
 class TestAnalyze:
@@ -318,6 +380,29 @@ class TestAnalyze:
         assert code == 0
         significant = [r["significant"] for r in json.loads(out)]
         assert any(significant) and not all(significant)
+
+    @pytest.mark.parametrize("blank_row", [None, 1, 5, 11])
+    def test_rates_on_empty_or_blank_row_matrix_exit_2(self, capsys, tmp_path, blank_row):
+        from handguard import data_path
+
+        lines = data_path("confusion_volar.csv").read_text().splitlines()
+        if blank_row is None:
+            lines = []
+        else:
+            lines.insert(blank_row, "")
+        path = tmp_path / "matrix.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        code, _, err = run_cli(capsys, "analyze", "rates", str(path))
+        assert code == 2
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("mode", ["confusion", "anova", "rmanova", "pairwise"])
+    def test_empty_trials_exit_2(self, capsys, tmp_path, mode):
+        path = tmp_path / "trials.csv"
+        path.write_text("")
+        code, _, err = run_cli(capsys, "analyze", mode, str(path))
+        assert code == 2
+        assert "expected header" in err
 
     def test_missing_pattern_exit_2(self, capsys, tmp_path):
         path = tmp_path / "trials.csv"

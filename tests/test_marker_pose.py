@@ -223,6 +223,12 @@ class TestEstimatePose:
         with pytest.raises(ValueError):
             estimate_pose(obs, 0.0, K)
 
+    @pytest.mark.parametrize("side", [-SIDE, float("nan"), float("inf")])
+    def test_rejects_side_that_is_not_positive_and_finite(self, side):
+        obs = synthesize_observation(RigidTransform(np.eye(3), [0, 0, 1.0]), SIDE, K)
+        with pytest.raises(ValueError, match="marker_side"):
+            estimate_pose(obs, side, K)
+
     def test_residual_evaluation_budget_ippe(self, monkeypatch):
         # IPPE starts both candidates next to their minima and the stop rule
         # ends refinement once progress stalls: at most 16 residual

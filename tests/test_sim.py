@@ -1,22 +1,21 @@
-import dataclasses
-import io
 import json
 import re
 
 import numpy as np
 import pytest
 
+from handguard import safety
 from handguard.geometry import Point3
 from handguard.haptics import PatternId
-from handguard.safety import Direction, Mode, SafetyZones, Zone
 from handguard.sim import (
     HumanModel,
     Scenario,
     ScenarioError,
     TRACE_CSV_HEADER,
-    Trace,
+    TraceRow,
     UnknownPattern,
-    robot_tcp_position,
+    _leg_table,
+    _position_on_loop,
     run,
     sample_response_time,
     write_trace_csv,
@@ -35,40 +34,38 @@ def default_scenario(**overrides):
     return Scenario.from_json_dict(doc)
 
 
+def halting_scenario():
+    """Slow human and a robot path through the hand: critical entries and halts."""
+    return default_scenario(
+        duration=60.0,
+        robot_waypoints=[
+            {"point": [-0.1, -0.2, 0.2], "speed": 0.2},
+            {"point": [0.0, 0.55, 0.2], "speed": 0.2},
+        ],
+        human={"response_mean": {"1L": 10.0, "2L": 10.0, "3L": 10.0, "5H": 10.0},
+               "response_jitter_sigma": 0.0,
+               "mis_response_probability": 0.0},
+    )
+
+
 class TestRobotTcpPosition:
+    LEGS = _leg_table(WAYPOINTS)
+
     def test_start(self):
-        p = robot_tcp_position(WAYPOINTS, 0.0)
-        assert np.allclose(p.as_array(), [0, 0, 0])
+        assert np.allclose(_position_on_loop(self.LEGS, 0.0), [0, 0, 0])
 
     def test_midpoint_of_first_leg(self):
         # 1 m leg at 0.1 m/s: halfway after 5 s
-        p = robot_tcp_position(WAYPOINTS, 5.0)
-        assert np.allclose(p.as_array(), [0.5, 0, 0])
+        assert np.allclose(_position_on_loop(self.LEGS, 5.0), [0.5, 0, 0])
 
     def test_loop_closure(self):
         # out and back is a 20 s cycle
-        p = robot_tcp_position(WAYPOINTS, 20.0)
-        assert np.allclose(p.as_array(), [0, 0, 0], atol=1e-12)
-
-    def test_halt_interval_shifts_time(self):
-        # a 3 s halt inside [2, 5] means t=8 behaves like t=5
-        with_halt = robot_tcp_position(WAYPOINTS, 8.0, halt_intervals=((2.0, 5.0),))
-        without = robot_tcp_position(WAYPOINTS, 5.0)
-        assert np.allclose(with_halt.as_array(), without.as_array())
-
-    def test_position_frozen_during_halt(self):
-        at_start = robot_tcp_position(WAYPOINTS, 2.0)
-        during = robot_tcp_position(WAYPOINTS, 4.0, halt_intervals=((2.0, 5.0),))
-        assert np.allclose(during.as_array(), at_start.as_array())
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            robot_tcp_position(WAYPOINTS, -1.0)
+        assert np.allclose(_position_on_loop(self.LEGS, 20.0), [0, 0, 0], atol=1e-12)
 
     def test_rejects_coincident_waypoints(self):
         wp = ((Point3(0, 0, 0), 0.1), (Point3(0, 0, 0), 0.1))
         with pytest.raises(ScenarioError):
-            robot_tcp_position(wp, 1.0)
+            _leg_table(wp)
 
 
 class TestSampleResponseTime:
@@ -213,56 +210,45 @@ class TestScenarioValidation:
 
 
 class TestRun:
-    def test_deterministic_trace_bytes(self):
+    def test_deterministic_trace_bytes(self, tmp_path):
         s = default_scenario(duration=20.0)
-        buf_a, buf_b = io.StringIO(), io.StringIO()
-        for buf in (buf_a, buf_b):
-            trace, _ = run(s)
-            buf.write(TRACE_CSV_HEADER + "\n")
-            for rec in trace:
-                buf.write(rec.to_csv_row() + "\n")
-        assert buf_a.getvalue() == buf_b.getvalue()
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for path in paths:
+            write_trace_csv(run(s)[0], path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_seed_changes_noisy_run(self):
+    def test_seed_changes_noisy_run(self, tmp_path):
         # long enough for the first activation (~11 s in), where the latency
         # draw and pixel noise can influence hand motion
-        s1 = default_scenario(duration=20.0, pixel_noise_sigma=0.5, seed=1)
-        s2 = default_scenario(duration=20.0, pixel_noise_sigma=0.5, seed=2)
-        t1, _ = run(s1)
-        t2, _ = run(s2)
-        rows1 = [r.to_csv_row() for r in t1]
-        rows2 = [r.to_csv_row() for r in t2]
-        assert rows1 != rows2
+        paths = [tmp_path / "1.csv", tmp_path / "2.csv"]
+        for seed, path in zip((1, 2), paths):
+            write_trace_csv(run(default_scenario(duration=20.0, pixel_noise_sigma=0.5,
+                                                 seed=seed))[0], path)
+        assert paths[0].read_bytes() != paths[1].read_bytes()
 
     def test_halt_freezes_tcp(self):
-        # slow hand and fast robot to force critical entries
-        s = default_scenario(
-            duration=60.0,
-            robot_waypoints=[
-                {"point": [-0.1, -0.2, 0.2], "speed": 0.2},
-                {"point": [0.0, 0.55, 0.2], "speed": 0.2},
-            ],
-            human={"response_mean": {"1L": 10.0, "2L": 10.0, "3L": 10.0, "5H": 10.0},
-                   "response_jitter_sigma": 0.0,
-                   "mis_response_probability": 0.0},
-        )
-        trace, metrics = run(s)
+        trace, metrics = run(halting_scenario())
         assert metrics.halts >= 1
         for prev, cur in zip(trace, trace[1:]):
             if prev.robot_halted:
-                assert np.allclose(cur.tcp.as_array(), prev.tcp.as_array())
+                assert (cur.tcp_x, cur.tcp_y, cur.tcp_z) == (prev.tcp_x, prev.tcp_y, prev.tcp_z)
+
+    def test_halts_count_halt_commands(self, monkeypatch):
+        issued = []
+        step = safety.step
+
+        def counting_step(*args, **kwargs):
+            state, commands = step(*args, **kwargs)
+            issued.extend(c for c in commands if c.kind is safety.CommandKind.HALT_ROBOT)
+            return state, commands
+
+        monkeypatch.setattr(safety, "step", counting_step)
+        _, metrics = run(halting_scenario())
+        assert len(issued) > 1
+        assert metrics.halts == len(issued)
 
     def test_halted_never_inside_critical_minus_step(self):
-        s = default_scenario(
-            duration=60.0,
-            robot_waypoints=[
-                {"point": [-0.1, -0.2, 0.2], "speed": 0.2},
-                {"point": [0.0, 0.55, 0.2], "speed": 0.2},
-            ],
-            human={"response_mean": {"1L": 10.0, "2L": 10.0, "3L": 10.0, "5H": 10.0},
-                   "response_jitter_sigma": 0.0,
-                   "mis_response_probability": 0.0},
-        )
+        s = halting_scenario()
         trace, metrics = run(s)
         # robot halts before penetrating more than one step beyond the line
         v_max = s.max_robot_speed_mps
@@ -317,31 +303,8 @@ class TestRun:
 
 
 class TestTrace:
-    def test_records_hold_their_rows(self):
-        # 15 s reaches the first pattern (about 11 s in)
-        trace, _ = run(default_scenario(duration=15.0))
-        assert isinstance(trace, Trace) and len(trace) == len(trace.rows) == 1500
-        records = list(trace)
-        assert [rec.row() for rec in records] == trace.rows
-        first_pattern = next(i for i, row in enumerate(trace.rows) if row[10])
-        for i in (0, first_pattern, -1):
-            row, rec = trace.rows[i], trace[i]
-            assert rec == records[i]
-            assert (rec.t, rec.distance, rec.robot_halted, rec.marker_visible) == \
-                (row[0], row[7], row[11], row[13])
-            assert rec.hand == Point3(*row[1:4]) and rec.tcp == Point3(*row[4:7])
-            assert rec.zone is Zone(row[8]) and rec.state_mode is Mode(row[9])
-            assert rec.active_pattern == (PatternId.parse(row[10]) if row[10] else None)
-            assert rec.commanded_direction == (Direction(row[12]) if row[12] else None)
-        assert trace[0].active_pattern is None
-        assert trace[first_pattern].commanded_direction is not None
-
-    def test_slices_are_traces(self):
+    def test_rows_are_trace_rows(self):
+        assert TRACE_CSV_HEADER.split(",") == list(TraceRow._fields)
         trace, _ = run(default_scenario(duration=1.0))
-        part = trace[10:20:3]
-        assert isinstance(part, Trace)
-        assert part.rows == trace.rows[10:20:3]
-        assert list(part) == [trace[i] for i in range(10, 20, 3)]
-        assert len(trace[5:]) == len(trace) - 5
-        with pytest.raises(IndexError):
-            trace[len(trace)]
+        assert len(trace) == 100
+        assert all(type(row) is TraceRow for row in trace)
