@@ -8,6 +8,7 @@ beta evaluated by Lentz's continued fraction (no scipy dependency).
 
 from __future__ import annotations
 
+import collections
 import csv
 import enum
 import math
@@ -15,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .haptics import _PATTERNS_BY_ID, ALL_PATTERNS, PatternId
+from .haptics import ALL_PATTERNS, PatternId
 
 # Canonical row/column order of the 10x10 perception matrix.
 PATTERN_ORDER = tuple(str(p) for p in ALL_PATTERNS)
-_PATTERN_INDEX = {p: i for i, p in enumerate(ALL_PATTERNS)}
+_PATTERN_INDEX = {p: i for i, p in enumerate(PATTERN_ORDER)}
 
 ROW_SUM_TOL = 0.02  # tolerates matrices rounded to 2 decimals
 
@@ -37,14 +38,6 @@ class WristSide(enum.Enum):
 
 
 _SIDES = {side.value: side for side in WristSide}
-
-
-@dataclass(frozen=True)
-class TrialRecord:
-    participant_id: int
-    wrist_side: WristSide
-    actual: PatternId
-    perceived: PatternId
 
 
 @dataclass(frozen=True)
@@ -201,20 +194,9 @@ def t_two_sided_p(t: float, df: int) -> float:
 # --- confusion matrices ----------------------------------------------------
 
 
-def _trial_counts(trials, side: WristSide) -> tuple:
-    """(sorted participant ids, participant x actual x perceived counts) for one side."""
-    mine = [t for t in trials if t.wrist_side is side]
-    participants = sorted({t.participant_id for t in mine})
-    row = {pid: i for i, pid in enumerate(participants)}
-    counts = np.zeros((len(participants), 10, 10))
-    for t in mine:
-        counts[row[t.participant_id], _PATTERN_INDEX[t.actual], _PATTERN_INDEX[t.perceived]] += 1
-    return participants, counts
-
-
-def confusion_from_trials(trials, side: WristSide) -> ConfusionMatrix:
-    """Row-normalized actual x perceived counts for one wrist side."""
-    counts = _trial_counts(trials, side)[1].sum(axis=0)
+def confusion_from_trials(counts) -> ConfusionMatrix:
+    """Row-normalized actual x perceived counts summed over participants."""
+    counts = counts.sum(axis=0)
     row_totals = counts.sum(axis=1)
     missing = [PATTERN_ORDER[i] for i in range(10) if row_totals[i] == 0]
     if missing:
@@ -222,9 +204,8 @@ def confusion_from_trials(trials, side: WristSide) -> ConfusionMatrix:
     return ConfusionMatrix(counts / row_totals[:, None])
 
 
-def per_participant_rates(trials, side: WristSide) -> np.ndarray:
+def per_participant_rates(participants, counts) -> np.ndarray:
     """participant x pattern recognition fractions, participants in id order."""
-    participants, counts = _trial_counts(trials, side)
     totals = counts.sum(axis=2)
     missing = np.argwhere(totals == 0)
     if missing.size:
@@ -241,27 +222,62 @@ def recognition_rates(m: ConfusionMatrix) -> tuple:
     return diag, float(diag.mean())
 
 
-def read_trials_csv(path) -> list:
-    """Read `participant,side,actual,perceived` rows into TrialRecords."""
-    trials = []
+def _pattern_index(token: str) -> int:
+    # exact tokens come from the lookup table; anything else takes the
+    # tolerant parse, which also raises the error for a bad token
+    i = _PATTERN_INDEX.get(token)
+    return _PATTERN_INDEX[str(PatternId.parse(token))] if i is None else i
+
+
+def _parse_trial(row: list) -> tuple:
+    """(participant id, wrist side, actual index, perceived index) of one row."""
+    if len(row) < 4:
+        raise ValueError("expected 4 fields participant,side,actual,perceived")
+    return (int(row[0]), _SIDES.get(row[1]) or WristSide(row[1].strip().lower()),
+            _pattern_index(row[2]), _pattern_index(row[3]))
+
+
+def _first_row(fh, line: str) -> int:
+    """Row number (header = 1) of the first data line equal to `line`."""
+    fh.seek(0)
+    fh.readline()
+    return next(i for i, text in enumerate(fh, start=2) if text == line)
+
+
+def read_trials_csv(path, side: WristSide) -> tuple:
+    """(sorted participant ids, participant x actual x perceived counts) for
+    one side of a `participant,side,actual,perceived` trials file.
+
+    Identical lines are counted, and each distinct line is parsed once, so a
+    study's many repeated trials cost one count each.  Rows of both sides
+    are checked; a bad row raises `row i: ...` for the first one in the file.
+    """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+        header = next(csv.reader([fh.readline()]), [])
         if [c.strip().lower() for c in header] != ["participant", "side", "actual", "perceived"]:
             raise ValueError("expected header participant,side,actual,perceived")
-        # exact tokens come from the lookup tables; anything else takes the
-        # tolerant parse, which also raises the error for a bad token
-        for i, row in enumerate(reader, start=2):
+        lines = collections.Counter(fh)
+        records = csv.reader(lines)
+        mine = []
+        # keys keep first-occurrence order, so the first bad key holds the
+        # first bad row; a record must not run on into the next key
+        for k, ((line, n), row) in enumerate(zip(lines.items(), records), start=1):
             try:
-                trials.append(TrialRecord(
-                    participant_id=int(row[0]),
-                    wrist_side=_SIDES.get(row[1]) or WristSide(row[1].strip().lower()),
-                    actual=_PATTERNS_BY_ID.get(row[2]) or PatternId.parse(row[2]),
-                    perceived=_PATTERNS_BY_ID.get(row[3]) or PatternId.parse(row[3]),
-                ))
-            except (ValueError, IndexError) as exc:
-                raise ValueError(f"row {i}: {exc}") from exc
-    return trials
+                if records.line_num != k:
+                    raise ValueError("quoted field runs past the end of the line")
+                pid, row_side, actual, perceived = _parse_trial(row)
+            except ValueError as exc:
+                raise ValueError(f"row {_first_row(fh, line)}: {exc}") from exc
+            if row_side is side:
+                mine.append((pid, 10 * actual + perceived, n))
+    participants = sorted({pid for pid, _, _ in mine})
+    index = {pid: 100 * i for i, pid in enumerate(participants)}
+    counts = np.bincount(
+        np.array([index[pid] + cell for pid, cell, _ in mine], dtype=np.intp),
+        weights=np.array([n for _, _, n in mine], dtype=float),
+        minlength=100 * len(participants),
+    ).astype(float, copy=False)  # bincount of no rows is an int array
+    return participants, counts.reshape(len(participants), 10, 10)
 
 
 # --- ANOVA and paired t ----------------------------------------------------

@@ -89,6 +89,10 @@ def cmd_simulate(args) -> int:
         if lo > hi:
             return _fail(f"--seeds {args.seeds}: a must be <= b", EXIT_USAGE)
         seeds = list(range(lo, hi + 1))
+    for flag, out in (("--trace", args.trace), ("--metrics", args.metrics)):
+        parent = Path(out).parent
+        if not parent.is_dir():
+            return _fail(f"{flag} {out}: directory {parent} does not exist", EXIT_USAGE)
 
     for seed in seeds:
         doc["seed"] = seed
@@ -204,16 +208,17 @@ def cmd_analyze(args) -> int:
             }))
             return EXIT_OK
 
-        side = analysis.WristSide(args.side)
-        trials = analysis.read_trials_csv(_require_file(args.input))
+        participants, counts = analysis.read_trials_csv(
+            _require_file(args.input), analysis.WristSide(args.side)
+        )
         if mode == "confusion":
-            matrix = analysis.confusion_from_trials(trials, side)
+            matrix = analysis.confusion_from_trials(counts)
             print(json.dumps({
                 "patterns": list(analysis.PATTERN_ORDER),
                 "matrix": matrix.values.tolist(),
             }))
             return EXIT_OK
-        table = analysis.per_participant_rates(trials, side)
+        table = analysis.per_participant_rates(participants, counts)
         if mode == "anova":
             result = analysis.one_way_anova([table[:, j] for j in range(table.shape[1])])
         elif mode == "rmanova":

@@ -92,16 +92,12 @@ def correction_angles(marker_normal_target) -> MarkerDeltas:
     order the closed form is theta_p = -asin(d_y), theta_c = atan2(d_x, d_z).
     Directions within 1e-9 of +/-y are unreachable (singularity).
     """
-    d = np.asarray(marker_normal_target, dtype=float).reshape(3)
-    n = float(np.linalg.norm(d))
-    if abs(n - 1.0) > 1e-9:
+    dx, dy, dz = map(float, marker_normal_target)
+    if abs(math.hypot(dx, dy, dz) - 1.0) > 1e-9:
         raise ValueError("target direction must be a unit vector")
-    if abs(d[1]) >= 1.0 - 1e-9:
+    if abs(dy) >= 1.0 - 1e-9:
         raise GimbalDegeneracy("target along the lateral axis is unreachable")
-    return MarkerDeltas(
-        d_theta_p=-math.asin(d[1]),
-        d_theta_c=math.atan2(d[0], d[2]),
-    )
+    return MarkerDeltas(d_theta_p=-math.asin(dy), d_theta_c=math.atan2(dx, dz))
 
 
 def marker_rotation_entries(m: MarkerDeltas) -> tuple:

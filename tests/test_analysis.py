@@ -1,6 +1,8 @@
+import csv
 import hashlib
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from handguard.analysis import (
     ConfusionMatrix,
     MissingPattern,
     PATTERN_ORDER,
-    TrialRecord,
     WristSide,
     confusion_from_trials,
     f_cdf,
@@ -215,6 +216,67 @@ class TestPairedT:
             paired_t_bonferroni({"x": [1.0, 2.0], "y": [1.0]}, [("x", "y")])
 
 
+@dataclass(frozen=True)
+class TrialRecord:
+    participant_id: int
+    wrist_side: WristSide
+    actual: PatternId
+    perceived: PatternId
+
+
+def reference_trial_counts(path, side):
+    """The per-record reader and count loop that read_trials_csv replaced
+    (tolerant token parse only, which accepts every exact token too)."""
+    trials = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if [c.strip().lower() for c in header] != ["participant", "side", "actual", "perceived"]:
+            raise ValueError("expected header participant,side,actual,perceived")
+        for i, row in enumerate(reader, start=2):
+            try:
+                trials.append(TrialRecord(
+                    participant_id=int(row[0]),
+                    wrist_side=WristSide(row[1].strip().lower()),
+                    actual=PatternId.parse(row[2]),
+                    perceived=PatternId.parse(row[3]),
+                ))
+            except (ValueError, IndexError) as exc:
+                raise ValueError(f"row {i}: {exc}") from exc
+    mine = [t for t in trials if t.wrist_side is side]
+    participants = sorted({t.participant_id for t in mine})
+    row = {pid: i for i, pid in enumerate(participants)}
+    counts = np.zeros((len(participants), 10, 10))
+    for t in mine:
+        counts[row[t.participant_id], PATTERN_ORDER.index(str(t.actual)),
+               PATTERN_ORDER.index(str(t.perceived))] += 1
+    return participants, counts
+
+
+def trial_lines(trials):
+    return [f"{t.participant_id},{t.wrist_side.value},{t.actual},{t.perceived}\n"
+            for t in trials]
+
+
+def write_trials(path, lines, newline="\n"):
+    text = "participant,side,actual,perceived\n" + "".join(lines)
+    path.write_bytes(text.replace("\n", newline).encode())
+    return path
+
+
+def trial_counts(tmp_path, trials, side):
+    """read_trials_csv on the trials written as CSV."""
+    return read_trials_csv(write_trials(tmp_path / "trials.csv", trial_lines(trials)), side)
+
+
+def assert_same_counts(path, side):
+    participants, counts = read_trials_csv(path, side)
+    want_participants, want_counts = reference_trial_counts(path, side)
+    assert participants == want_participants
+    assert counts.dtype == np.float64 and counts.shape == want_counts.shape
+    assert np.array_equal(counts, want_counts)
+
+
 class TestConfusionFromTrials:
     @staticmethod
     def trials_identity(n_per=5):
@@ -225,27 +287,28 @@ class TestConfusionFromTrials:
                                        PatternId.parse(p), PatternId.parse(p)))
         return out
 
-    def test_identity_trials(self):
-        m = confusion_from_trials(self.trials_identity(), WristSide.VOLAR)
+    def test_identity_trials(self, tmp_path):
+        _, counts = trial_counts(tmp_path, self.trials_identity(), WristSide.VOLAR)
+        m = confusion_from_trials(counts)
         assert np.allclose(m.values, np.eye(10))
         diag, mean = recognition_rates(m)
         assert mean == 1.0
 
-    def test_everything_perceived_as_first_pattern(self):
+    def test_everything_perceived_as_first_pattern(self, tmp_path):
         trials = [
             TrialRecord(0, WristSide.VOLAR, PatternId.parse(p), PatternId.parse("1H"))
             for p in PATTERN_ORDER
         ]
-        m = confusion_from_trials(trials, WristSide.VOLAR)
+        m = confusion_from_trials(trial_counts(tmp_path, trials, WristSide.VOLAR)[1])
         assert np.allclose(m.values[:, 0], 1.0)
         assert np.allclose(m.values[:, 1:], 0.0)
 
-    def test_side_filter(self):
-        trials = self.trials_identity()
+    def test_side_filter(self, tmp_path):
+        _, counts = trial_counts(tmp_path, self.trials_identity(), WristSide.DORSAL)
         with pytest.raises(MissingPattern):
-            confusion_from_trials(trials, WristSide.DORSAL)
+            confusion_from_trials(counts)
 
-    def test_sampled_rates_converge(self):
+    def test_sampled_rates_converge(self, tmp_path):
         # draw perceived labels from a known confusion row and check the
         # estimate is consistent within sampling error
         rng = np.random.default_rng(9)
@@ -260,7 +323,7 @@ class TestConfusionFromTrials:
                     perceived = others[rng.integers(9)]
                 trials.append(TrialRecord(i, WristSide.VOLAR,
                                           PatternId.parse(p), PatternId.parse(perceived)))
-        m = confusion_from_trials(trials, WristSide.VOLAR)
+        m = confusion_from_trials(trial_counts(tmp_path, trials, WristSide.VOLAR)[1])
         diag, mean = recognition_rates(m)
         assert abs(mean - true_rate) < 0.02
 
@@ -298,19 +361,20 @@ class TestPerParticipantRates:
         return [trials[i] for i in rng.permutation(len(trials))]
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_matches_reference_exactly(self, seed):
+    def test_matches_reference_exactly(self, seed, tmp_path):
         trials = self.random_trials(np.random.default_rng(seed))
         for side in WristSide:
-            got = per_participant_rates(trials, side)
+            got = per_participant_rates(*trial_counts(tmp_path, trials, side))
             assert got.shape == (3, 10)
             assert np.array_equal(got, reference_per_participant_rates(trials, side))
 
-    def test_missing_pattern_names_participant(self):
+    def test_missing_pattern_names_participant(self, tmp_path):
         trials = self.random_trials(np.random.default_rng(0))
         trials = [t for t in trials
                   if not (t.participant_id == 7 and str(t.actual) == "3L")]
+        participants, counts = trial_counts(tmp_path, trials, WristSide.VOLAR)
         with pytest.raises(MissingPattern, match="participant 7 has no trials for pattern 3L"):
-            per_participant_rates(trials, WristSide.VOLAR)
+            per_participant_rates(participants, counts)
 
 
 class TestBundledMatrices:
@@ -356,33 +420,155 @@ class TestTrialsCsv:
             "1,volar,1H,1H\n"
             "2,dorsal,3L,4L\n"
         )
-        trials = read_trials_csv(path)
-        assert trials[0] == TrialRecord(1, WristSide.VOLAR,
-                                        PatternId.parse("1H"), PatternId.parse("1H"))
-        assert trials[1].wrist_side is WristSide.DORSAL
+        participants, counts = read_trials_csv(path, WristSide.VOLAR)
+        assert participants == [1]
+        assert counts[0, PATTERN_ORDER.index("1H"), PATTERN_ORDER.index("1H")] == 1
+        assert counts.sum() == 1
+        participants, counts = read_trials_csv(path, WristSide.DORSAL)
+        assert participants == [2]
+        assert counts[0, PATTERN_ORDER.index("3L"), PATTERN_ORDER.index("4L")] == 1
+        assert counts.sum() == 1
 
     def test_bad_row_reports_line(self, tmp_path):
         path = tmp_path / "trials.csv"
         path.write_text("participant,side,actual,perceived\n1,volar,9Z,1H\n")
         with pytest.raises(ValueError, match="row 2"):
-            read_trials_csv(path)
+            read_trials_csv(path, WristSide.VOLAR)
 
     def test_case_and_padding_tolerated(self, tmp_path):
         path = tmp_path / "trials.csv"
         good = "participant,side,actual,perceived\n1, Volar ,1h, 3l \n2,DORSAL,5H,5H\n"
         path.write_text(good)
-        assert read_trials_csv(path) == [
-            TrialRecord(1, WristSide.VOLAR, PatternId.parse("1H"), PatternId.parse("3L")),
-            TrialRecord(2, WristSide.DORSAL, PatternId.parse("5H"), PatternId.parse("5H")),
-        ]
+        plain = write_trials(tmp_path / "plain.csv", ["1,volar,1H,3L\n", "2,dorsal,5H,5H\n"])
+        for side in WristSide:
+            participants, counts = read_trials_csv(path, side)
+            want_participants, want_counts = read_trials_csv(plain, side)
+            assert participants == want_participants
+            assert np.array_equal(counts, want_counts)
         for bad, message in (("3,volar,1H, 9z\n", "row 4: unknown pattern id '9Z'"),
                              ("3,palm,1H,1H\n", "row 4: 'palm' is not a valid WristSide")):
             path.write_text(good + bad)
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                read_trials_csv(path)
+                read_trials_csv(path, WristSide.VOLAR)
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "trials.csv"
         path.write_text("a,b,c,d\n")
         with pytest.raises(ValueError, match="header"):
-            read_trials_csv(path)
+            read_trials_csv(path, WristSide.VOLAR)
+
+
+def study_lines(seed, participants=20, reps=10):
+    """A generated study's data lines in random order: both sides, ten
+    trials per participant and pattern, mostly recognized correctly."""
+    rng = np.random.default_rng(seed)
+    trials = []
+    for side in WristSide:
+        for pid in range(1, participants + 1):
+            for p in PATTERN_ORDER:
+                for _ in range(reps):
+                    hit = rng.random() < 0.75
+                    perceived = p if hit else PATTERN_ORDER[rng.integers(10)]
+                    trials.append(TrialRecord(pid, side, PatternId.parse(p),
+                                              PatternId.parse(perceived)))
+    return trial_lines(trials[i] for i in rng.permutation(len(trials)))
+
+
+def padded(line):
+    pid, side, actual, perceived = line.rstrip("\n").split(",")
+    return f" {pid},{side.upper()} ,{actual.lower()}, {perceived} ,extra\n"
+
+
+class TestCountedReader:
+    """read_trials_csv against the per-record reference, exactly."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_studies(self, seed, tmp_path):
+        path = write_trials(tmp_path / "trials.csv", study_lines(seed))
+        for side in WristSide:
+            assert_same_counts(path, side)
+
+    def test_duplicated_lines(self, tmp_path):
+        rng = np.random.default_rng(5)
+        lines = study_lines(5, participants=3, reps=2)
+        lines = [line for line in lines for _ in range(int(rng.integers(1, 6)))]
+        path = write_trials(tmp_path / "trials.csv", [lines[i] for i in rng.permutation(len(lines))])
+        for side in WristSide:
+            assert_same_counts(path, side)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_other_line_endings(self, newline, tmp_path):
+        path = write_trials(tmp_path / "trials.csv", study_lines(6, participants=4), newline)
+        for side in WristSide:
+            assert_same_counts(path, side)
+
+    def test_no_trailing_newline(self, tmp_path):
+        lines = study_lines(7, participants=4)
+        path = write_trials(tmp_path / "trials.csv", lines + [lines[0].rstrip("\n")])
+        for side in WristSide:
+            assert_same_counts(path, side)
+
+    def test_padded_participant_is_the_same_participant(self, tmp_path):
+        path = write_trials(tmp_path / "trials.csv", [
+            "1,volar,1H,1H\n", " 1,volar,1H,1H\n", "1 ,volar,1H,2L\n", "+1,volar,1H,1H\n",
+        ])
+        assert_same_counts(path, WristSide.VOLAR)
+        participants, counts = read_trials_csv(path, WristSide.VOLAR)
+        assert participants == [1]
+        assert counts[0, 0, 0] == 3 and counts.sum() == 4
+
+    def test_tolerant_tokens(self, tmp_path):
+        rng = np.random.default_rng(8)
+        lines = [padded(line) if rng.random() < 0.5 else line
+                 for line in study_lines(8, participants=4)]
+        path = write_trials(tmp_path / "trials.csv", lines)
+        for side in WristSide:
+            assert_same_counts(path, side)
+
+    def test_quoted_fields_within_a_line(self, tmp_path):
+        path = write_trials(tmp_path / "trials.csv", ['"1",volar,"1H",1H\n', "1,volar,1H,1H\n"])
+        assert_same_counts(path, WristSide.VOLAR)
+
+    def test_no_rows_on_the_side(self, tmp_path):
+        path = write_trials(tmp_path / "trials.csv", ["1,volar,1H,1H\n"])
+        participants, counts = read_trials_csv(path, WristSide.DORSAL)
+        assert participants == [] and counts.shape == (0, 10, 10)
+        assert counts.dtype == np.float64
+
+    BAD_FILES = {
+        "other side": ["1,volar,1H,1H\n", "1,dorsal,1H,9Z\n"],
+        "first of two": ["1,volar,1H,1H\n", "1,volar,1H,1H\n", "2,palm,1H,1H\n",
+                         "1,volar,1H,1H\n", "x,volar,1H,1H\n", "2,palm,1H,1H\n"],
+        "repeat of a later bad line first": ["2,volar,1H,1Q\n", "1,volar,1H,1H\n",
+                                             "2,volar,1H,1Q\n", "3,volar,5Z,1H\n"],
+        "header text as data": ["1,volar,1H,1H\n", "participant,side,actual,perceived\n"],
+        "bad participant": ["1.5,volar,1H,1H\n"],
+    }
+
+    @pytest.mark.parametrize("name", BAD_FILES)
+    def test_first_bad_row_named_as_before(self, name, tmp_path):
+        path = write_trials(tmp_path / "trials.csv", self.BAD_FILES[name])
+        with pytest.raises(ValueError) as want:
+            reference_trial_counts(path, WristSide.VOLAR)
+        for side in WristSide:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+                read_trials_csv(path, side)
+
+    def test_two_bad_rows_name_the_first(self, tmp_path):
+        path = write_trials(tmp_path / "trials.csv", self.BAD_FILES["first of two"])
+        with pytest.raises(ValueError, match="^row 4: 'palm' is not a valid WristSide$"):
+            read_trials_csv(path, WristSide.DORSAL)
+
+    @pytest.mark.parametrize("short", ["\n", "1,volar,1H\n", "7\n"])
+    def test_short_row_names_the_fields(self, short, tmp_path):
+        path = write_trials(tmp_path / "trials.csv", ["1,volar,1H,1H\n", short, "1,volar,1H,1H\n"])
+        message = "row 3: expected 4 fields participant,side,actual,perceived"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_trials_csv(path, WristSide.VOLAR)
+
+    def test_quoted_field_past_its_line_is_a_bad_row(self, tmp_path):
+        path = write_trials(tmp_path / "trials.csv",
+                            ["1,volar,1H,1H\n", '1,volar,"1H\n', '",1H\n', "1,volar,1H,1H\n"])
+        message = "row 3: quoted field runs past the end of the line"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_trials_csv(path, WristSide.VOLAR)

@@ -164,6 +164,23 @@ class TestSimulate:
         assert code == 2
         assert "dt" in err
 
+    @pytest.mark.parametrize("flag", ["--trace", "--metrics"])
+    def test_output_in_missing_directory_exit_2_before_running(self, capsys, tmp_path,
+                                                               monkeypatch, flag):
+        from handguard import sim
+
+        def no_run(scenario):
+            raise AssertionError("simulation ran")
+
+        monkeypatch.setattr(sim, "run", no_run)
+        outputs = {"--trace": str(tmp_path / "t.csv"), "--metrics": str(tmp_path / "m.json")}
+        outputs[flag] = str(tmp_path / "nodir" / "out")
+        code, _, err = run_cli(capsys, "simulate", "--trace", outputs["--trace"],
+                               "--metrics", outputs["--metrics"])
+        assert code == 2
+        assert err.startswith(f"error: {flag} {outputs[flag]}: directory ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_scenario_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "simulate", "--scenario", str(tmp_path / "nope.json"),
@@ -409,6 +426,36 @@ class TestAnalyze:
         path.write_text("participant,side,actual,perceived\n0,volar,1H,1H\n")
         code, _, err = run_cli(capsys, "analyze", "confusion", str(path))
         assert code == 2
+
+    def test_generated_study_golden_stdout(self, capsys, tmp_path):
+        # SHA-256 of the stdout of all ten analyze calls (five modes, two
+        # sides) on a study drawn from the bundled matrices, recorded before
+        # the trial reader counted lines in place of building per-row records.
+        from handguard import data_path
+        from handguard.analysis import PATTERN_ORDER, ConfusionMatrix
+
+        rng = np.random.default_rng(2024)
+        rows = []
+        for side in ("volar", "dorsal"):
+            probs = ConfusionMatrix.from_csv(data_path(f"confusion_{side}.csv")).values
+            probs = probs / probs.sum(axis=1, keepdims=True)
+            for pid in range(1, 21):
+                for i, actual in enumerate(PATTERN_ORDER):
+                    for j in rng.choice(10, size=10, p=probs[i]):
+                        rows.append(f"{pid},{side},{actual},{PATTERN_ORDER[j]}\n")
+        path = tmp_path / "trials.csv"
+        path.write_text("participant,side,actual,perceived\n"
+                        + "".join(rows[i] for i in rng.permutation(len(rows))))
+        digest = hashlib.sha256()
+        for mode in ("confusion", "rates", "anova", "rmanova", "pairwise"):
+            for side in ("volar", "dorsal"):
+                source = data_path(f"confusion_{side}.csv") if mode == "rates" else path
+                code, out, _ = run_cli(capsys, "analyze", mode, str(source), "--side", side)
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "e4d432db2b9b4c877ab413ea8296356f7a2c56d0072dc4d44ccd6783ea64b706"
+        )
 
 
 class TestSpeedBound:

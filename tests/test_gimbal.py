@@ -99,6 +99,23 @@ class TestCorrectionAngles:
         with pytest.raises(ValueError):
             correction_angles([0.0, 0.0, 2.0])
 
+    def test_matches_numpy_reference_bit_for_bit(self):
+        # the check and the angles read three floats; the numpy form they
+        # replaced gives the same bits for arrays, lists and tuples
+        def reference(target):
+            d = np.asarray(target, dtype=float).reshape(3)
+            if abs(float(np.linalg.norm(d)) - 1.0) > 1e-9:
+                raise ValueError("target direction must be a unit vector")
+            return -math.asin(d[1]), math.atan2(d[0], d[2])
+
+        rng = np.random.default_rng(3)
+        for _ in range(500):
+            d = rng.normal(size=3)
+            d /= np.linalg.norm(d)
+            for target in (d, d.tolist(), tuple(d.tolist())):
+                out = correction_angles(target)
+                assert (out.d_theta_p, out.d_theta_c) == reference(target)
+
     def test_forward_map_recovers_target(self):
         rng = np.random.default_rng(12)
         checked = 0
