@@ -73,13 +73,6 @@ class ConfusionMatrix:
             values.append([float(c) for c in row[1:]])
         return cls(np.array(values))
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["pattern", *PATTERN_ORDER])
-            for label, row in zip(PATTERN_ORDER, self.values):
-                w.writerow([label, *[f"{v:.2f}" for v in row]])
-
 
 @dataclass(frozen=True)
 class AnovaResult:
@@ -106,7 +99,7 @@ class PairwiseResult:
     degenerate: bool = False
 
 
-# --- regularized incomplete beta and derived CDFs -------------------------
+# --- regularized incomplete beta and the F and t tails --------------------
 
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -173,19 +166,6 @@ def f_sf(f: float, df1: int, df2: int) -> float:
     return regularized_incomplete_beta(df2 / 2.0, df1 / 2.0, x)
 
 
-def f_cdf(f: float, df1: int, df2: int) -> float:
-    return 1.0 - f_sf(f, df1, df2)
-
-
-def t_cdf(t: float, df: int) -> float:
-    """CDF of Student's t with df dof."""
-    if t == 0:
-        return 0.5
-    x = df / (df + t * t)
-    tail = 0.5 * regularized_incomplete_beta(df / 2.0, 0.5, x)
-    return 1.0 - tail if t > 0 else tail
-
-
 def t_two_sided_p(t: float, df: int) -> float:
     x = df / (df + t * t)
     return regularized_incomplete_beta(df / 2.0, 0.5, x)
@@ -233,7 +213,11 @@ def _parse_trial(row: list) -> tuple:
     """(participant id, wrist side, actual index, perceived index) of one row."""
     if len(row) < 4:
         raise ValueError("expected 4 fields participant,side,actual,perceived")
-    return (int(row[0]), _SIDES.get(row[1]) or WristSide(row[1].strip().lower()),
+    pid = row[0].strip()
+    # int() alone would also take signs, underscores and non-ASCII digits
+    if not (pid.isascii() and pid.isdigit()):
+        raise ValueError("participant id must be ASCII digits")
+    return (int(pid), _SIDES.get(row[1]) or WristSide(row[1].strip().lower()),
             _pattern_index(row[2]), _pattern_index(row[3]))
 
 

@@ -39,6 +39,13 @@ def _read_intrinsics(path: str) -> marker_pose.CameraIntrinsics:
         return sim.build_section(marker_pose.CameraIntrinsics, json.load(fh), "intrinsics")
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number: {text}")
+    return value
+
+
 def _marker_side(text: str) -> float:
     side = float(text)
     if not 0 < side < math.inf:
@@ -58,6 +65,8 @@ def _read_observations(path: str) -> list:
                 parts = [float(x) for x in line.split(",")]
                 if len(parts) != 9:
                     raise ValueError("expected 9 comma-separated values")
+                if not parts[0].is_integer():  # also inf and nan
+                    raise ValueError("marker_id must be an integer")
                 obs = marker_pose.MarkerObservation(
                     marker_id=int(parts[0]),
                     corners=np.array(parts[1:]).reshape(4, 2),
@@ -189,7 +198,7 @@ def cmd_calibrate(args) -> int:
         )
     except marker_pose.PoseError as exc:
         return _fail(f"calibration failed: {exc}", EXIT_DATA_ERROR)
-    payload = base_in_camera.to_json()
+    payload = json.dumps(base_in_camera.to_json_dict())
     if args.out:
         Path(args.out).write_text(payload + "\n")
     print(payload)
@@ -318,11 +327,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("speed-bound", help="robot speed upper bound from zone geometry")
-    p.add_argument("--activation", type=float, default=0.40)
-    p.add_argument("--critical", type=float, default=0.25)
-    p.add_argument("--response-time", type=float, required=True)
-    p.add_argument("--hand-speed", type=float, default=0.5)
-    p.add_argument("--clearance", type=float, default=0.30)
+    p.add_argument("--activation", type=_finite, default=0.40)
+    p.add_argument("--critical", type=_finite, default=0.25)
+    p.add_argument("--response-time", type=_finite, required=True)
+    p.add_argument("--hand-speed", type=_finite, default=0.5)
+    p.add_argument("--clearance", type=_finite, default=0.30)
     p.set_defaults(func=cmd_speed_bound)
 
     return parser

@@ -19,7 +19,6 @@ never raise.  The simulation step and the pose estimator's start points call
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -47,11 +46,6 @@ class Point3:
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)
 
-    @classmethod
-    def from_array(cls, a) -> "Point3":
-        a = np.asarray(a, dtype=float).reshape(3)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
 
 @dataclass(frozen=True)
 class HandOffset:
@@ -70,9 +64,6 @@ class HandOffset:
         if float(np.linalg.norm(v)) >= 0.5:
             raise ValueError("hand offset magnitude must be < 0.5 m")
         object.__setattr__(self, "offset", tuple(float(x) for x in v))
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.offset, dtype=float)
 
 
 def _rotation_entries(r: np.ndarray) -> list:
@@ -175,45 +166,17 @@ class RigidTransform:
         out._freeze(np.reshape(entries, (3, 3)), translation)
         return out
 
-    def apply(self, point) -> np.ndarray:
-        p = np.asarray(point, dtype=float).reshape(3)
-        return self.rotation @ p + self.translation
-
     def as_matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.rotation
         m[:3, 3] = self.translation
         return m
 
-    def to_quaternion(self) -> np.ndarray:
-        """Unit quaternion (w, x, y, z) view of the rotation, for serialization."""
-        r = self.rotation
-        w = math.sqrt(max(0.0, 1.0 + r[0, 0] + r[1, 1] + r[2, 2])) / 2.0
-        if w > 1e-6:
-            x = (r[2, 1] - r[1, 2]) / (4 * w)
-            y = (r[0, 2] - r[2, 0]) / (4 * w)
-            z = (r[1, 0] - r[0, 1]) / (4 * w)
-        else:
-            # w near zero: pick the dominant diagonal element
-            i = int(np.argmax(np.diag(r)))
-            j, k = (i + 1) % 3, (i + 2) % 3
-            s = math.sqrt(max(0.0, 1.0 + r[i, i] - r[j, j] - r[k, k])) * 2
-            q = [0.0, 0.0, 0.0]
-            q[i] = s / 4
-            q[j] = (r[j, i] + r[i, j]) / s
-            q[k] = (r[k, i] + r[i, k]) / s
-            w = (r[k, j] - r[j, k]) / s
-            x, y, z = q
-        return np.array([w, x, y, z])
-
     def to_json_dict(self) -> dict:
         return {
             "r": [float(v) for v in self.rotation.reshape(9)],
             "t": [float(v) for v in self.translation],
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "RigidTransform":
@@ -222,10 +185,6 @@ class RigidTransform:
         r = np.array(d["r"], dtype=float).reshape(3, 3)
         t = np.array(d["t"], dtype=float)
         return cls(r, t)
-
-    @classmethod
-    def from_json(cls, s: str) -> "RigidTransform":
-        return cls.from_json_dict(json.loads(s))
 
 
 def compose(a: RigidTransform, b: RigidTransform) -> RigidTransform:
@@ -245,26 +204,6 @@ def hand_in_robot_base(
 ) -> RigidTransform:
     """Marker (hand) pose in the robot base frame: base_in_camera^-1 * marker_in_camera."""
     return compose(invert(base_in_camera), marker_in_camera)
-
-
-def hand_center(hand_pose: RigidTransform, offset: HandOffset) -> Point3:
-    """Hand center point obtained by applying the pose to the marker->hand offset."""
-    return Point3.from_array(hand_pose.apply(offset.as_array()))
-
-
-def rotation_x(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[1, 0, 0], [0, c, -s], [0, s, c]], dtype=float)
-
-
-def rotation_y(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0, s], [0, 1, 0], [-s, 0, c]], dtype=float)
-
-
-def rotation_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0], [s, c, 0], [0, 0, 1]], dtype=float)
 
 
 def rotation_from_axis_angle(axis, angle: float) -> np.ndarray:

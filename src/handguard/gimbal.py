@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 
 class GimbalDegeneracy(ValueError):
     """Target direction lies on the lateral-axis singularity."""
@@ -107,11 +105,6 @@ def marker_rotation_entries(m: MarkerDeltas) -> tuple:
     return (cc, sc * sp, sc * cp,
             0.0, cp, -sp,
             -sc, cc * sp, cc * cp)
-
-
-def marker_rotation(m: MarkerDeltas) -> np.ndarray:
-    """Forward map of the gimbal: R = Ry(theta_c) @ Rx(theta_p)."""
-    return np.reshape(marker_rotation_entries(m), (3, 3))
 
 
 def _slew(current: float, target: float, max_step: float, limit: float) -> float:

@@ -119,15 +119,3 @@ def pattern_frequency(pattern: PatternId) -> float:
     """Repetition rate of one rendering, the reciprocal of its duration, Hz."""
     return 1.0 / pattern_duration(pattern)
 
-
-def active_motors(timeline: PatternTimeline, t: float) -> set:
-    """Motor indices vibrating at time t; event intervals are half-open [start, end)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return {
-        e.motor_index
-        for e in timeline.events
-        # round the end to the same grid as the starts so t == total_duration
-        # falls outside the last interval despite float accumulation
-        if e.start <= t < round(e.start + e.duration, 10)
-    }

@@ -89,12 +89,6 @@ class CameraIntrinsics:
         if not (0 <= self.cx <= self.image_width and 0 <= self.cy <= self.image_height):
             raise ValueError("principal point must lie inside the image")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "fx": self.fx, "fy": self.fy, "cx": self.cx, "cy": self.cy,
-            "image_width": self.image_width, "image_height": self.image_height,
-        }
-
 
 @dataclass(frozen=True)
 class MarkerObservation:

@@ -72,7 +72,8 @@ class SafetyZones:
 
 @dataclass(frozen=True)
 class DirectionMapping:
-    """Bijection between guidance patterns and movement directions."""
+    """Bijection between guidance patterns and movement directions: every
+    direction has exactly one pattern, since select_direction can pick any."""
 
     pattern_to_direction: tuple = (
         ("1L", Direction.RIGHT),
@@ -88,8 +89,9 @@ class DirectionMapping:
         )
         patterns = [p for p, _ in pairs]
         directions = [d for _, d in pairs]
-        if len(set(patterns)) != len(patterns) or len(set(directions)) != len(directions):
-            raise ValueError("mapping must be a bijection")
+        if not len(set(patterns)) == len(set(directions)) == len(pairs) == len(Direction):
+            raise ValueError("expected one distinct pattern for each direction "
+                             + ", ".join(d.value for d in Direction))
         object.__setattr__(self, "pattern_to_direction", pairs)
 
     def pattern_for(self, direction: Direction) -> PatternId:
@@ -104,10 +106,6 @@ class DirectionMapping:
                 return d
         raise KeyError(pattern)
 
-    @property
-    def patterns(self) -> tuple:
-        return tuple(p for p, _ in self.pattern_to_direction)
-
 
 class CommandKind(enum.Enum):
     START_PATTERN = "start_pattern"
@@ -119,18 +117,6 @@ class CommandKind(enum.Enum):
 class SafetyCommand:
     kind: CommandKind
     pattern: PatternId | None = None
-
-    @classmethod
-    def start_pattern(cls, pattern: PatternId) -> "SafetyCommand":
-        return cls(CommandKind.START_PATTERN, pattern)
-
-    @classmethod
-    def halt_robot(cls) -> "SafetyCommand":
-        return cls(CommandKind.HALT_ROBOT)
-
-    @classmethod
-    def resume_robot(cls) -> "SafetyCommand":
-        return cls(CommandKind.RESUME_ROBOT)
 
 
 @dataclass(frozen=True)
@@ -202,21 +188,21 @@ def step(
 
     if robot_halted:
         if distance >= zones.critical_distance + zones.resume_hysteresis:
-            commands.append(SafetyCommand.resume_robot())
+            commands.append(SafetyCommand(CommandKind.RESUME_ROBOT))
             robot_halted = False
             mode = Mode.ALERT if zone is Zone.ACTIVATION else Mode.SAFE
         else:
             mode = Mode.HALTED
     if not robot_halted:
         if zone is Zone.CRITICAL:
-            commands.append(SafetyCommand.halt_robot())
+            commands.append(SafetyCommand(CommandKind.HALT_ROBOT))
             robot_halted = True
             mode = Mode.HALTED
         elif zone is Zone.ACTIVATION:
             mode = Mode.ALERT
             if t >= cooldown_until:
                 pattern = mapping.pattern_for(select_direction(hand, tcp, tcp_velocity))
-                commands.append(SafetyCommand.start_pattern(pattern))
+                commands.append(SafetyCommand(CommandKind.START_PATTERN, pattern))
                 active_pattern = pattern
                 pattern_started_at = t
                 cooldown_until = t + pattern_duration(pattern) + COOLDOWN_PAD_S

@@ -164,18 +164,40 @@ class Scenario:
             raise ScenarioError("marker_side: must be > 0")
         if self.pixel_noise_sigma < 0:
             raise ScenarioError("pixel_noise_sigma: must be >= 0")
-
-    @property
-    def max_robot_speed_mps(self) -> float:
-        return max(speed for _, speed in self.robot_waypoints)
+        unmapped = [str(p) for p, _ in self.mapping.pattern_to_direction
+                    if str(p) not in self.human.response_mean]
+        if unmapped:
+            raise ScenarioError(f"human.response_mean: no time for mapped patterns {unmapped}")
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Scenario":
-        return _scenario_from_dict(doc)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Scenario":
-        return _scenario_from_dict(json.loads(text))
+        if not isinstance(doc, dict):
+            raise ScenarioError("scenario: expected a JSON object")
+        _reject_unknown(doc, {f.name for f in dataclasses.fields(cls)}, "scenario")
+        kwargs = dict(doc)  # scalars pass through; __post_init__ checks them
+        try:
+            if "robot_waypoints" in doc:
+                wps = []
+                for i, entry in enumerate(doc["robot_waypoints"]):
+                    _reject_unknown(entry, {"point", "speed"}, f"robot_waypoints[{i}]")
+                    point = _finite_coords(f"robot_waypoints[{i}].point", entry["point"])
+                    wps.append((Point3(*point), entry["speed"]))
+                kwargs["robot_waypoints"] = tuple(wps)
+            if "hand_home" in doc:
+                kwargs["hand_home"] = Point3(*_finite_coords("hand_home", doc["hand_home"]))
+            if "hand_offset" in doc:
+                kwargs["hand_offset"] = HandOffset(
+                    _finite_coords("hand_offset", doc["hand_offset"]))
+            if "mapping" in doc:
+                kwargs["mapping"] = _direction_mapping(doc["mapping"])
+            for key, section in _SECTIONS.items():
+                if key in doc:
+                    kwargs[key] = build_section(section, doc[key], key)
+        except ScenarioError:
+            raise
+        except (TypeError, ValueError, KeyError) as exc:
+            raise ScenarioError(f"scenario: {exc}") from exc
+        return cls(**kwargs)
 
 
 # Nested sections built straight from their dataclass (see build_section).
@@ -215,37 +237,16 @@ def _finite_coords(name: str, coords) -> tuple:
     return coords
 
 
-def _scenario_from_dict(doc: dict) -> Scenario:
+def _direction_mapping(doc) -> safety.DirectionMapping:
+    """The `mapping` object, pattern id -> direction name."""
     if not isinstance(doc, dict):
-        raise ScenarioError("scenario: expected a JSON object")
-    _reject_unknown(doc, {f.name for f in dataclasses.fields(Scenario)}, "scenario")
-    kwargs = dict(doc)  # scalars pass through; Scenario checks them
+        raise ScenarioError("mapping: expected a JSON object")
     try:
-        if "robot_waypoints" in doc:
-            wps = []
-            for i, entry in enumerate(doc["robot_waypoints"]):
-                _reject_unknown(entry, {"point", "speed"}, f"robot_waypoints[{i}]")
-                point = _finite_coords(f"robot_waypoints[{i}].point", entry["point"])
-                wps.append((Point3(*point), entry["speed"]))
-            kwargs["robot_waypoints"] = tuple(wps)
-        if "hand_home" in doc:
-            kwargs["hand_home"] = Point3(*_finite_coords("hand_home", doc["hand_home"]))
-        if "hand_offset" in doc:
-            kwargs["hand_offset"] = HandOffset(_finite_coords("hand_offset", doc["hand_offset"]))
-        if "mapping" in doc:
-            pairs = tuple(
-                (pattern, safety.Direction(direction))
-                for pattern, direction in doc["mapping"].items()
-            )
-            kwargs["mapping"] = safety.DirectionMapping(pairs)
-        for key, cls in _SECTIONS.items():
-            if key in doc:
-                kwargs[key] = build_section(cls, doc[key], key)
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ScenarioError(f"scenario: {exc}") from exc
-    return Scenario(**kwargs)
+        return safety.DirectionMapping(tuple(
+            (pattern, safety.Direction(direction)) for pattern, direction in doc.items()
+        ))
+    except ValueError as exc:
+        raise ScenarioError(f"mapping: {exc}") from exc
 
 
 class TraceRow(NamedTuple):

@@ -15,7 +15,6 @@ from handguard.analysis import (
     PATTERN_ORDER,
     WristSide,
     confusion_from_trials,
-    f_cdf,
     f_sf,
     one_way_anova,
     per_participant_rates,
@@ -24,7 +23,6 @@ from handguard.analysis import (
     recognition_rates,
     regularized_incomplete_beta,
     rm_anova,
-    t_cdf,
     t_two_sided_p,
 )
 from handguard.haptics import PatternId
@@ -90,9 +88,6 @@ class TestDistributions:
         p = f_sf(5.78, 9, 100)
         assert p == pytest.approx(1.91e-6, rel=0.01)
 
-    def test_f_cdf_complements_sf(self):
-        assert f_cdf(2.5, 3, 12) == pytest.approx(1.0 - f_sf(2.5, 3, 12), abs=1e-12)
-
     def test_f_sf_matches_quadrature(self):
         # P(F >= f) = I_{d2/(d2+d1 f)}(d2/2, d1/2)
         f, d1, d2 = 3.2, 4, 20
@@ -101,18 +96,21 @@ class TestDistributions:
             betainc_quadrature(d2 / 2.0, d1 / 2.0, x), abs=1e-6
         )
 
-    def test_t_cdf_symmetry_and_median(self):
-        assert t_cdf(0.0, 7) == 0.5
-        assert t_cdf(1.3, 7) == pytest.approx(1.0 - t_cdf(-1.3, 7), abs=1e-12)
-
     def test_t_one_dof_is_cauchy(self):
-        # closed form: CDF = 1/2 + arctan(t)/pi
+        # closed form: P(|T| >= |t|) = 1 - 2 arctan(|t|)/pi
         for t in (-3.0, -0.5, 0.7, 2.0):
-            assert t_cdf(t, 1) == pytest.approx(0.5 + math.atan(t) / math.pi, abs=1e-10)
+            assert t_two_sided_p(t, 1) == pytest.approx(
+                1.0 - 2.0 * math.atan(abs(t)) / math.pi, abs=1e-10
+            )
 
     def test_t_two_sided_matches_tails(self):
+        # 1 minus the density integrated over [-t, t] by Gauss-Legendre
         t, df = 2.1, 9
-        expected = 2.0 * (1.0 - t_cdf(t, df))
+        nodes, weights = np.polynomial.legendre.leggauss(64)
+        x = t * (nodes + 1.0) / 2.0
+        density = math.exp(math.lgamma((df + 1) / 2) - math.lgamma(df / 2)) \
+            / math.sqrt(df * math.pi) * (1.0 + x * x / df) ** (-(df + 1) / 2)
+        expected = 1.0 - 2.0 * (t / 2.0) * float(weights @ density)
         assert t_two_sided_p(t, df) == pytest.approx(expected, abs=1e-12)
 
 
@@ -235,8 +233,11 @@ def reference_trial_counts(path, side):
             raise ValueError("expected header participant,side,actual,perceived")
         for i, row in enumerate(reader, start=2):
             try:
+                pid = row[0].strip()
+                if not (pid.isascii() and pid.isdigit()):
+                    raise ValueError("participant id must be ASCII digits")
                 trials.append(TrialRecord(
-                    participant_id=int(row[0]),
+                    participant_id=int(pid),
                     wrist_side=WristSide(row[1].strip().lower()),
                     actual=PatternId.parse(row[2]),
                     perceived=PatternId.parse(row[3]),
@@ -407,7 +408,10 @@ class TestBundledMatrices:
     def test_round_trip_csv(self, tmp_path):
         m = ConfusionMatrix.from_csv(data_path("confusion_volar.csv"))
         out = tmp_path / "m.csv"
-        m.to_csv(out)
+        out.write_text("pattern," + ",".join(PATTERN_ORDER) + "\n" + "".join(
+            f"{label}," + ",".join(f"{v:.2f}" for v in row) + "\n"
+            for label, row in zip(PATTERN_ORDER, m.values)
+        ))
         again = ConfusionMatrix.from_csv(out)
         assert np.allclose(again.values, m.values, atol=5e-3)
 
@@ -510,12 +514,23 @@ class TestCountedReader:
 
     def test_padded_participant_is_the_same_participant(self, tmp_path):
         path = write_trials(tmp_path / "trials.csv", [
-            "1,volar,1H,1H\n", " 1,volar,1H,1H\n", "1 ,volar,1H,2L\n", "+1,volar,1H,1H\n",
+            "1,volar,1H,1H\n", " 1,volar,1H,1H\n", "1 ,volar,1H,2L\n",
         ])
         assert_same_counts(path, WristSide.VOLAR)
         participants, counts = read_trials_csv(path, WristSide.VOLAR)
         assert participants == [1]
-        assert counts[0, 0, 0] == 3 and counts.sum() == 4
+        assert counts[0, 0, 0] == 2 and counts.sum() == 3
+
+    @pytest.mark.parametrize("pid", ["1_0", "+3", "-3", "\u0663", "1.5", "3e0", "", " "])
+    def test_participant_id_must_be_ascii_digits(self, pid, tmp_path):
+        # int() reads 1_0 as 10 and +3 or the Arabic-Indic digit three as 3
+        path = write_trials(tmp_path / "trials.csv", [
+            "10,volar,1H,1H\n", "3,dorsal,1H,1H\n", f"{pid},volar,1H,1H\n", "x,volar,1H,1H\n",
+        ])
+        for side in WristSide:
+            with pytest.raises(ValueError,
+                               match="^row 4: participant id must be ASCII digits$"):
+                read_trials_csv(path, side)
 
     def test_tolerant_tokens(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -6,7 +7,7 @@ import pytest
 
 from handguard import scenario_path
 from handguard.cli import main
-from handguard.geometry import RigidTransform, rotation_x
+from handguard.geometry import RigidTransform, rotation_from_axis_angle
 from handguard.marker_pose import CameraIntrinsics, project, synthesize_observation
 
 
@@ -19,7 +20,7 @@ def run_cli(capsys, *argv):
 @pytest.fixture
 def intrinsics_file(tmp_path):
     path = tmp_path / "intrinsics.json"
-    path.write_text(json.dumps(CameraIntrinsics().to_json_dict()))
+    path.write_text(json.dumps(dataclasses.asdict(CameraIntrinsics())))
     return str(path)
 
 
@@ -181,6 +182,31 @@ class TestSimulate:
         assert err.startswith(f"error: {flag} {outputs[flag]}: directory ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("mapping, message", [
+        ([], "mapping: expected a JSON object"),
+        ({"5H": "back"}, "mapping: expected one distinct pattern for each direction"),
+        ({"1H": "right", "2L": "left", "3L": "down", "5H": "back"},
+         "human.response_mean: no time for mapped patterns ['1H']"),
+    ])
+    def test_bad_mapping_exit_2_before_running(self, capsys, tmp_path, monkeypatch,
+                                               mapping, message):
+        from handguard import sim
+
+        def no_run(scenario):
+            raise AssertionError("simulation ran")
+
+        monkeypatch.setattr(sim, "run", no_run)
+        scen = json.loads(scenario_path("default.json").read_text())
+        scen["mapping"] = mapping
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scen))
+        code, _, err = run_cli(
+            capsys, "simulate", "--scenario", str(path),
+            "--trace", str(tmp_path / "t.csv"), "--metrics", str(tmp_path / "m.json"),
+        )
+        assert code == 2
+        assert err.startswith(f"error: {message}")
+
     def test_missing_scenario_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "simulate", "--scenario", str(tmp_path / "nope.json"),
@@ -214,7 +240,7 @@ class TestPose:
     def test_noiseless_poses_recovered(self, capsys, tmp_path, intrinsics_file):
         poses = [
             RigidTransform(np.eye(3), [0.0, 0.0, 1.0]),
-            RigidTransform(rotation_x(0.3), [0.05, -0.02, 0.8]),
+            RigidTransform(rotation_from_axis_angle((1, 0, 0), 0.3), [0.05, -0.02, 0.8]),
         ]
         obs_file = tmp_path / "obs.csv"
         obs_file.write_text(
@@ -251,6 +277,31 @@ class TestPose:
             capsys, "pose", str(obs_file), "--intrinsics", intrinsics_file
         )
         assert code == 1
+
+    @pytest.mark.parametrize("marker_id", ["inf", "nan", "1.5", "-inf"])
+    def test_non_integral_marker_id_is_a_row_error(self, capsys, tmp_path, intrinsics_file,
+                                                   marker_id):
+        good = observation_line(RigidTransform(np.eye(3), [0, 0, 1.0]))
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(f"{good}\n{marker_id}{good[1:]}\n")
+        code, out, _ = run_cli(
+            capsys, "pose", str(obs_file), "--intrinsics", intrinsics_file
+        )
+        assert code == 0
+        docs = [json.loads(line) for line in out.strip().splitlines()]
+        assert docs[1] == {"line": 2, "error": "marker_id must be an integer"}
+
+    @pytest.mark.parametrize("marker_id, expected", [("3", 3), ("3.0", 3), ("-2", -2)])
+    def test_integral_marker_id_reads_as_int(self, capsys, tmp_path, intrinsics_file,
+                                             marker_id, expected):
+        good = observation_line(RigidTransform(np.eye(3), [0, 0, 1.0]))
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(f"{marker_id}{good[1:]}\n")
+        code, out, _ = run_cli(
+            capsys, "pose", str(obs_file), "--intrinsics", intrinsics_file
+        )
+        assert code == 0
+        assert json.loads(out)["marker_id"] == expected
 
     def test_missing_observation_file_exit_2(self, capsys, tmp_path, intrinsics_file):
         code, _, _ = run_cli(
@@ -290,7 +341,7 @@ class TestBadPoseInputs:
 class TestCalibrate:
     def test_round_trip_with_identity_marker_frame(self, capsys, tmp_path,
                                                    intrinsics_file):
-        truth = RigidTransform(rotation_x(0.2), [0.1, -0.05, 1.2])
+        truth = RigidTransform(rotation_from_axis_angle((1, 0, 0), 0.2), [0.1, -0.05, 1.2])
         obs_file = tmp_path / "obs.csv"
         obs_file.write_text(observation_line(truth) + "\n")
         out_file = tmp_path / "base.json"
@@ -299,7 +350,7 @@ class TestCalibrate:
             "--intrinsics", intrinsics_file, "--out", str(out_file),
         )
         assert code == 0
-        got = RigidTransform.from_json(out_file.read_text())
+        got = RigidTransform.from_json_dict(json.loads(out_file.read_text()))
         assert np.abs(got.as_matrix() - truth.as_matrix()).max() < 1e-6
 
 
@@ -475,3 +526,14 @@ class TestSpeedBound:
     def test_negative_response_time_exit_2(self, capsys):
         code, _, _ = run_cli(capsys, "speed-bound", "--response-time", "-1")
         assert code == 2
+
+    @pytest.mark.parametrize("flag", [
+        "--activation", "--critical", "--response-time", "--hand-speed", "--clearance",
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_flag_exit_2(self, capsys, flag, value):
+        argv = ["speed-bound", f"{flag}={value}"]
+        if flag != "--response-time":
+            argv += ["--response-time", "1.0"]
+        assert usage_error(*argv) == 2
+        assert f"must be a finite number: {value}" in capsys.readouterr().err

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handguard.geometry import rotation_x, rotation_y
 from handguard.gimbal import (
     GearParams,
     GimbalDegeneracy,
@@ -14,10 +13,23 @@ from handguard.gimbal import (
     ServoState,
     correction_angles,
     marker_deltas,
-    marker_rotation,
+    marker_rotation_entries,
     motor_deltas,
     servo_step,
 )
+
+
+def marker_rotation(m):
+    return np.reshape(marker_rotation_entries(m), (3, 3))
+
+
+def reference_rotation(m):
+    """Ry(theta_c) @ Rx(theta_p) as the product of the two axis rotations."""
+    cp, sp = math.cos(m.d_theta_p), math.sin(m.d_theta_p)
+    cc, sc = math.cos(m.d_theta_c), math.sin(m.d_theta_c)
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, cp, -sp], [0.0, sp, cp]])
+    ry = np.array([[cc, 0.0, sc], [0.0, 1.0, 0.0], [-sc, 0.0, cc]])
+    return ry @ rx
 
 
 class TestGearKinematics:
@@ -135,8 +147,7 @@ class TestCorrectionAngles:
         for p in np.concatenate([np.linspace(-math.pi, math.pi, 25), rng.uniform(-4, 4, 25)]):
             for c in np.concatenate([np.linspace(-math.pi, math.pi, 25), rng.uniform(-4, 4, 25)]):
                 m = MarkerDeltas(float(p), float(c))
-                expected = rotation_y(m.d_theta_c) @ rotation_x(m.d_theta_p)
-                assert np.abs(marker_rotation(m) - expected).max() <= 1e-15
+                assert np.abs(marker_rotation(m) - reference_rotation(m)).max() <= 1e-15
 
 
 class TestServo:

@@ -5,7 +5,6 @@ from handguard.haptics import (
     PatternId,
     Shape,
     Speed,
-    active_motors,
     pattern_frequency,
     render_pattern,
 )
@@ -92,19 +91,3 @@ class TestFrequencies:
         for text, expected in self.EXPECTED.items():
             assert pattern_frequency(pid(text)) == expected
 
-
-class TestActiveMotors:
-    def test_inside_first_event(self):
-        assert active_motors(render_pattern(pid("1H")), 0.05) == {1}
-
-    def test_center_out_second_step(self):
-        assert active_motors(render_pattern(pid("3H")), 0.15) == {2, 4}
-
-    def test_empty_at_total_duration(self):
-        for p in ALL_PATTERNS:
-            tl = render_pattern(p)
-            assert active_motors(tl, tl.total_duration) == set()
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(ValueError):
-            active_motors(render_pattern(pid("1H")), -0.1)

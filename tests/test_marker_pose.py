@@ -10,8 +10,6 @@ from handguard.geometry import (
     compose,
     invert,
     rotation_from_axis_angle,
-    rotation_x,
-    rotation_y,
 )
 from handguard.marker_pose import (
     GN_COST_RTOL,
@@ -143,7 +141,7 @@ class TestProjection:
 
 class TestSynthesize:
     def test_noiseless_equals_projection(self):
-        pose = RigidTransform(rotation_x(0.3), [0.05, -0.02, 0.9])
+        pose = RigidTransform(rotation_from_axis_angle((1, 0, 0), 0.3), [0.05, -0.02, 0.9])
         obs = synthesize_observation(pose, SIDE, K)
         assert np.allclose(obs.corners, project(pose, SIDE, K))
 
@@ -212,7 +210,7 @@ class TestEstimatePose:
     def test_ambiguity_ratio_reported(self):
         # a tilted marker has two distinct planar minima; the ratio must
         # reflect both candidates
-        truth = RigidTransform(rotation_y(0.5), [0.05, 0.0, 1.0])
+        truth = RigidTransform(rotation_from_axis_angle((0, 1, 0), 0.5), [0.05, 0.0, 1.0])
         obs = synthesize_observation(truth, SIDE, K, pixel_noise_sigma=0.5, seed=3)
         est = estimate_pose(obs, SIDE, K)
         assert est.ambiguity_ratio >= 1.0
@@ -616,7 +614,7 @@ class TestCalibrateBase:
     def test_round_trip(self):
         rng = np.random.default_rng(13)
         base_in_camera = random_pose(rng)
-        marker_to_base = RigidTransform(rotation_x(0.2), [0.01, 0.02, 0.0])
+        marker_to_base = RigidTransform(rotation_from_axis_angle((1, 0, 0), 0.2), [0.01, 0.02, 0.0])
         # marker pose in camera = base-in-camera composed with marker-in-base
         marker_in_camera = compose(base_in_camera, marker_to_base)
         obs = synthesize_observation(marker_in_camera, SIDE, K)

@@ -108,7 +108,7 @@ class TestDirectionMapping:
 
     def test_round_trip_all_patterns(self):
         m = DirectionMapping()
-        for p in m.patterns:
+        for p, _ in m.pattern_to_direction:
             assert m.pattern_for(m.direction_for(p)) == p
 
     def test_rejects_duplicate_direction(self):

@@ -208,6 +208,31 @@ class TestScenarioValidation:
             Scenario.from_json_dict(doc)
         assert str(info.value).startswith(f"{section}: unknown keys ['bogus']")
 
+    @pytest.mark.parametrize("mapping, message", [
+        ([], "mapping: expected a JSON object"),
+        ("5H", "mapping: expected a JSON object"),
+        ({"5H": "back"},
+         "mapping: expected one distinct pattern for each direction right, left, down, back"),
+        ({"1L": "right", "2L": "left", "3L": "down", "5H": "down"},
+         "mapping: expected one distinct pattern for each direction right, left, down, back"),
+        ({"1L": "right", "2L": "left", "3L": "down", "5H": "up"},
+         "mapping: 'up' is not a valid Direction"),
+        ({"1H": "right", "2L": "left", "3L": "down", "5H": "back"},
+         "human.response_mean: no time for mapped patterns ['1H']"),
+    ])
+    def test_bad_mapping_rejected_at_load(self, mapping, message):
+        doc = json.loads(scenario_path("default.json").read_text())
+        doc["mapping"] = mapping
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            Scenario.from_json_dict(doc)
+
+    def test_remapped_pattern_with_its_response_time_loads(self):
+        doc = json.loads(scenario_path("default.json").read_text())
+        doc["mapping"] = {"1H": "right", "2L": "left", "3L": "down", "5H": "back"}
+        doc["human"]["response_mean"] = {"1H": 0.3, "2L": 0.61, "3L": 2.41, "5H": 0.85}
+        s = Scenario.from_json_dict(doc)
+        assert s.mapping.pattern_for(safety.Direction.RIGHT) == PatternId.parse("1H")
+
 
 class TestRun:
     def test_deterministic_trace_bytes(self, tmp_path):
@@ -251,7 +276,7 @@ class TestRun:
         s = halting_scenario()
         trace, metrics = run(s)
         # robot halts before penetrating more than one step beyond the line
-        v_max = s.max_robot_speed_mps
+        v_max = max(speed for _, speed in s.robot_waypoints)
         floor = s.zones.critical_distance - v_max * s.dt - 1e-9
         assert metrics.min_distance >= floor
         # the robot runs above the safe speed bound here, so each halt is
@@ -261,7 +286,8 @@ class TestRun:
     def test_distance_continuity(self):
         s = default_scenario(duration=30.0)
         trace, _ = run(s)
-        bound = (s.max_robot_speed_mps + s.human.hand_speed) * s.dt + 1e-9
+        v_max = max(speed for _, speed in s.robot_waypoints)
+        bound = (v_max + s.human.hand_speed) * s.dt + 1e-9
         for prev, cur in zip(trace, trace[1:]):
             assert abs(cur.distance - prev.distance) <= bound
 
