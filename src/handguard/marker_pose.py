@@ -11,11 +11,13 @@ IPPE (Collins & Bartoli, "Infinitesimal Plane-based Pose Estimation", IJCV
 2014), so each candidate starts next to its own minimum.  It refines each
 with damped Gauss-Newton on the 6-DoF reprojection objective and keeps the
 candidate with the smaller residual together with the ambiguity ratio.
-The Gauss-Newton loop runs on Python floats: it builds the normal
-equations JᵀJ and Jᵀr directly, never the 8x6 J, and solves the damped
-6x6 system with an unrolled Cholesky factorization.  Candidates and fits
-are rotation entries and translations; only the kept fit becomes a
-RigidTransform.
+The whole path runs on Python floats, and no numpy call runs between the
+corner pixels and the kept fit: the observation's checks, a closed-form
+3x3 solve for the homography, IPPE with its matrix products unrolled,
+and the Gauss-Newton loop, which builds the normal equations JᵀJ and Jᵀr
+directly, never the 8x6 J, and solves the damped 6x6 system with an
+unrolled Cholesky factorization.  Candidates and fits are rotation
+entries and translations; the one RigidTransform built is the winner's.
 
 Refinement stops after an accepted step that lowers the squared-pixel cost
 by at most GN_COST_RTOL of the new cost or has a norm below GN_STEP_TOL,
@@ -32,13 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    RigidTransform,
-    compose,
-    invert,
-    orthonormalized,
-    rotation_from_axis_angle,
-)
+from .geometry import RigidTransform, compose, invert, orthonormalized
 
 MIN_DEPTH_M = 1e-6
 
@@ -50,10 +46,6 @@ GN_DAMPING_DOWN = 0.5
 GN_DAMPING_MAX = 1e4
 GN_COST_RTOL = 1e-10
 MAX_RMS_PX = 1.0
-
-# Sends the marker's corners, in half-sides, to the projective basis:
-# TL, TR and BL onto the axes and BR onto (1, 1, 1).
-_SQUARE_TO_BASIS = np.array([[1.0, -1.0, 0.0], [1.0, 0.0, 1.0], [0.0, -1.0, 1.0]])
 
 
 class PoseError(ValueError):
@@ -105,9 +97,10 @@ class MarkerObservation:
         c = np.array(self.corners, dtype=float)
         if c.shape != (4, 2):
             raise ValueError("corners must be a 4x2 array")
-        if not np.all(np.isfinite(c)):
+        pixels = c.tolist()
+        if not all(math.isfinite(x) for corner in pixels for x in corner):
             raise ValueError("corners must be finite")
-        if _quad_min_triangle_area(c) < 1e-9:
+        if _quad_min_triangle_area(pixels) < 1e-9:
             raise DegenerateCorners("corners are collinear or enclose no area")
         c.setflags(write=False)
         object.__setattr__(self, "corners", c)
@@ -131,21 +124,10 @@ class PoseEstimate:
         return self.ambiguity_ratio < 1.2
 
 
-def marker_corners_3d(marker_side: float) -> np.ndarray:
-    """Corner coordinates in the marker frame (z = 0 plane), order TL, TR, BR, BL."""
-    h = marker_side / 2.0
-    return np.array(
-        [[-h, h, 0.0], [h, h, 0.0], [h, -h, 0.0], [-h, -h, 0.0]], dtype=float
-    )
-
-
-def _quad_min_triangle_area(c: np.ndarray) -> float:
+def _quad_min_triangle_area(c: list) -> float:
     # Smallest of the four corner-triple triangle areas; zero iff degenerate.
-    areas = []
-    for i in range(4):
-        a, b, d = c[i], c[(i + 1) % 4], c[(i + 2) % 4]
-        areas.append(abs((b[0] - a[0]) * (d[1] - a[1]) - (d[0] - a[0]) * (b[1] - a[1])) / 2)
-    return min(areas)
+    return min(abs((bu - au) * (dv - av) - (du - au) * (bv - av)) / 2
+               for (au, av), (bu, bv), (du, dv) in zip(c, c[1:] + c[:1], c[2:] + c[:2]))
 
 
 def project_corners(r, t, half: float, k: CameraIntrinsics) -> list:
@@ -153,17 +135,15 @@ def project_corners(r, t, half: float, k: CameraIntrinsics) -> list:
 
     r holds the marker rotation's nine entries row by row, t the marker's
     translation in the camera frame and half the half-side; corner order
-    is TL, TR, BR, BL as in marker_corners_3d.
+    is TL, TR, BR, BL as in _rotated_corners.
     """
-    r00, r01, _, r10, r11, _, r20, r21, _ = r
     tx, ty, tz = t
     uv = []
-    for px, py in ((-half, half), (half, half), (half, -half), (-half, -half)):
-        z = r20 * px + r21 * py + tz
+    for mx, my, mz in _rotated_corners(r, half):
+        z = mz + tz
         if z <= MIN_DEPTH_M:
             raise NonPositiveDepth("marker corner at or behind the camera plane")
-        uv.append((k.fx * (r00 * px + r01 * py + tx) / z + k.cx,
-                   k.fy * (r10 * px + r11 * py + ty) / z + k.cy))
+        uv.append((k.fx * (mx + tx) / z + k.cx, k.fy * (my + ty) / z + k.cy))
     return uv
 
 
@@ -191,28 +171,38 @@ def synthesize_observation(
     return MarkerObservation(marker_id=marker_id, corners=corners)
 
 
-def _normalized_corners(obs: MarkerObservation, k: CameraIntrinsics) -> np.ndarray:
-    c = obs.corners
-    return np.column_stack([(c[:, 0] - k.cx) / k.fx, (c[:, 1] - k.cy) / k.fy])
+def _normalized_corners(corners: list, k: CameraIntrinsics) -> list:
+    return [((u - k.cx) / k.fx, (v - k.cy) / k.fy) for u, v in corners]
 
 
-def _square_homography(normalized: np.ndarray, marker_side: float) -> np.ndarray:
-    """3x3 homography mapping marker-plane (X, Y, 1) to normalized image coords.
-
-    Projective-basis form: corners 0, 1 and 3, scaled so they sum to corner
-    2, times the constant that sends the marker's corners to that basis.
-    """
-    p = np.vstack([normalized.T, np.ones(4)])
-    basis = p[:, [0, 1, 3]]
-    try:
-        scale = np.linalg.solve(basis, p[:, 2])
-    except np.linalg.LinAlgError:
-        raise DegenerateCorners("corners are collinear or enclose no area") from None
-    half = marker_side / 2.0
-    return (basis * scale) @ (_SQUARE_TO_BASIS / [half, half, 1.0])
+def _rotated_corners(r, half: float) -> tuple:
+    """R@P for the corners P = (-half, half, 0), (half, half, 0), (half, -half,
+    0) and (-half, -half, 0) (TL, TR, BR, BL), r the nine entries row by row.
+    Sign flips are exact: each entry has the bits of r00 * px + r01 * py."""
+    a, b, c = half * r[0], half * r[1], half * r[3]
+    d, e, f = half * r[4], half * r[6], half * r[7]
+    return ((b - a, d - c, f - e), (a + b, c + d, e + f), (a - b, c - d, e - f),
+            (-a - b, -c - d, -e - f))
 
 
-def _ippe_candidates(h: np.ndarray, corners3d: np.ndarray, normalized: np.ndarray) -> tuple:
+def _square_homography(normalized: list, half: float) -> tuple:
+    """The nine entries, row by row, of the homography from marker-plane
+    (X, Y, 1) to normalized image coords: corners 0, 1 and 3 as homogeneous
+    columns, scaled by s to sum to corner 2 (Cramer's rule, each determinant
+    twice a signed triangle area), combined so that (±half, ±half) land on them."""
+    (u0, v0), (u1, v1), (u2, v2), (u3, v3) = normalized
+    det = (u1 - u0) * (v3 - v0) - (u3 - u0) * (v1 - v0)
+    if det == 0.0 or not math.isfinite(det):
+        raise DegenerateCorners("corners are collinear or enclose no area")
+    s0 = ((u1 - u2) * (v3 - v2) - (u3 - u2) * (v1 - v2)) / det
+    s1 = ((u2 - u0) * (v3 - v0) - (u3 - u0) * (v2 - v0)) / det
+    s3 = ((u1 - u0) * (v2 - v0) - (u2 - u0) * (v1 - v0)) / det
+    return ((s0 * u0 + s1 * u1) / half, -(s0 * u0 + s3 * u3) / half, s1 * u1 + s3 * u3,
+            (s0 * v0 + s1 * v1) / half, -(s0 * v0 + s3 * v3) / half, s1 * v1 + s3 * v3,
+            (s0 + s1) / half, -(s0 + s3) / half, s1 + s3)
+
+
+def _ippe_candidates(h, normalized: list, half: float) -> tuple:
     """Both planar-ambiguity poses of the centred marker, in closed form (IPPE).
 
     Collins & Bartoli, "Infinitesimal Plane-based Pose Estimation", IJCV
@@ -220,19 +210,23 @@ def _ippe_candidates(h: np.ndarray, corners3d: np.ndarray, normalized: np.ndarra
     rotation columns up to the sign of their components along the view ray
     through the centre; flipping that sign reflects the marker normal about
     the ray.  Each rotation gets its translation by linear least squares on
-    the eight projection equations, in closed form.  Each candidate comes
-    back as (rotation entries row by row, translation), the rotation passed
+    the eight projection equations, in closed form.  h holds the
+    homography's nine entries row by row.  Each candidate comes back as
+    (rotation entries row by row, translation), the rotation passed
     through the Gram-Schmidt boundary.
     """
-    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = h.tolist()
+    h00, h01, h02, h10, h11, h12, h20, h21, h22 = h
     p, q = h02 / h22, h12 / h22  # image of the marker centre
     # Jacobian of the homography at the centre
     j00, j01 = (h00 - h20 * p) / h22, (h01 - h21 * p) / h22
     j10, j11 = (h10 - h20 * q) / h22, (h11 - h21 * q) / h22
-    # rv turns z onto the centre's ray (p, q, 1)/s; identity when p = q = 0
+    # rv turns z onto the centre's ray (p, q, 1)/s: atan2(t, 1) about
+    # (-q, p, 0), the identity when p = q = 0
     t = math.hypot(p, q)
-    rv = rotation_from_axis_angle((-q, p, 0.0), math.atan2(t, 1.0))
-    (v00, v01, _), (v10, v11, _), (v20, v21, _) = rv.tolist()
+    w = math.atan2(t, 1.0) / t if t >= 1e-15 else 0.0
+    w0, w1 = -q * w, p * w
+    v00, v01, _, v10, v11, _, v20, v21, _ = _rotate(
+        w0, w1, 0.0, (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
     # A = B^-1 J with B = [[1, 0, -p], [0, 1, -q]] @ rv[:, :2]
     b00, b01, b10, b11 = v00 - p * v20, v01 - p * v21, v10 - q * v20, v11 - q * v21
     det = b00 * b11 - b01 * b10
@@ -252,15 +246,15 @@ def _ippe_candidates(h: np.ndarray, corners3d: np.ndarray, normalized: np.ndarra
     c0, c1, c2 = r10 * b1 - b0 * r11, b0 * r01 - r00 * b1, r00 * r11 - r10 * r01
     # the projection equations tx - u tz = bu, ty - v tz = bv: centring
     # them on the corners' mean removes tx and ty and leaves tz
-    uv = normalized.tolist()
-    u_mean, v_mean = sum(u for u, _ in uv) / 4.0, sum(v for _, v in uv) / 4.0
-    duv = [(u - u_mean, v - v_mean) for u, v in uv]
+    u_mean, v_mean = sum(u for u, _ in normalized) / 4.0, sum(v for _, v in normalized) / 4.0
+    duv = [(u - u_mean, v - v_mean) for u, v in normalized]
     spread = sum(du * du + dv * dv for du, dv in duv)
     candidates = []
     for s in (1.0, -1.0):
-        r = rv @ np.array([[r00, r01, s * c0], [r10, r11, s * c1], [s * b0, s * b1, c2]])
+        # rv @ [[r00, r01, s c0], [r10, r11, s c1], [s b0, s b1, c2]]
+        r = _rotate(w0, w1, 0.0, (r00, r01, s * c0, r10, r11, s * c1, s * b0, s * b1, c2))
         buv = [(u * mz - mx, v * mz - my)
-               for (u, v), (mx, my, mz) in zip(uv, (corners3d @ r.T).tolist())]
+               for (u, v), (mx, my, mz) in zip(normalized, _rotated_corners(r, half))]
         tz = -sum(du * bu + dv * bv for (du, dv), (bu, bv) in zip(duv, buv)) / spread
         translation = (
             sum(bu for bu, _ in buv) / 4.0 + u_mean * tz,
@@ -271,39 +265,40 @@ def _ippe_candidates(h: np.ndarray, corners3d: np.ndarray, normalized: np.ndarra
             # a homography that no pose explains exactly (an edge-on marker
             # under noise) can put the fit behind the camera; mirroring the
             # corners through the camera centre keeps every projection
-            r[:, :2] *= -1.0
+            r = tuple(-x if j % 3 < 2 else x for j, x in enumerate(r))  # columns 0, 1
             translation = tuple(-x for x in translation)
-        candidates.append((orthonormalized(r.ravel().tolist()), translation))
+        candidates.append((orthonormalized(r), translation))
     return tuple(candidates)
 
 
-def _residuals(r, t, xy, observed, k: CameraIntrinsics) -> tuple:
-    """Reprojection residuals and each corner's camera-frame geometry.
+def _residuals(r, t, half: float, observed: list, k: CameraIntrinsics) -> tuple:
+    """Reprojection cost and each corner's camera-frame geometry and residual.
 
-    r holds the rotation's nine entries row by row, t the translation, xy
-    the four marker-plane corners (X, Y) (z = 0) and observed their four
-    pixels (u, v).  Returns the eight residuals (u0, v0, ..., u3, v3) and,
-    per corner, (mx, my, mz, x, y, z): the rotated corner m = R@P and the
-    camera-frame point m + t.
+    r holds the rotation's nine entries row by row, t the translation,
+    half the marker's half-side and observed the four corners' pixels
+    (u, v).  Returns the sum of the eight squared residuals, added in the
+    order u0, v0, ..., u3, v3, and per corner (mx, my, mz, x, y, z, eu,
+    ev): the rotated corner m = R@P, the camera-frame point m + t and the
+    residuals in u and v.
     """
-    r00, r01, _, r10, r11, _, r20, r21, _ = r
     tx, ty, tz = t
     fx, fy, cx, cy = k.fx, k.fy, k.cx, k.cy
-    res, geometry = [], []
-    for (px, py), (u, v) in zip(xy, observed):
-        mx, my, mz = r00 * px + r01 * py, r10 * px + r11 * py, r20 * px + r21 * py
+    cost, rows = 0.0, []
+    for (mx, my, mz), (u, v) in zip(_rotated_corners(r, half), observed):
         x, y, z = mx + tx, my + ty, mz + tz
         if z <= MIN_DEPTH_M:
             raise NonPositiveDepth("corner behind camera during refinement")
-        res += (fx * x / z + cx - u, fy * y / z + cy - v)
-        geometry.append((mx, my, mz, x, y, z))
-    return res, geometry
+        eu, ev = fx * x / z + cx - u, fy * y / z + cy - v
+        cost = cost + eu * eu + ev * ev  # not +=: residuals added in order
+        rows.append((mx, my, mz, x, y, z, eu, ev))
+    return cost, rows
 
 
-def _normal_equations(geometry, res, k: CameraIntrinsics) -> tuple:
+def _normal_equations(rows, k: CameraIntrinsics) -> tuple:
     """JᵀJ and Jᵀr of the 8x6 residual Jacobian J in (rotation perturbation w, t).
 
-    JᵀJ comes as its upper triangle, row by row (21 entries).  The rotation
+    rows are _residuals' per-corner (mx, my, mz, x, y, z, eu, ev).  JᵀJ
+    comes as its upper triangle, row by row (21 entries).  The rotation
     perturbation is left-multiplicative and acts on R@P only: dp/dw =
     -[R@P]x, so row u of corner i is m x du/dp with m = R@P_i.  A u row has
     no ty term and a v row no tx term, so entry (3, 4) is 0.
@@ -312,7 +307,7 @@ def _normal_equations(geometry, res, k: CameraIntrinsics) -> tuple:
     h00 = h01 = h02 = h03 = h04 = h05 = h11 = h12 = h13 = h14 = h15 = 0.0
     h22 = h23 = h24 = h25 = h33 = h35 = h44 = h45 = h55 = 0.0
     g0 = g1 = g2 = g3 = g4 = g5 = 0.0
-    for (mx, my, mz, x, y, z), eu, ev in zip(geometry, res[0::2], res[1::2]):
+    for mx, my, mz, x, y, z, eu, ev in rows:
         a, b = fx / z, fy / z
         xz, yz = x / z, y / z
         # row u is (u0, u1, u2, a, 0, u5), row v is (v0, v1, v2, 0, b, v5)
@@ -420,21 +415,18 @@ def _rotate(w0: float, w1: float, w2: float, r) -> tuple:
     )
 
 
-def _refine(r, t, corners3d: np.ndarray, observed: np.ndarray,
-            k: CameraIntrinsics) -> tuple:
+def _refine(r, t, half: float, observed: list, k: CameraIntrinsics) -> tuple:
     """Damped Gauss-Newton on the 6-DoF reprojection objective.
 
     Starts from rotation entries r (row by row) and translation t, and
     returns the refined (r, t, rms_pixels); r is not re-orthonormalized.
-    The corners lie in the marker's z = 0 plane.  The loop runs on Python
-    floats: at 8 residuals and 6 unknowns numpy's per-call cost is most of
-    the work.
+    half is the marker's half-side and observed the four corners' pixels
+    (u, v).  The loop runs on Python floats: at 8 residuals and 6 unknowns
+    numpy's per-call cost is most of the work.
     """
-    xy, obs = corners3d[:, :2].tolist(), observed.tolist()
     lam = GN_DAMPING_INIT
-    res, geometry = _residuals(r, t, xy, obs, k)
-    cost = sum([e * e for e in res])
-    h, g = _normal_equations(geometry, res, k)
+    cost, rows = _residuals(r, t, half, observed, k)
+    h, g = _normal_equations(rows, k)
     for _ in range(GN_MAX_ITERATIONS):
         try:
             s0, s1, s2, s3, s4, s5 = _damped_step(h, g, lam)
@@ -444,19 +436,18 @@ def _refine(r, t, corners3d: np.ndarray, observed: np.ndarray,
         r_c = _rotate(s0, s1, s2, r)
         t_c = (t[0] + s3, t[1] + s4, t[2] + s5)
         try:
-            res_c, geometry_c = _residuals(r_c, t_c, xy, obs, k)
+            cost_c, rows_c = _residuals(r_c, t_c, half, observed, k)
         except NonPositiveDepth:
             lam *= GN_DAMPING_UP
             continue
-        cost_c = sum([e * e for e in res_c])
         if cost_c < cost:
             decrease = cost - cost_c
-            r, t, res, cost = r_c, t_c, res_c, cost_c
+            r, t, cost = r_c, t_c, cost_c
             lam *= GN_DAMPING_DOWN
             step_sq = s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3 + s4 * s4 + s5 * s5
             if math.sqrt(step_sq) < GN_STEP_TOL or decrease <= GN_COST_RTOL * cost:
                 break
-            h, g = _normal_equations(geometry_c, res, k)
+            h, g = _normal_equations(rows_c, k)
         else:
             lam *= GN_DAMPING_UP
             if lam > GN_DAMPING_MAX:
@@ -470,13 +461,12 @@ def estimate_pose(
     """Estimate the marker pose in the camera frame from four corner pixels."""
     if not 0 < marker_side < math.inf:
         raise ValueError("marker_side must be a positive finite number")
-    corners3d = marker_corners_3d(marker_side)
-    normalized = _normalized_corners(obs, intrinsics)
+    half, observed = marker_side / 2.0, obs.corners.tolist()
+    normalized = _normalized_corners(observed, intrinsics)
     fits = []
-    for r, t in _ippe_candidates(_square_homography(normalized, marker_side), corners3d,
-                                 normalized):
+    for r, t in _ippe_candidates(_square_homography(normalized, half), normalized, half):
         try:
-            fits.append(_refine(r, t, corners3d, obs.corners, intrinsics))
+            fits.append(_refine(r, t, half, observed, intrinsics))
         except NonPositiveDepth:
             continue
     fits.sort(key=lambda fit: fit[2])

@@ -96,6 +96,8 @@ class HumanModel:
     return_delay: float = 1.0
 
     def __post_init__(self):
+        if not isinstance(self.response_mean, dict):
+            raise ScenarioError("human.response_mean: expected a JSON object")
         means = {str(haptics.PatternId.parse(k)): v for k, v in self.response_mean.items()}
         for pattern, mean in means.items():
             _require_finite(f"human.response_mean.{pattern}", mean)
@@ -171,15 +173,16 @@ class Scenario:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Scenario":
-        if not isinstance(doc, dict):
-            raise ScenarioError("scenario: expected a JSON object")
-        _reject_unknown(doc, {f.name for f in dataclasses.fields(cls)}, "scenario")
+        _check_object(doc, {f.name for f in dataclasses.fields(cls)}, "scenario")
         kwargs = dict(doc)  # scalars pass through; __post_init__ checks them
         try:
             if "robot_waypoints" in doc:
+                if not isinstance(doc["robot_waypoints"], list):
+                    raise ScenarioError("robot_waypoints: expected a list of objects")
                 wps = []
                 for i, entry in enumerate(doc["robot_waypoints"]):
-                    _reject_unknown(entry, {"point", "speed"}, f"robot_waypoints[{i}]")
+                    _check_object(entry, {"point", "speed"}, f"robot_waypoints[{i}]",
+                                  all_required=True)
                     point = _finite_coords(f"robot_waypoints[{i}].point", entry["point"])
                     wps.append((Point3(*point), entry["speed"]))
                 kwargs["robot_waypoints"] = tuple(wps)
@@ -209,19 +212,24 @@ _SECTIONS = {
 }
 
 
-def _reject_unknown(doc: dict, allowed: set, path: str) -> None:
+def _check_object(doc, allowed: set, path: str, all_required: bool = False) -> None:
+    """doc is a JSON object with keys from allowed, all of them if all_required;
+    ScenarioError names the path and the first offending key."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{path}: expected a JSON object")
     unknown = set(doc) - allowed
     if unknown:
         raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
+    missing = sorted(allowed - set(doc)) if all_required else []
+    if missing:
+        raise ScenarioError(f"{path}.{missing[0]}: missing")
 
 
 def build_section(cls, doc, path: str):
     """A section dataclass built from its JSON object.  Its fields are the
     keys, and each numeric field must be a finite number; ScenarioError names
     the offending key or field."""
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{path}: expected a JSON object")
-    _reject_unknown(doc, {f.name for f in dataclasses.fields(cls)}, path)
+    _check_object(doc, {f.name for f in dataclasses.fields(cls)}, path)
     for f in dataclasses.fields(cls):
         if f.name in doc and isinstance(f.default, numbers.Real):
             _require_finite(f"{path}.{f.name}", doc[f.name])

@@ -207,6 +207,34 @@ class TestSimulate:
         assert code == 2
         assert err.startswith(f"error: {message}")
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("robot_waypoints", "ab", "robot_waypoints: expected a list of objects"),
+        ("robot_waypoints", [1, 2], "robot_waypoints[0]: expected a JSON object"),
+        ("robot_waypoints", [{"point": [0.0, 0.3, 0.2], "speed": 0.1},
+                             {"point": [0.3, 0.3, 0.2]}], "robot_waypoints[1].speed: missing"),
+        ("robot_waypoints", [{"speed": 0.1}, {"point": [0.3, 0.3, 0.2], "speed": 0.1}],
+         "robot_waypoints[0].point: missing"),
+        ("human", {"response_mean": []}, "human.response_mean: expected a JSON object"),
+    ], ids=["string", "numbers", "no speed", "no point", "response_mean list"])
+    def test_malformed_section_names_field_exit_2(self, capsys, tmp_path, monkeypatch,
+                                                  key, value, message):
+        from handguard import sim
+
+        def no_run(scenario):
+            raise AssertionError("simulation ran")
+
+        monkeypatch.setattr(sim, "run", no_run)
+        scen = json.loads(scenario_path("default.json").read_text())
+        scen[key] = value
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scen))
+        code, _, err = run_cli(
+            capsys, "simulate", "--scenario", str(path),
+            "--trace", str(tmp_path / "t.csv"), "--metrics", str(tmp_path / "m.json"),
+        )
+        assert code == 2
+        assert err == f"error: {message}\n"
+
     def test_missing_scenario_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "simulate", "--scenario", str(tmp_path / "nope.json"),

@@ -9,6 +9,7 @@ from handguard.geometry import (
     RigidTransform,
     compose,
     invert,
+    orthonormalized,
     rotation_from_axis_angle,
 )
 from handguard.marker_pose import (
@@ -19,6 +20,7 @@ from handguard.marker_pose import (
     GN_DAMPING_UP,
     GN_MAX_ITERATIONS,
     GN_STEP_TOL,
+    MAX_RMS_PX,
     MIN_DEPTH_M,
     CameraIntrinsics,
     DegenerateCorners,
@@ -27,12 +29,15 @@ from handguard.marker_pose import (
     NonPositiveDepth,
     PoseError,
     _damped_step,
+    _ippe_candidates,
     _normal_equations,
+    _normalized_corners,
     _refine,
     _residuals,
+    _rotated_corners,
+    _square_homography,
     calibrate_base,
     estimate_pose,
-    marker_corners_3d,
     project,
     project_corners,
     synthesize_observation,
@@ -56,14 +61,20 @@ def rotation_error_rad(r_a, r_b):
     return math.acos(min(1.0, max(-1.0, c)))
 
 
+def marker_corners_3d(marker_side):
+    # corner coordinates in the marker frame (z = 0 plane), order TL, TR, BR, BL
+    h = marker_side / 2.0
+    return np.array([[-h, h, 0.0], [h, h, 0.0], [h, -h, 0.0], [-h, -h, 0.0]])
+
+
 def entries(pose):
     # a pose as the (rotation entries row by row, translation) floats _refine takes
     return pose.rotation.ravel().tolist(), pose.translation.tolist()
 
 
-def refine_pose(start, corners3d, observed, k):
+def refine_pose(start, marker_side, observed, k):
     # _refine from and to a RigidTransform, the way estimate_pose builds its winner
-    r, t, rms = _refine(*entries(start), corners3d, observed, k)
+    r, t, rms = _refine(*entries(start), marker_side / 2.0, observed.tolist(), k)
     return RigidTransform.from_orthonormalized(np.reshape(r, (3, 3)), t), rms
 
 
@@ -106,8 +117,12 @@ class TestProjection:
 
     def test_corner_layout(self):
         c = marker_corners_3d(SIDE)
-        assert np.allclose(c[:, 2], 0.0)
-        assert np.allclose(np.abs(c[:, :2]), SIDE / 2)
+        identity = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+        assert np.array_equal(_rotated_corners(identity, SIDE / 2.0), c)
+        # each rotated corner is the dot product R@P, up to the sign of zero
+        for truth in TestIppeCandidates.truths():
+            got = np.array(_rotated_corners(truth.rotation.ravel().tolist(), SIDE / 2.0))
+            assert np.abs(got - c @ truth.rotation.T).max() <= 1e-17
 
     def test_float_camera_model_matches_reference(self):
         # the 200 IPPE truths: the same pixels as the numpy camera model
@@ -204,7 +219,7 @@ class TestEstimatePose:
                 truth, SIDE, K, pixel_noise_sigma=0.5, seed=2000 + i
             )
             est = estimate_pose(obs, SIDE, K)
-            *_, rms_from_truth = _refine(*entries(truth), marker_corners_3d(SIDE), obs.corners, K)
+            *_, rms_from_truth = _refine(*entries(truth), SIDE / 2.0, obs.corners.tolist(), K)
             assert est.rms_reprojection_error <= rms_from_truth + 1e-9
 
     def test_ambiguity_ratio_reported(self):
@@ -297,15 +312,105 @@ def reference_homography_dlt(plane_xy, image_xy):
     return vt[-1].reshape(3, 3)
 
 
+# Sends the marker's corners, in half-sides, to the projective basis:
+# TL, TR and BL onto the axes and BR onto (1, 1, 1).
+SQUARE_TO_BASIS = np.array([[1.0, -1.0, 0.0], [1.0, 0.0, 1.0], [0.0, -1.0, 1.0]])
+
+
+def reference_square_homography(normalized, marker_side):
+    # the numpy front end that the closed-form solve replaced: normalized is
+    # (4, 2), the basis scale comes from one LAPACK solve
+    p = np.vstack([normalized.T, np.ones(4)])
+    basis = p[:, [0, 1, 3]]
+    try:
+        scale = np.linalg.solve(basis, p[:, 2])
+    except np.linalg.LinAlgError:
+        raise DegenerateCorners("corners are collinear or enclose no area") from None
+    half = marker_side / 2.0
+    return (basis * scale) @ (SQUARE_TO_BASIS / [half, half, 1.0])
+
+
+def reference_ippe_candidates(h, corners3d, normalized):
+    # IPPE with numpy matrix products: rv from rotation_from_axis_angle,
+    # rv @ M and corners3d @ r.T
+    (h00, h01, h02), (h10, h11, h12), (h20, h21, h22) = h.tolist()
+    p, q = h02 / h22, h12 / h22
+    j00, j01 = (h00 - h20 * p) / h22, (h01 - h21 * p) / h22
+    j10, j11 = (h10 - h20 * q) / h22, (h11 - h21 * q) / h22
+    t = math.hypot(p, q)
+    rv = rotation_from_axis_angle((-q, p, 0.0), math.atan2(t, 1.0))
+    (v00, v01, _), (v10, v11, _), (v20, v21, _) = rv.tolist()
+    b00, b01, b10, b11 = v00 - p * v20, v01 - p * v21, v10 - q * v20, v11 - q * v21
+    det = b00 * b11 - b01 * b10
+    a00, a01 = (b11 * j00 - b01 * j10) / det, (b11 * j01 - b01 * j11) / det
+    a10, a11 = (b00 * j10 - b10 * j00) / det, (b00 * j11 - b10 * j01) / det
+    f = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
+    d = a00 * a11 - a01 * a10
+    gamma = math.sqrt((f + math.sqrt(max(f * f - 4.0 * d * d, 0.0))) / 2.0)
+    r00, r01, r10, r11 = a00 / gamma, a01 / gamma, a10 / gamma, a11 / gamma
+    m00 = 1.0 - r00 * r00 - r10 * r10
+    m01 = -r00 * r01 - r10 * r11
+    m11 = 1.0 - r01 * r01 - r11 * r11
+    b0 = math.sqrt(max(m00, 0.0))
+    b1 = math.copysign(math.sqrt(max(m11, 0.0)), m01)
+    c0, c1, c2 = r10 * b1 - b0 * r11, b0 * r01 - r00 * b1, r00 * r11 - r10 * r01
+    uv = normalized.tolist()
+    u_mean, v_mean = sum(u for u, _ in uv) / 4.0, sum(v for _, v in uv) / 4.0
+    duv = [(u - u_mean, v - v_mean) for u, v in uv]
+    spread = sum(du * du + dv * dv for du, dv in duv)
+    candidates = []
+    for s in (1.0, -1.0):
+        r = rv @ np.array([[r00, r01, s * c0], [r10, r11, s * c1], [s * b0, s * b1, c2]])
+        buv = [(u * mz - mx, v * mz - my)
+               for (u, v), (mx, my, mz) in zip(uv, (corners3d @ r.T).tolist())]
+        tz = -sum(du * bu + dv * bv for (du, dv), (bu, bv) in zip(duv, buv)) / spread
+        translation = (
+            sum(bu for bu, _ in buv) / 4.0 + u_mean * tz,
+            sum(bv for _, bv in buv) / 4.0 + v_mean * tz,
+            tz,
+        )
+        if tz < 0:
+            r[:, :2] *= -1.0
+            translation = tuple(-x for x in translation)
+        candidates.append((orthonormalized(r.ravel().tolist()), translation))
+    return tuple(candidates)
+
+
+def reference_front_end(obs):
+    # normalized corners (4, 2), the homography (3, 3) and both candidates
+    c = obs.corners
+    normalized = np.column_stack([(c[:, 0] - K.cx) / K.fx, (c[:, 1] - K.cy) / K.fy])
+    h = reference_square_homography(normalized, SIDE)
+    return normalized, h, reference_ippe_candidates(h, marker_corners_3d(SIDE), normalized)
+
+
+def reference_estimate_pose(obs):
+    # the numpy front end, reference_refine from each candidate, the same
+    # candidate order, sort and gate as estimate_pose
+    fits = []
+    for r, t in reference_front_end(obs)[2]:
+        try:
+            fits.append(reference_refine(
+                RigidTransform(np.reshape(r, (3, 3)), t), SIDE, obs.corners, K))
+        except NonPositiveDepth:
+            continue
+    fits.sort(key=lambda fit: fit[1])
+    if not fits or fits[0][1] > MAX_RMS_PX:
+        raise NoConvergence(f"no pose candidate fits within {MAX_RMS_PX} px")
+    return fits[0]
+
+
+def front_end(obs):
+    # the float homography as (3, 3) and both candidates as floats
+    normalized = _normalized_corners(obs.corners.tolist(), K)
+    h = _square_homography(normalized, SIDE / 2.0)
+    return np.reshape(h, (3, 3)), _ippe_candidates(h, normalized, SIDE / 2.0)
+
+
 def ippe_candidates(obs):
     # the homography and both candidates, each through the checking constructor
-    from handguard.marker_pose import _ippe_candidates, _normalized_corners, _square_homography
-
-    corners3d = marker_corners_3d(SIDE)
-    normalized = _normalized_corners(obs, K)
-    h = _square_homography(normalized, SIDE)
-    return h, tuple(RigidTransform(np.reshape(r, (3, 3)), t)
-                    for r, t in _ippe_candidates(h, corners3d, normalized))
+    h, candidates = front_end(obs)
+    return h, tuple(RigidTransform(np.reshape(r, (3, 3)), t) for r, t in candidates)
 
 
 # a marker seen almost edge-on (sim_noisy seed 10, step 12): it spans 0.6 px
@@ -371,25 +476,56 @@ class TestIppeCandidates:
         est = estimate_pose(MarkerObservation(0, corners), SIDE, K)
         assert est.rms_reprojection_error < 1.0
 
+    def test_matches_numpy_front_end(self):
+        # unrolled rv @ M and corner rotations against the numpy products,
+        # from the float homography and from the LAPACK one: the same
+        # candidates in the same order, entry by entry within 1e-9
+        for obs in front_end_frames():
+            _, _, ref = reference_front_end(obs)
+            _, got = front_end(obs)
+            for (r, t), (r_ref, t_ref) in zip(got, ref, strict=True):
+                assert np.abs(np.subtract(r, r_ref)).max() <= 1e-9
+                assert np.abs(np.subtract(t, t_ref)).max() <= 1e-9
+
+
+def front_end_frames():
+    # the 200 IPPE truths without noise and at 0.5 px, and the edge-on quad
+    truths = TestIppeCandidates.truths()
+    return ([synthesize_observation(truth, SIDE, K) for truth in truths]
+            + [synthesize_observation(truth, SIDE, K, pixel_noise_sigma=0.5, seed=i)
+               for i, truth in enumerate(truths)]
+            + [MarkerObservation(0, EDGE_ON_CORNERS)])
+
 
 class TestSquareHomography:
     def test_equals_dlt_up_to_scale(self):
-        from handguard.marker_pose import _normalized_corners, _square_homography
-
         frames = [synthesize_observation(truth, SIDE, K, pixel_noise_sigma=0.5, seed=i)
                   for i, truth in enumerate(TestIppeCandidates.truths())]
         for obs in frames + [MarkerObservation(0, EDGE_ON_CORNERS)]:
-            normalized = _normalized_corners(obs, K)
+            normalized = _normalized_corners(obs.corners.tolist(), K)
             ref = reference_homography_dlt(marker_corners_3d(SIDE)[:, :2], normalized)
-            got = _square_homography(normalized, SIDE).ravel()
+            got = np.array(_square_homography(normalized, SIDE / 2.0))
             scaled = got * (got @ ref.ravel()) / (got @ got)
             assert np.abs(scaled - ref.ravel()).max() <= 1e-10 * np.abs(ref).max()
 
-    def test_collinear_basis_is_degenerate(self):
-        from handguard.marker_pose import _square_homography
+    def test_matches_numpy_front_end(self):
+        # the closed-form solve against the LAPACK one, on the same scale:
+        # within 1e-12 of the homography's largest entry
+        for obs in front_end_frames():
+            normalized, ref, _ = reference_front_end(obs)
+            assert np.array_equal(_normalized_corners(obs.corners.tolist(), K), normalized)
+            got, _ = front_end(obs)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
+    def test_collinear_basis_is_degenerate(self):
         with pytest.raises(DegenerateCorners):
-            _square_homography(np.array([[0.0, 0.0], [1.0, 0.0], [0.5, 1.0], [2.0, 0.0]]), SIDE)
+            _square_homography([(0.0, 0.0), (1.0, 0.0), (0.5, 1.0), (2.0, 0.0)], SIDE / 2.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_basis_is_degenerate(self, bad):
+        # a determinant that is not finite is not a solve either
+        with pytest.raises(DegenerateCorners):
+            _square_homography([(0.0, 0.0), (bad, 0.0), (0.5, 1.0), (0.0, 1.0)], SIDE / 2.0)
 
 
 def reference_jacobian(rotated, pts, k):
@@ -420,9 +556,10 @@ def reference_residuals(rotation, translation, corners3d, observed, k):
     return res, rotated, pts
 
 
-def reference_refine(init, corners3d, observed, k):
+def reference_refine(init, marker_side, observed, k):
     # the same damped Gauss-Newton and stop rules on numpy arrays, with
     # np.linalg.solve for the damped step
+    corners3d = marker_corners_3d(marker_side)
     rotation, translation = init.rotation, init.translation
     lam = GN_DAMPING_INIT
     res, rotated, pts = reference_residuals(rotation, translation, corners3d, observed, k)
@@ -460,11 +597,13 @@ def reference_refine(init, corners3d, observed, k):
     return RigidTransform.from_orthonormalized(rotation, translation), math.sqrt(cost / 8.0)
 
 
-def scalar_residuals(pose, corners3d, observed):
-    # the Python-float form of _residuals, its geometry as a (4, 6) array
-    res, geometry = _residuals(pose.rotation.ravel().tolist(), pose.translation.tolist(),
-                               corners3d[:, :2].tolist(), observed.tolist(), K)
-    return np.array(res), np.array(geometry)
+def scalar_residuals(pose, observed):
+    # _residuals on Python floats: the cost, the residuals (u0, v0, ..., u3,
+    # v3) as an (8,) array, the geometry as (4, 6) and the rows as returned
+    cost, rows = _residuals(pose.rotation.ravel().tolist(), pose.translation.tolist(),
+                            SIDE / 2.0, observed.tolist(), K)
+    table = np.array(rows)
+    return cost, table[:, 6:].ravel(), table[:, :6], rows
 
 
 def upper(a):
@@ -488,11 +627,16 @@ class TestJacobian:
         for pose, corners3d, observed in self.poses():
             res_ref, rotated, pts = reference_residuals(
                 pose.rotation, pose.translation, corners3d, observed, K)
-            res, geometry = scalar_residuals(pose, corners3d, observed)
+            cost, res, geometry, rows = scalar_residuals(pose, observed)
             assert np.abs(res - res_ref).max() <= 1e-12 * np.abs(observed).max()
             assert np.abs(geometry - np.hstack([rotated, pts])).max() <= 1e-15
+            # the cost adds the squares one by one in residual order
+            total = 0.0
+            for e in res.tolist():
+                total += e * e
+            assert cost == total
             jac = reference_jacobian(rotated, pts, K)
-            h, g = _normal_equations(geometry.tolist(), res.tolist(), K)
+            h, g = _normal_equations(rows, K)
             h_ref = jac.T @ jac
             h_scale = np.sqrt(np.outer(np.diag(h_ref), np.diag(h_ref)))
             assert np.all(np.abs(np.array(h) - upper(h_ref)) <= 1e-12 * upper(h_scale))
@@ -503,7 +647,7 @@ class TestJacobian:
         eps = 1e-6
         for pose, corners3d, observed in self.poses():
             r, t = pose.rotation, pose.translation
-            _, geometry = scalar_residuals(pose, corners3d, observed)
+            _, _, geometry, _ = scalar_residuals(pose, observed)
             got = reference_jacobian(geometry[:, :3], geometry[:, 3:], K)
             numeric = np.empty((8, 6))
             for j in range(6):
@@ -513,7 +657,7 @@ class TestJacobian:
                     d[j] = s
                     rs = rotation_from_axis_angle(d[:3], eps) @ r
                     shifted = RigidTransform(rs, t + d[3:])
-                    sides.append(scalar_residuals(shifted, corners3d, observed)[0])
+                    sides.append(scalar_residuals(shifted, observed)[1])
                 numeric[:, j] = (sides[0] - sides[1]) / (2 * eps)
             assert np.all(np.abs(got - numeric) <= 1e-5 * np.abs(numeric).max(axis=0))
 
@@ -567,9 +711,10 @@ class TestDampedStep:
 
         truth = random_pose(np.random.default_rng(4))
         obs = synthesize_observation(truth, SIDE, K, pixel_noise_sigma=0.5, seed=4)
-        *_, rms = _refine(*entries(truth), marker_corners_3d(SIDE), obs.corners, K)
+        observed = obs.corners.tolist()
+        *_, rms = _refine(*entries(truth), SIDE / 2.0, observed, K)
         monkeypatch.setattr(marker_pose, "_damped_step", fails_once)
-        *_, rms_after_failure = _refine(*entries(truth), marker_corners_3d(SIDE), obs.corners, K)
+        *_, rms_after_failure = _refine(*entries(truth), SIDE / 2.0, observed, K)
         assert lams[:2] == [GN_DAMPING_INIT, GN_DAMPING_INIT * GN_DAMPING_UP]
         assert abs(rms_after_failure - rms) <= 1e-9
 
@@ -582,14 +727,13 @@ class TestScalarRefine:
         frames = [MarkerObservation(0, EDGE_ON_CORNERS)] + [
             synthesize_observation(truth, SIDE, K, pixel_noise_sigma=sigma, seed=i)
             for sigma in (0.5, 2.0) for i, truth in enumerate(truths)]
-        corners3d = marker_corners_3d(SIDE)
         fitted = 0
         for obs in frames:
             for start in ippe_candidates(obs)[1]:
                 outcomes = []
                 for refine in (refine_pose, reference_refine):
                     try:
-                        outcomes.append(refine(start, corners3d, obs.corners, K))
+                        outcomes.append(refine(start, SIDE, obs.corners, K))
                     except PoseError as exc:
                         outcomes.append(type(exc))
                 (got, ref) = outcomes
@@ -602,12 +746,34 @@ class TestScalarRefine:
                 assert np.abs(got[0].translation - ref[0].translation).max() <= 1e-7
         assert fitted > len(frames)
 
+    def test_estimate_pose_matches_numpy_pipeline(self):
+        # corner pixels to kept fit against the numpy front end and
+        # reference_refine: the same bounds as the refinement alone, or the
+        # same exception class
+        outcomes = set()
+        for sigma in (0.5, 2.0):
+            for i, truth in enumerate(TestIppeCandidates.truths()):
+                obs = synthesize_observation(truth, SIDE, K, pixel_noise_sigma=sigma, seed=i)
+                try:
+                    ref_pose, ref_rms = reference_estimate_pose(obs)
+                except PoseError as exc:
+                    with pytest.raises(type(exc)):
+                        estimate_pose(obs, SIDE, K)
+                    outcomes.add(type(exc))
+                    continue
+                est = estimate_pose(obs, SIDE, K)
+                assert abs(est.rms_reprojection_error - ref_rms) <= 1e-9
+                assert np.abs(est.pose.rotation - ref_pose.rotation).max() <= 1e-6
+                assert np.abs(est.pose.translation - ref_pose.translation).max() <= 1e-7
+                outcomes.add("fitted")
+        assert outcomes == {"fitted", NoConvergence}
+
     def test_start_behind_camera_raises(self):
         start = RigidTransform(np.eye(3), [0.0, 0.0, -1.0])
         observed = project(RigidTransform(np.eye(3), [0.0, 0.0, 1.0]), SIDE, K)
         for refine in (refine_pose, reference_refine):
             with pytest.raises(NonPositiveDepth):
-                refine(start, marker_corners_3d(SIDE), observed, K)
+                refine(start, SIDE, observed, K)
 
 
 class TestCalibrateBase:

@@ -195,6 +195,27 @@ class TestScenarioValidation:
         with pytest.raises(ScenarioError, match=f"^{re.escape(name)}: expected 3 coordinates$"):
             Scenario.from_json_dict(doc)
 
+    @pytest.mark.parametrize("value", [[], "1L", 0.24])
+    def test_response_mean_not_an_object(self, value):
+        with pytest.raises(ScenarioError,
+                           match=r"^human\.response_mean: expected a JSON object$"):
+            default_scenario(human={"response_mean": value})
+
+    @pytest.mark.parametrize("waypoints, message", [
+        ("ab", "robot_waypoints: expected a list of objects"),
+        ({"point": [0, 0, 0], "speed": 0.1}, "robot_waypoints: expected a list of objects"),
+        ([1, 2], "robot_waypoints[0]: expected a JSON object"),
+        ([{"point": [0, 0, 0], "speed": 0.1}, [1, 0, 0]],
+         "robot_waypoints[1]: expected a JSON object"),
+        ([{"point": [0, 0, 0], "speed": 0.1}, {"point": [1, 0, 0]}],
+         "robot_waypoints[1].speed: missing"),
+        ([{"speed": 0.1}, {"point": [1, 0, 0], "speed": 0.1}],
+         "robot_waypoints[0].point: missing"),
+    ], ids=["string", "object", "numbers", "list entry", "no speed", "no point"])
+    def test_malformed_waypoints_name_field(self, waypoints, message):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
+            default_scenario(robot_waypoints=waypoints)
+
     @pytest.mark.parametrize(
         "section", ["zones", "human", "gear", "camera", "robot_waypoints[1]"]
     )
