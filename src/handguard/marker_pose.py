@@ -23,8 +23,10 @@ Refinement stops after an accepted step that lowers the squared-pixel cost
 by at most GN_COST_RTOL of the new cost or has a norm below GN_STEP_TOL,
 when rejected steps raise the damping above GN_DAMPING_MAX, or after
 GN_MAX_ITERATIONS.  However it stops, one gate follows: estimate_pose
-raises NoConvergence when the kept fit is worse than MAX_RMS_PX.  Every
-failure to find a pose is a PoseError.
+raises NoConvergence when the kept fit is worse than MAX_RMS_PX, or than
+_RMS_GATE_PER_SIGMA times the caller's corner noise σ where that is larger,
+so correct fits under heavy noise pass.  Every failure to find a pose is a
+PoseError.
 """
 
 from __future__ import annotations
@@ -46,6 +48,9 @@ GN_DAMPING_DOWN = 0.5
 GN_DAMPING_MAX = 1e4
 GN_COST_RTOL = 1e-10
 MAX_RMS_PX = 1.0
+# 8·rms²/σ² of a correct fit follows χ²₂ (8 residuals, 6 unknowns), whose tail
+# beyond -2·ln(p) has probability p: this gate rejects p = 1e-6 of them
+_RMS_GATE_PER_SIGMA = math.sqrt(-2.0 * math.log(1e-6) / 8.0)
 
 
 class PoseError(ValueError):
@@ -61,7 +66,7 @@ class DegenerateCorners(PoseError):
 
 
 class NoConvergence(PoseError):
-    """The best pose candidate fits the corners worse than MAX_RMS_PX."""
+    """The best pose candidate fits the corners worse than the fit gate."""
 
 
 @dataclass(frozen=True)
@@ -456,11 +461,16 @@ def _refine(r, t, half: float, observed: list, k: CameraIntrinsics) -> tuple:
 
 
 def estimate_pose(
-    obs: MarkerObservation, marker_side: float, intrinsics: CameraIntrinsics
+    obs: MarkerObservation, marker_side: float, intrinsics: CameraIntrinsics,
+    pixel_sigma: float = 0.0,
 ) -> PoseEstimate:
-    """Estimate the marker pose in the camera frame from four corner pixels."""
+    """Estimate the marker pose in the camera frame from four corner pixels
+    whose noise has standard deviation pixel_sigma (px)."""
     if not 0 < marker_side < math.inf:
         raise ValueError("marker_side must be a positive finite number")
+    if not 0 <= pixel_sigma < math.inf:
+        raise ValueError("pixel_sigma must be a finite number >= 0")
+    gate = max(MAX_RMS_PX, _RMS_GATE_PER_SIGMA * pixel_sigma)
     half, observed = marker_side / 2.0, obs.corners.tolist()
     normalized = _normalized_corners(observed, intrinsics)
     fits = []
@@ -470,8 +480,8 @@ def estimate_pose(
         except NonPositiveDepth:
             continue
     fits.sort(key=lambda fit: fit[2])
-    if not fits or fits[0][2] > MAX_RMS_PX:
-        raise NoConvergence(f"no pose candidate fits within {MAX_RMS_PX} px")
+    if not fits or fits[0][2] > gate:
+        raise NoConvergence(f"no pose candidate fits within {gate} px")
     (best_r, best_t, best_rms), *rest = fits
     ratio = (rest[0][2] + 1e-15) / (best_rms + 1e-15) if rest else float("inf")
     return PoseEstimate(

@@ -7,13 +7,19 @@ the safety state machine, and emits a per-step trace plus summary metrics.
 Everything is reproducible from the scenario seed.
 
 The per-step geometry runs on Python floats: at 3-vectors and 3x3
-matrices numpy's per-call cost is most of the work.  Each step builds the
-marker rotation in closed form, straight in the camera frame, and passes it
+matrices numpy's per-call cost is most of the work.  The gimbal/marker
+stage (`_marker_view`) steps the servo toward the camera, builds the marker
+rotation in closed form, straight in the camera frame, and passes it
 through the one Gram-Schmidt boundary (`geometry.orthonormalized`) into the
-one camera model (`marker_pose.project_corners`).  The estimated marker pose
-comes back to the base frame as a point: the hand offset goes through the
-estimated pose and then through base_from_camera.  The true distance and
-the human model stay on numpy, so the logged distances keep their bits.
+one camera model (`marker_pose.project_corners`).  It is a pure function of
+the true hand and the servo angles, so `run` calls it only when those five
+floats differ from the previous step's: while the hand and the servo rest,
+a step reuses the stage's corner pixels and noiseless hand estimate, and
+pixel noise is still drawn and fitted on every visible step.  The estimated
+marker pose comes back to the base frame as a point: the hand offset goes
+through the estimated pose and then through base-from-camera.  The true
+distance and the human model stay on numpy, so the logged distances keep
+their bits.
 
 `run` records the trace as one `TraceRow` of plain values per step.  The
 row's fields are the trace CSV's columns, so a new column is one field plus
@@ -29,6 +35,7 @@ import dataclasses
 import json
 import math
 import numbers
+import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -53,6 +60,15 @@ CAMERA_FROM_WRIST = CAMERA_ROTATION_WORLD_TO_CAM @ WRIST_ROTATION
 
 
 _CAMERA_FROM_WRIST_ROWS = CAMERA_FROM_WRIST.tolist()
+# robot base frame == world frame, so the base pose in the camera is
+# camera-from-world and the camera pose in the base is its inverse
+_CAM_FROM_WORLD = RigidTransform(
+    CAMERA_ROTATION_WORLD_TO_CAM, -(CAMERA_ROTATION_WORLD_TO_CAM @ CAMERA_POSITION)
+)
+_BASE_FROM_CAMERA = invert(_CAM_FROM_WORLD)
+_CW_R, _CW_T = _CAM_FROM_WORLD.rotation.ravel().tolist(), _CAM_FROM_WORLD.translation.tolist()
+_BC_R, _BC_T = _BASE_FROM_CAMERA.rotation.ravel().tolist(), _BASE_FROM_CAMERA.translation.tolist()
+_pack_view_inputs = struct.Struct("5d").pack
 
 
 def _camera_from_marker(m) -> tuple:
@@ -72,6 +88,17 @@ def _transform_point(r, t, x: float, y: float, z: float) -> tuple:
     return (r00 * x + r01 * y + r02 * z + t[0],
             r10 * x + r11 * y + r12 * z + t[1],
             r20 * x + r21 * y + r22 * z + t[2])
+
+
+def _hand_in_base(r, t, offset) -> tuple:
+    """The hand in the base frame from a marker pose (r, t) in the camera frame."""
+    return _transform_point(_BC_R, _BC_T, *_transform_point(r, t, *offset))
+
+
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm(v) bit for bit: the root of one BLAS ddot, which may fuse
+    with FMA where a Python sum of squares does not."""
+    return math.sqrt(v.dot(v))
 
 
 class ScenarioError(ValueError):
@@ -368,7 +395,7 @@ class _HumanAgent:
             self.escaping = True
             self.escape_origin = self.position.copy()
         if self.escaping:
-            travelled = float(np.linalg.norm(self.position - self.escape_origin))
+            travelled = _norm(self.position - self.escape_origin)
             remaining = self.model.escape_displacement - travelled
             if remaining > 1e-12:
                 self.position = self.position + self.escape_direction * min(step_len, remaining)
@@ -385,12 +412,45 @@ class _HumanAgent:
         if self.returning:
             home = self.scenario.hand_home.as_array()
             delta = home - self.position
-            gap = float(np.linalg.norm(delta))
+            gap = _norm(delta)
             if gap <= step_len:
                 self.position = home
                 self.returning = False
             else:
                 self.position = self.position + delta * (step_len / gap)
+
+
+def _marker_view(scenario: Scenario, hand_true: np.ndarray, servo: gimbal.ServoState) -> tuple:
+    """The gimbal/marker stage of one step: (next ServoState, the four corner
+    pixels or None when the marker is out of frame or behind the camera,
+    noiseless hand estimate in the base frame)."""
+    # gimbal keeps the marker normal on the camera
+    to_camera = CAMERA_POSITION - hand_true
+    to_camera = to_camera / np.linalg.norm(to_camera)
+    try:
+        wanted = gimbal.correction_angles(WRIST_ROTATION.T @ to_camera)
+        motor_target = gimbal.motor_deltas(wanted, scenario.gear)
+    except gimbal.GimbalDegeneracy:
+        motor_target = gimbal.MotorDeltas(servo.angle_a, servo.angle_b)
+    servo = gimbal.servo_step(servo, motor_target, scenario.dt)
+    actual = gimbal.marker_deltas(
+        gimbal.MotorDeltas(servo.angle_a, servo.angle_b), scenario.gear
+    )
+    # the marker sits at the hand minus the rotated hand offset; building it
+    # straight in the camera frame and through the Gram-Schmidt boundary
+    # hands the camera model a proper rotation
+    ox, oy, oz = scenario.hand_offset.offset
+    r = orthonormalized(_camera_from_marker(gimbal.marker_rotation_entries(actual)))
+    t = _transform_point(r, _transform_point(_CW_R, _CW_T, *hand_true.tolist()), -ox, -oy, -oz)
+    camera = scenario.camera
+    try:
+        uv = marker_pose.project_corners(r, t, scenario.marker_side / 2.0, camera)
+    except marker_pose.PoseError:
+        uv = None
+    if uv and any(u < 0 or v < 0 or u > camera.image_width or v > camera.image_height
+                  for u, v in uv):
+        uv = None
+    return servo, uv, _hand_in_base(r, t, scenario.hand_offset.offset)
 
 
 def run(scenario: Scenario) -> tuple:
@@ -399,19 +459,6 @@ def run(scenario: Scenario) -> tuple:
     dt = scenario.dt
     steps = int(round(scenario.duration / dt))
     legs = _leg_table(scenario.robot_waypoints)
-    camera = scenario.camera
-    half_side = scenario.marker_side / 2.0
-    ox, oy, oz = scenario.hand_offset.offset
-
-    cam_from_world = RigidTransform(
-        CAMERA_ROTATION_WORLD_TO_CAM,
-        -(CAMERA_ROTATION_WORLD_TO_CAM @ CAMERA_POSITION),
-    )
-    # robot base frame == world frame, so the base pose in the camera is
-    # cam_from_world and the camera pose in the base is its inverse
-    base_from_camera = invert(cam_from_world)
-    cw_r, cw_t = cam_from_world.rotation.ravel().tolist(), cam_from_world.translation.tolist()
-    bc_r, bc_t = base_from_camera.rotation.ravel().tolist(), base_from_camera.translation.tolist()
 
     human = _HumanAgent(scenario, rng)
     state = safety.SafetyState()
@@ -426,6 +473,7 @@ def run(scenario: Scenario) -> tuple:
     # open response-time measurements: (pattern key, start t, hand at start)
     pending_measurements = []
     prev_halted = False
+    view_inputs = view = None
 
     for k in range(steps):
         t = k * dt
@@ -438,57 +486,33 @@ def run(scenario: Scenario) -> tuple:
         hand_true = human.position
         hx, hy, hz = hand_true.tolist()
 
-        # gimbal keeps the marker normal on the camera
-        to_camera = CAMERA_POSITION - hand_true
-        to_camera = to_camera / np.linalg.norm(to_camera)
-        target_in_wrist = WRIST_ROTATION.T @ to_camera
-        try:
-            wanted = gimbal.correction_angles(target_in_wrist)
-            motor_target = gimbal.motor_deltas(wanted, scenario.gear)
-        except gimbal.GimbalDegeneracy:
-            motor_target = gimbal.MotorDeltas(servo.angle_a, servo.angle_b)
-        servo = gimbal.servo_step(servo, motor_target, dt)
-        actual = gimbal.marker_deltas(
-            gimbal.MotorDeltas(servo.angle_a, servo.angle_b), scenario.gear
-        )
-        # the marker sits at the hand minus the rotated hand offset; building
-        # it straight in the camera frame and through the Gram-Schmidt
-        # boundary hands the camera model a proper rotation
-        marker_r = orthonormalized(_camera_from_marker(gimbal.marker_rotation_entries(actual)))
-        marker_t = _transform_point(
-            marker_r, _transform_point(cw_r, cw_t, hx, hy, hz), -ox, -oy, -oz
-        )
+        # the stage's inputs by their bits: == would take 0.0 for -0.0
+        inputs = _pack_view_inputs(hx, hy, hz, servo.angle_a, servo.angle_b)
+        if inputs != view_inputs:
+            view_inputs, view = inputs, _marker_view(scenario, hand_true, servo)
+        servo, uv, view_hand = view
 
         # mocap chain: real estimation only when pixel noise is injected
-        marker_visible = True
-        est_r, est_t = marker_r, marker_t
-        try:
-            uv = marker_pose.project_corners(marker_r, marker_t, half_side, camera)
-            if any(u < 0 or v < 0 or u > camera.image_width or v > camera.image_height
-                   for u, v in uv):
-                marker_visible = False
-            elif scenario.pixel_noise_sigma > 0:
+        marker_visible = uv is not None
+        if marker_visible and scenario.pixel_noise_sigma > 0:
+            try:
                 obs = marker_pose.MarkerObservation(
                     marker_id=0,
                     corners=np.array(uv) + rng.normal(
                         0.0, scenario.pixel_noise_sigma, size=(4, 2)
                     ),
                 )
-                est = marker_pose.estimate_pose(obs, scenario.marker_side, camera)
-                est_r = est.pose.rotation.ravel().tolist()
-                est_t = est.pose.translation.tolist()
-        except marker_pose.PoseError:
-            marker_visible = False
-
-        if marker_visible:
-            hand_est = _transform_point(bc_r, bc_t, *_transform_point(est_r, est_t, ox, oy, oz))
+                est = marker_pose.estimate_pose(obs, scenario.marker_side, scenario.camera,
+                                                pixel_sigma=scenario.pixel_noise_sigma)
+                hand_est = _hand_in_base(est.pose.rotation.ravel().tolist(),
+                                         est.pose.translation.tolist(), scenario.hand_offset.offset)
+            except marker_pose.PoseError:
+                marker_visible = False
+        elif marker_visible:
+            hand_est = view_hand
         # else: keep last known hand_est
 
-        # distance_true and the human model stay on numpy: np.linalg.norm of
-        # a 3-vector goes through BLAS ddot, whose bits a Python sum of
-        # squares does not always match, and metrics.json prints
-        # min_distance in full
-        distance_true = float(np.linalg.norm(hand_true - tcp))
+        distance_true = _norm(hand_true - tcp)
         px, py, pz = tcp.tolist()
         ex, ey, ez = hand_est
         dx, dy, dz = ex - px, ey - py, ez - pz
@@ -528,7 +552,7 @@ def run(scenario: Scenario) -> tuple:
         # close response measurements on the first > 1 mm displacement
         still_open = []
         for key, t0, origin in pending_measurements:
-            if float(np.linalg.norm(human.position - origin)) > MOVEMENT_DETECTION_M:
+            if _norm(human.position - origin) > MOVEMENT_DETECTION_M:
                 measured_response_times.setdefault(key, []).append(
                     round((k + 1) * dt - t0, 10)
                 )

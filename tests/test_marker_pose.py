@@ -281,6 +281,30 @@ class TestEstimatePose:
             outcomes.add("accepted")
         assert outcomes == {"accepted", "rejected"}
 
+    @pytest.mark.parametrize("sigma, rejected_at_1px", [(2.0, 64), (4.0, 144)])
+    def test_fit_gate_scales_with_pixel_sigma(self, sigma, rejected_at_1px):
+        # correct fits have rms ≈ σ/2, so a fixed 1 px gate rejects many of
+        # them at 2-4 px; gated at max(1 px, 1.86σ) none of 200 is lost
+        rng = np.random.default_rng(23)
+        rejected = 0
+        for i in range(200):
+            obs = synthesize_observation(
+                random_pose(rng), SIDE, K, pixel_noise_sigma=sigma, seed=4000 + i
+            )
+            try:
+                estimate_pose(obs, SIDE, K)
+            except NoConvergence:
+                rejected += 1
+            est = estimate_pose(obs, SIDE, K, pixel_sigma=sigma)
+            assert est.rms_reprojection_error <= 1.86 * sigma
+        assert rejected == rejected_at_1px
+
+    @pytest.mark.parametrize("sigma", [-0.5, float("nan"), float("inf")])
+    def test_rejects_pixel_sigma_that_is_not_finite_and_non_negative(self, sigma):
+        obs = synthesize_observation(RigidTransform(np.eye(3), [0, 0, 1.0]), SIDE, K)
+        with pytest.raises(ValueError, match="pixel_sigma"):
+            estimate_pose(obs, SIDE, K, pixel_sigma=sigma)
+
     def test_noisy_accuracy_within_frozen_bounds(self):
         # Monte-Carlo accuracy envelope measured once for a 4 cm marker at
         # 0.6-1.4 m with 0.5 px corner noise; frozen in the fixture file.

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
 
-from handguard import safety
+from handguard import marker_pose, safety, sim
 from handguard.geometry import Point3
 from handguard.haptics import PatternId
 from handguard.sim import (
@@ -18,6 +19,7 @@ from handguard.sim import (
     _position_on_loop,
     run,
     sample_response_time,
+    write_metrics_json,
     write_trace_csv,
 )
 from handguard import scenario_path
@@ -355,3 +357,77 @@ class TestTrace:
         trace, _ = run(default_scenario(duration=1.0))
         assert len(trace) == 100
         assert all(type(row) is TraceRow for row in trace)
+
+
+def run_digest(monkeypatch, tmp_path, scenario) -> str:
+    """SHA-256 of a run's trace and metrics bytes and of what perception
+    handed safety.step on each step (estimated distance and hand)."""
+    seen = []
+    step = safety.step
+
+    def spy(state, distance, hand, *args, **kwargs):
+        seen.append(repr((distance, hand.x, hand.y, hand.z)))
+        return step(state, distance, hand, *args, **kwargs)
+
+    monkeypatch.setattr(safety, "step", spy)
+    rows, metrics = run(scenario)
+    write_trace_csv(rows, tmp_path / "t.csv")
+    write_metrics_json(metrics, tmp_path / "m.json")
+    return hashlib.sha256(
+        (tmp_path / "t.csv").read_bytes() + (tmp_path / "m.json").read_bytes()
+        + "\n".join(seen).encode()
+    ).hexdigest()
+
+
+class TestMarkerView:
+    # Pins recorded before the gimbal/marker stage was reused on at-rest
+    # steps; a view kept past a change of hand or servo moves them.
+
+    @pytest.mark.parametrize("sigma, expected", [
+        (0.0, "660bbbb8872f859de875e315b0cada9f04f8e05e6958eba6072ae960a3ec28fa"),
+        (0.5, "887d10974953426ec8e9d18ccd31fa590f9ea74ea4a79bd30d16b30ede32e5a3"),
+    ])
+    def test_servo_slewing_toward_a_resting_hand(self, monkeypatch, tmp_path, sigma, expected):
+        # the hand stays home for the first second while both motors slew
+        # for 27 steps toward their range limits
+        s = default_scenario(duration=1.0, seed=0, pixel_noise_sigma=sigma,
+                             gear={"n_a": 2.0, "n_b": 2.0, "n_s": 0.5})
+        assert run_digest(monkeypatch, tmp_path, s) == expected
+
+    @pytest.mark.parametrize("sigma, expected", [
+        (0.0, "0abc54da413112bd9a1e3ce83e9d8960405c8e1e6dc30442a1d644c8a89485f5"),
+        (0.5, "dd856991b97b49de996641a23e44ca3493af96beaa04336f14cd224f57d40206"),
+    ])
+    def test_hand_escapes_out_of_frame_and_returns(self, monkeypatch, tmp_path, sigma,
+                                                   expected):
+        # an 800 px wide image loses the marker while the hand escapes right
+        # (177 steps) and finds it again when the hand is back home
+        s = default_scenario(duration=14.0, seed=7, pixel_noise_sigma=sigma,
+                             camera={"image_width": 800})
+        assert run_digest(monkeypatch, tmp_path, s) == expected
+
+    def test_view_reused_while_hand_and_servo_rest(self, monkeypatch):
+        # seed 0 of the bundled scenario rests on 98% of its 12,000 steps
+        calls = [0]
+        view = sim._marker_view
+
+        def counted(*args):
+            calls[0] += 1
+            return view(*args)
+
+        monkeypatch.setattr(sim, "_marker_view", counted)
+        rows, _ = run(default_scenario(seed=0))
+        assert len(rows) == 12000
+        assert calls[0] == 232
+
+    def test_correct_fits_stay_visible_at_two_px(self, monkeypatch):
+        # the fit gate scales with the scenario's pixel noise; gated at a
+        # fixed 1 px, 666 of these 2,000 steps lose the marker
+        s = default_scenario(duration=20.0, seed=7, pixel_noise_sigma=2.0)
+        rows, _ = run(s)
+        assert sum(not row.marker_visible for row in rows) == 0
+        estimate = marker_pose.estimate_pose
+        monkeypatch.setattr(marker_pose, "estimate_pose",
+                            lambda obs, side, k, pixel_sigma: estimate(obs, side, k))
+        rows, _ = run(s)
+        assert sum(not row.marker_visible for row in rows) == 666
