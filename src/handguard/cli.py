@@ -86,6 +86,8 @@ def cmd_simulate(args) -> int:
         return _fail(f"scenario file not found: {path}", EXIT_USAGE)
     except json.JSONDecodeError as exc:
         return _fail(f"scenario JSON invalid: {exc}", EXIT_USAGE)
+    if not isinstance(doc, dict):
+        return _fail("scenario: expected a JSON object", EXIT_USAGE)
     if args.seed is not None:
         doc["seed"] = args.seed
 

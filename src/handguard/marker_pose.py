@@ -16,13 +16,13 @@ corner pixels and the kept fit: the observation's checks, a closed-form
 3x3 solve for the homography, IPPE with its matrix products unrolled,
 and the Gauss-Newton loop, which builds the normal equations JᵀJ and Jᵀr
 directly, never the 8x6 J, and solves the damped 6x6 system with an
-unrolled Cholesky factorization.  Candidates and fits are rotation
-entries and translations; the one RigidTransform built is the winner's.
+unrolled Cholesky factorization.  `fit_corners` returns the kept fit as
+floats; the one RigidTransform built is the winner's, by `estimate_pose`.
 
 Refinement stops after an accepted step that lowers the squared-pixel cost
 by at most GN_COST_RTOL of the new cost or has a norm below GN_STEP_TOL,
 when rejected steps raise the damping above GN_DAMPING_MAX, or after
-GN_MAX_ITERATIONS.  However it stops, one gate follows: estimate_pose
+GN_MAX_ITERATIONS.  However it stops, one gate follows: fit_corners
 raises NoConvergence when the kept fit is worse than MAX_RMS_PX, or than
 _RMS_GATE_PER_SIGMA times the caller's corner noise σ where that is larger,
 so correct fits under heavy noise pass.  Every failure to find a pose is a
@@ -105,8 +105,7 @@ class MarkerObservation:
         pixels = c.tolist()
         if not all(math.isfinite(x) for corner in pixels for x in corner):
             raise ValueError("corners must be finite")
-        if _quad_min_triangle_area(pixels) < 1e-9:
-            raise DegenerateCorners("corners are collinear or enclose no area")
+        _require_area(pixels)
         c.setflags(write=False)
         object.__setattr__(self, "corners", c)
 
@@ -129,10 +128,11 @@ class PoseEstimate:
         return self.ambiguity_ratio < 1.2
 
 
-def _quad_min_triangle_area(c: list) -> float:
-    # Smallest of the four corner-triple triangle areas; zero iff degenerate.
-    return min(abs((bu - au) * (dv - av) - (du - au) * (bv - av)) / 2
-               for (au, av), (bu, bv), (du, dv) in zip(c, c[1:] + c[:1], c[2:] + c[:2]))
+def _require_area(c: list) -> None:
+    """Raise DegenerateCorners unless every corner-triple triangle has area."""
+    if min(abs((bu - au) * (dv - av) - (du - au) * (bv - av)) / 2
+           for (au, av), (bu, bv), (du, dv) in zip(c, c[1:] + c[:1], c[2:] + c[:2])) < 1e-9:
+        raise DegenerateCorners("corners are collinear or enclose no area")
 
 
 def project_corners(r, t, half: float, k: CameraIntrinsics) -> list:
@@ -470,13 +470,22 @@ def estimate_pose(
         raise ValueError("marker_side must be a positive finite number")
     if not 0 <= pixel_sigma < math.inf:
         raise ValueError("pixel_sigma must be a finite number >= 0")
+    r, t, rms, ratio = fit_corners(obs.corners.tolist(), marker_side, intrinsics, pixel_sigma)
+    return PoseEstimate(RigidTransform.from_orthonormalized(np.reshape(r, (3, 3)), t), rms, ratio)
+
+
+def fit_corners(pixels: list, marker_side: float, k: CameraIntrinsics, pixel_sigma: float):
+    """estimate_pose's fit on floats, for checked arguments: the four corners'
+    (u, v) to the kept fit's (r, t, rms, ratio), where r holds the rotation
+    entries row by row, not re-orthonormalized."""
+    _require_area(pixels)
     gate = max(MAX_RMS_PX, _RMS_GATE_PER_SIGMA * pixel_sigma)
-    half, observed = marker_side / 2.0, obs.corners.tolist()
-    normalized = _normalized_corners(observed, intrinsics)
+    half = marker_side / 2.0
+    normalized = _normalized_corners(pixels, k)
     fits = []
     for r, t in _ippe_candidates(_square_homography(normalized, half), normalized, half):
         try:
-            fits.append(_refine(r, t, half, observed, intrinsics))
+            fits.append(_refine(r, t, half, pixels, k))
         except NonPositiveDepth:
             continue
     fits.sort(key=lambda fit: fit[2])
@@ -484,11 +493,7 @@ def estimate_pose(
         raise NoConvergence(f"no pose candidate fits within {gate} px")
     (best_r, best_t, best_rms), *rest = fits
     ratio = (rest[0][2] + 1e-15) / (best_rms + 1e-15) if rest else float("inf")
-    return PoseEstimate(
-        pose=RigidTransform.from_orthonormalized(np.reshape(best_r, (3, 3)), best_t),
-        rms_reprojection_error=best_rms,
-        ambiguity_ratio=max(1.0, ratio),
-    )
+    return best_r, best_t, best_rms, max(1.0, ratio)
 
 
 def calibrate_base(

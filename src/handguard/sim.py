@@ -6,27 +6,30 @@ the marker/mocap chain, drives the gimbal servo model, feeds distances to
 the safety state machine, and emits a per-step trace plus summary metrics.
 Everything is reproducible from the scenario seed.
 
-The per-step geometry runs on Python floats: at 3-vectors and 3x3
-matrices numpy's per-call cost is most of the work.  The gimbal/marker
-stage (`_marker_view`) steps the servo toward the camera, builds the marker
-rotation in closed form, straight in the camera frame, and passes it
-through the one Gram-Schmidt boundary (`geometry.orthonormalized`) into the
-one camera model (`marker_pose.project_corners`).  It is a pure function of
-the true hand and the servo angles, so `run` calls it only when those five
-floats differ from the previous step's: while the hand and the servo rest,
-a step reuses the stage's corner pixels and noiseless hand estimate, and
-pixel noise is still drawn and fitted on every visible step.  The estimated
-marker pose comes back to the base frame as a point: the hand offset goes
-through the estimated pose and then through base-from-camera.  The true
-distance and the human model stay on numpy, so the logged distances keep
-their bits.
-
-`run` records the trace as one `TraceRow` of plain values per step.  The
-row's fields are the trace CSV's columns, so a new column is one field plus
-its format in `_CSV_ROW`.  `min_distance`, `critical_violations` and `halts`
-are folds over the rows after the loop; pattern activations and response
-times are counted in the loop, because a row does not show a pattern that
-restarts with the same id.
+`run` drives one stage after another each step, on Python floats where
+numpy's per-call cost would be most of the work:
+- robot: the TCP moves along its loop unless the robot is halted;
+- gimbal/marker (`_marker_view`): the servo steps toward the camera, and
+  the marker rotation goes through the one Gram-Schmidt boundary
+  (`geometry.orthonormalized`) into the one camera model; out come the
+  corner pixels and the noiseless hand estimate.  The stage is a pure
+  function of the true hand and the servo angles, so `run` calls it only
+  when the bits of those five floats change;
+- perception (`_perceive`): with pixel noise, each visible step draws the
+  noise and fits the pose with `marker_pose.fit_corners`; the hand comes
+  back to the base frame as a point, and the last estimate is kept while
+  no pose fits or the marker is out of frame;
+- safety: `safety.step` on the estimated distance;
+- human (`_HumanAgent`): counts the patterns, draws a latency and a
+  mis-response for each one it takes up, moves the hand and measures the
+  response times.  The noise and the human draw from the scenario's one
+  generator in step order.
+The true distance and the human model stay on numpy, so the logged
+distances keep their bits.  `run` records one `TraceRow` of plain values
+per step, whose fields are the trace CSV's columns (a new column is one
+field plus its format in `_CSV_ROW`), and folds the rows into
+`min_distance`, `critical_violations` and `halts`; a row does not show a
+pattern restarted with the same id, so the human stage counts those.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ CAMERA_POSITION = np.array([0.0, 2.0, 0.6])
 CAMERA_ROTATION_WORLD_TO_CAM = np.array(
     [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]]
 )
-# Wrist rest frame: x right (+x world), z toward the camera (+y world).
+# Wrist rest frame: x right (+x world), y up (+z world), z away from the camera
+# (-y world); the gimbal turns the marker about 174 degrees to face the camera.
 WRIST_ROTATION = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]]).T
 # Wrist rest frame in the camera frame; the gimbal's marker rotation follows.
 CAMERA_FROM_WRIST = CAMERA_ROTATION_WORLD_TO_CAM @ WRIST_ROTATION
@@ -189,6 +193,8 @@ class Scenario:
             _require_finite(f"robot_waypoints[{i}].speed", speed)
             if speed <= 0:
                 raise ScenarioError(f"robot_waypoints[{i}].speed: must be > 0")
+        if not _leg_table(self.robot_waypoints):
+            raise ScenarioError("robot_waypoints: all waypoints coincide")
         if self.marker_side <= 0:
             raise ScenarioError("marker_side: must be > 0")
         if self.pixel_noise_sigma < 0:
@@ -328,7 +334,8 @@ class SimMetrics:
 
 
 def _leg_table(waypoints) -> tuple:
-    """Closed-loop legs as (start, direction unit, length, leg duration)."""
+    """Closed-loop legs as (start, direction unit, length, leg duration);
+    empty when all waypoints coincide."""
     legs = []
     n = len(waypoints)
     for i in range(n):
@@ -340,8 +347,6 @@ def _leg_table(waypoints) -> tuple:
         if length < 1e-12:
             continue
         legs.append((start, delta / length, length, length / speed))
-    if not legs:
-        raise ScenarioError("robot_waypoints: all waypoints coincide")
     return tuple(legs)
 
 
@@ -356,7 +361,7 @@ def _position_on_loop(legs, time_in_motion: float) -> np.ndarray:
 
 
 class _HumanAgent:
-    """Internal mutable hand-motion state for one run."""
+    """The human stage of one run: hand motion, patterns and response times."""
 
     def __init__(self, scenario: Scenario, rng: np.random.Generator):
         self.scenario = scenario
@@ -369,12 +374,19 @@ class _HumanAgent:
         self.escaping = False
         self.return_at = None
         self.returning = False
+        self.pattern_activations = {}
+        self.response_times = {}
+        # (pattern key, start t, hand at start); more than one is open when
+        # an escape moves the hand less than MOVEMENT_DETECTION_M
+        self.open_measurements = []
 
-    def on_pattern(self, pattern: haptics.PatternId, t: float) -> bool:
-        """Returns True when the human takes up the pattern; a person already
-        reacting to an earlier pattern keeps reacting to that one."""
+    def on_pattern(self, pattern: haptics.PatternId, t: float) -> None:
+        """Count the pattern and take it up, opening one response-time measurement;
+        a person already reacting to an earlier pattern draws nothing."""
+        key = str(pattern)
+        self.pattern_activations[key] = self.pattern_activations.get(key, 0) + 1
         if self.respond_at is not None or self.escaping:
-            return False
+            return
         latency = sample_response_time(self.model, pattern, self.rng)
         direction = self.scenario.mapping.direction_for(pattern)
         if self.model.mis_response_probability > 0 and \
@@ -386,11 +398,13 @@ class _HumanAgent:
         self.escaping = False
         self.returning = False
         self.return_at = None
-        return True
+        self.open_measurements.append((key, t, self.position.copy()))
 
-    def step(self, t: float, distance: float) -> None:
+    def step(self, k: int, distance: float) -> None:
+        """Move the hand through step k, then close each open measurement
+        once the hand is more than MOVEMENT_DETECTION_M from where it was."""
         dt = self.scenario.dt
-        step_len = self.model.hand_speed * dt
+        t, step_len = k * dt, self.model.hand_speed * dt
         if self.respond_at is not None and t >= self.respond_at - 1e-9 and not self.escaping:
             self.escaping = True
             self.escape_origin = self.position.copy()
@@ -399,16 +413,16 @@ class _HumanAgent:
             remaining = self.model.escape_displacement - travelled
             if remaining > 1e-12:
                 self.position = self.position + self.escape_direction * min(step_len, remaining)
-                return
-            # escape complete; wait until outside the activation zone, then
-            # schedule the return home
-            if distance >= self.scenario.zones.activation_distance and self.return_at is None:
-                self.return_at = t + self.model.return_delay
-            if self.return_at is not None and t >= self.return_at:
-                self.escaping = False
-                self.respond_at = None
-                self.return_at = None
-                self.returning = True
+            else:
+                # escape complete; wait until outside the activation zone,
+                # then schedule the return home
+                if distance >= self.scenario.zones.activation_distance and self.return_at is None:
+                    self.return_at = t + self.model.return_delay
+                if self.return_at is not None and t >= self.return_at:
+                    self.escaping = False
+                    self.respond_at = None
+                    self.return_at = None
+                    self.returning = True
         if self.returning:
             home = self.scenario.hand_home.as_array()
             delta = home - self.position
@@ -418,6 +432,13 @@ class _HumanAgent:
                 self.returning = False
             else:
                 self.position = self.position + delta * (step_len / gap)
+        still_open = []
+        for key, t0, origin in self.open_measurements:
+            if _norm(self.position - origin) > MOVEMENT_DETECTION_M:
+                self.response_times.setdefault(key, []).append(round((k + 1) * dt - t0, 10))
+            else:
+                still_open.append((key, t0, origin))
+        self.open_measurements = still_open
 
 
 def _marker_view(scenario: Scenario, hand_true: np.ndarray, servo: gimbal.ServoState) -> tuple:
@@ -453,6 +474,19 @@ def _marker_view(scenario: Scenario, hand_true: np.ndarray, servo: gimbal.ServoS
     return servo, uv, _hand_in_base(r, t, scenario.hand_offset.offset)
 
 
+def _perceive(scenario: Scenario, uv: list, rng: np.random.Generator):
+    """Perception on one noisy visible step: draw the corner noise, fit the
+    pose.  Returns the hand estimate in the base frame, None if no pose fits."""
+    sigma = scenario.pixel_noise_sigma
+    noise = rng.normal(0.0, sigma, size=(4, 2)).tolist()
+    pixels = [(u + a, v + b) for (u, v), (a, b) in zip(uv, noise)]
+    try:
+        r, t, _, _ = marker_pose.fit_corners(pixels, scenario.marker_side, scenario.camera, sigma)
+    except marker_pose.PoseError:
+        return None
+    return _hand_in_base(orthonormalized(r), t, scenario.hand_offset.offset)
+
+
 def run(scenario: Scenario) -> tuple:
     """Execute one simulation; returns (list of TraceRows, metrics)."""
     rng = np.random.default_rng(scenario.seed)
@@ -466,18 +500,12 @@ def run(scenario: Scenario) -> tuple:
     robot_time = 0.0
     tcp = _position_on_loop(legs, 0.0)
     hand_est = tuple(human.position.tolist())
-
     rows = []
-    pattern_activations = {}
-    measured_response_times = {}
-    # open response-time measurements: (pattern key, start t, hand at start)
-    pending_measurements = []
-    prev_halted = False
     view_inputs = view = None
 
     for k in range(steps):
         t = k * dt
-        if not prev_halted and k > 0:
+        if not state.robot_halted and k > 0:
             robot_time += dt
         tcp_prev = tcp
         tcp = _position_on_loop(legs, robot_time)
@@ -490,26 +518,13 @@ def run(scenario: Scenario) -> tuple:
         inputs = _pack_view_inputs(hx, hy, hz, servo.angle_a, servo.angle_b)
         if inputs != view_inputs:
             view_inputs, view = inputs, _marker_view(scenario, hand_true, servo)
-        servo, uv, view_hand = view
-
-        # mocap chain: real estimation only when pixel noise is injected
-        marker_visible = uv is not None
-        if marker_visible and scenario.pixel_noise_sigma > 0:
-            try:
-                obs = marker_pose.MarkerObservation(
-                    marker_id=0,
-                    corners=np.array(uv) + rng.normal(
-                        0.0, scenario.pixel_noise_sigma, size=(4, 2)
-                    ),
-                )
-                est = marker_pose.estimate_pose(obs, scenario.marker_side, scenario.camera,
-                                                pixel_sigma=scenario.pixel_noise_sigma)
-                hand_est = _hand_in_base(est.pose.rotation.ravel().tolist(),
-                                         est.pose.translation.tolist(), scenario.hand_offset.offset)
-            except marker_pose.PoseError:
-                marker_visible = False
-        elif marker_visible:
-            hand_est = view_hand
+        servo, uv, seen = view
+        # the noiseless view is exact; a pose is fitted only to noisy corners
+        if uv is not None and scenario.pixel_noise_sigma > 0:
+            seen = _perceive(scenario, uv, rng)
+        marker_visible = uv is not None and seen is not None
+        if marker_visible:
+            hand_est = seen
         # else: keep last known hand_est
 
         distance_true = _norm(hand_true - tcp)
@@ -530,10 +545,7 @@ def run(scenario: Scenario) -> tuple:
         )
         for command in commands:
             if command.kind is safety.CommandKind.START_PATTERN:
-                key = str(command.pattern)
-                pattern_activations[key] = pattern_activations.get(key, 0) + 1
-                if human.on_pattern(command.pattern, t):
-                    pending_measurements.append((key, t, hand_true.copy()))
+                human.on_pattern(command.pattern, t)
 
         pattern = state.active_pattern
         rows.append(TraceRow(
@@ -545,20 +557,7 @@ def run(scenario: Scenario) -> tuple:
             scenario.mapping.direction_for(pattern).value if pattern else "",
             marker_visible,
         ))
-        prev_halted = state.robot_halted
-
-        human.step(t, distance_true)
-
-        # close response measurements on the first > 1 mm displacement
-        still_open = []
-        for key, t0, origin in pending_measurements:
-            if _norm(human.position - origin) > MOVEMENT_DETECTION_M:
-                measured_response_times.setdefault(key, []).append(
-                    round((k + 1) * dt - t0, 10)
-                )
-            else:
-                still_open.append((key, t0, origin))
-        pending_measurements = still_open
+        human.step(k, distance_true)
 
     # a step violates when it enters the critical zone while the robot was
     # not already halted; a halt is a step that halts a robot that was not
@@ -570,8 +569,8 @@ def run(scenario: Scenario) -> tuple:
             row.distance < scenario.zones.critical_distance and not before
             for row, before in zip(rows, halted_before)
         ),
-        pattern_activations=pattern_activations,
-        measured_response_times=measured_response_times,
+        pattern_activations=human.pattern_activations,
+        measured_response_times=human.response_times,
         halts=sum(row.robot_halted and not before for row, before in zip(rows, halted_before)),
     )
     return rows, metrics

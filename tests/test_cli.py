@@ -235,6 +235,29 @@ class TestSimulate:
         assert code == 2
         assert err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("doc, argv, message", [
+        ([1, 2], [], "scenario: expected a JSON object"),
+        ([1, 2], ["--seed", "3"], "scenario: expected a JSON object"),
+        ({"robot_waypoints": [{"point": [0.3, 0.3, 0.2], "speed": 0.1}] * 3}, [],
+         "robot_waypoints: all waypoints coincide"),
+    ], ids=["list", "list with seed", "coincident waypoints"])
+    def test_scenario_rejected_at_load_exit_2(self, capsys, tmp_path, monkeypatch, doc, argv,
+                                              message):
+        from handguard import sim
+
+        def no_run(scenario):
+            raise AssertionError("simulation ran")
+
+        monkeypatch.setattr(sim, "run", no_run)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            capsys, "simulate", "--scenario", str(path),
+            "--trace", str(tmp_path / "t.csv"), "--metrics", str(tmp_path / "m.json"), *argv,
+        )
+        assert code == 2
+        assert err == f"error: {message}\n"
+
     def test_missing_scenario_file(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "simulate", "--scenario", str(tmp_path / "nope.json"),

@@ -66,8 +66,8 @@ class TestRobotTcpPosition:
 
     def test_rejects_coincident_waypoints(self):
         wp = ((Point3(0, 0, 0), 0.1), (Point3(0, 0, 0), 0.1))
-        with pytest.raises(ScenarioError):
-            _leg_table(wp)
+        with pytest.raises(ScenarioError, match="robot_waypoints: all waypoints coincide"):
+            Scenario(robot_waypoints=wp)
 
 
 class TestSampleResponseTime:
@@ -351,6 +351,43 @@ class TestRun:
         assert all(len(line.split(",")) == 14 for line in lines[1:])
 
 
+class TestHumanAgent:
+    def agent(self, **human):
+        human = {"response_jitter_sigma": 0.0, "mis_response_probability": 0.0, **human}
+        return sim._HumanAgent(default_scenario(human=human), np.random.default_rng(0))
+
+    def test_pattern_while_reacting_is_counted_and_draws_nothing(self):
+        human = sim._HumanAgent(default_scenario(), np.random.default_rng(0))
+        human.on_pattern(PatternId.parse("1L"), 0.0)
+        drawn = human.rng.bit_generator.state
+        human.on_pattern(PatternId.parse("2L"), 0.01)
+        assert human.pattern_activations == {"1L": 1, "2L": 1}
+        assert human.rng.bit_generator.state == drawn
+        assert [key for key, _, _ in human.open_measurements] == ["1L"]
+
+    def test_each_pattern_taken_up_yields_one_response_time(self):
+        human, k = self.agent(), 0
+        for pattern in ("1L", "2L", "1L"):
+            human.on_pattern(PatternId.parse(pattern), k * 0.01)
+            while human.respond_at is not None or human.returning:
+                human.step(k, distance=1.0)
+                k += 1
+        assert human.open_measurements == []
+        assert human.response_times == {"1L": [0.25, 0.25], "2L": [0.62]}
+
+    def test_short_escapes_leave_measurements_open(self):
+        # an escape shorter than MOVEMENT_DETECTION_M never closes its
+        # measurement, so the next pattern opens a second one
+        human, k = self.agent(escape_displacement=0.0005), 0
+        for t0 in (0.0, 5.0):
+            human.on_pattern(PatternId.parse("1L"), t0)
+            while human.respond_at is not None or human.returning:
+                human.step(k, distance=1.0)
+                k += 1
+        assert [t for _, t, _ in human.open_measurements] == [0.0, 5.0]
+        assert human.response_times == {}
+
+
 class TestTrace:
     def test_rows_are_trace_rows(self):
         assert TRACE_CSV_HEADER.split(",") == list(TraceRow._fields)
@@ -426,8 +463,8 @@ class TestMarkerView:
         s = default_scenario(duration=20.0, seed=7, pixel_noise_sigma=2.0)
         rows, _ = run(s)
         assert sum(not row.marker_visible for row in rows) == 0
-        estimate = marker_pose.estimate_pose
-        monkeypatch.setattr(marker_pose, "estimate_pose",
-                            lambda obs, side, k, pixel_sigma: estimate(obs, side, k))
+        fit = marker_pose.fit_corners
+        monkeypatch.setattr(marker_pose, "fit_corners",
+                            lambda pixels, side, k, pixel_sigma: fit(pixels, side, k, 0.0))
         rows, _ = run(s)
         assert sum(not row.marker_visible for row in rows) == 666
