@@ -50,8 +50,8 @@ class ConfusionMatrix:
         v = np.array(self.values, dtype=float)
         if v.shape != (10, 10):
             raise ValueError("confusion matrix must be 10x10")
-        if np.any(v < 0) or np.any(v > 1):
-            raise ValueError("entries must lie in [0, 1]")
+        if not np.all((v >= 0) & (v <= 1)):  # also nan
+            raise ValueError("entries must be numbers in [0, 1]")
         sums = v.sum(axis=1)
         if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
             raise ValueError(f"rows must sum to 1 within {ROW_SUM_TOL}; got {sums}")

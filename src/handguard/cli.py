@@ -34,6 +34,12 @@ def _require_file(path: str) -> Path:
     return p
 
 
+def _missing_directory(flag: str, out: str):
+    """The usage message when the output file `out` has no directory to go in, else None."""
+    parent = Path(out).parent
+    return None if parent.is_dir() else f"{flag} {out}: directory {parent} does not exist"
+
+
 def _read_intrinsics(path: str) -> marker_pose.CameraIntrinsics:
     with open(_require_file(path)) as fh:
         return sim.build_section(marker_pose.CameraIntrinsics, json.load(fh), "intrinsics")
@@ -101,9 +107,8 @@ def cmd_simulate(args) -> int:
             return _fail(f"--seeds {args.seeds}: a must be <= b", EXIT_USAGE)
         seeds = list(range(lo, hi + 1))
     for flag, out in (("--trace", args.trace), ("--metrics", args.metrics)):
-        parent = Path(out).parent
-        if not parent.is_dir():
-            return _fail(f"{flag} {out}: directory {parent} does not exist", EXIT_USAGE)
+        if message := _missing_directory(flag, out):
+            return _fail(message, EXIT_USAGE)
 
     for seed in seeds:
         doc["seed"] = seed
@@ -191,6 +196,8 @@ def cmd_calibrate(args) -> int:
         return _fail(f"file not found: {exc}", EXIT_USAGE)
     except (ValueError, json.JSONDecodeError) as exc:
         return _fail(str(exc), EXIT_USAGE)
+    if args.out and (message := _missing_directory("--out", args.out)):
+        return _fail(message, EXIT_USAGE)
     usable = [obs for _, obs, err in rows if err is None]
     if not usable:
         return _fail("no usable base-marker observation", EXIT_DATA_ERROR)

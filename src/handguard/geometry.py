@@ -14,7 +14,8 @@ a proper rotation built in closed form, so its result is not checked again.
 ``RigidTransform.from_orthonormalized`` is the same boundary for arrays, and
 ``compose`` goes through it, so products of rotations at the tolerance edge
 never raise.  The simulation step and the pose estimator's start points call
-``orthonormalized`` on Python floats directly.
+``orthonormalized`` on Python floats directly, as they do the one Rodrigues
+formula (``axis_angle_entries``) and the one 3x3 product (``product_entries``).
 """
 
 from __future__ import annotations
@@ -126,6 +127,30 @@ def orthonormalized(entries) -> tuple:
     return x0, x1, x2, y0, y1, y2, z0, z1, z2
 
 
+def axis_angle_entries(x: float, y: float, z: float, angle: float) -> tuple:
+    """Rodrigues: the nine entries, row by row, of the rotation by angle
+    about the unit axis (x, y, z)."""
+    s, c = math.sin(angle), math.cos(angle)
+    v = 1.0 - c
+    return (c + v * x * x, v * x * y - s * z, v * x * z + s * y,
+            v * x * y + s * z, c + v * y * y, v * y * z - s * x,
+            v * x * z - s * y, v * y * z + s * x, c + v * z * z)
+
+
+def product_entries(a, b) -> tuple:
+    """The nine entries of a @ b, 3x3 matrices given row by row."""
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = a
+    b00, b01, b02, b10, b11, b12, b20, b21, b22 = b
+    return (
+        a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21,
+        a00 * b02 + a01 * b12 + a02 * b22,
+        a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21,
+        a10 * b02 + a11 * b12 + a12 * b22,
+        a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21,
+        a20 * b02 + a21 * b12 + a22 * b22,
+    )
+
+
 @dataclass(frozen=True)
 class RigidTransform:
     """An SE(3) pose: p_target = rotation @ p_source + translation."""
@@ -212,11 +237,4 @@ def rotation_from_axis_angle(axis, angle: float) -> np.ndarray:
     n = math.hypot(x, y, z)
     if n < 1e-15:
         return np.eye(3)
-    x, y, z = x / n, y / n, z / n
-    s, c = math.sin(angle), math.cos(angle)
-    v = 1.0 - c
-    return np.array([
-        [c + v * x * x, v * x * y - s * z, v * x * z + s * y],
-        [v * x * y + s * z, c + v * y * y, v * y * z - s * x],
-        [v * x * z - s * y, v * y * z + s * x, c + v * z * z],
-    ])
+    return np.reshape(axis_angle_entries(x / n, y / n, z / n, angle), (3, 3))

@@ -36,7 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import RigidTransform, compose, invert, orthonormalized
+from .geometry import (
+    RigidTransform, axis_angle_entries, compose, invert, orthonormalized, product_entries,
+)
 
 MIN_DEPTH_M = 1e-6
 
@@ -403,21 +405,7 @@ def _rotate(w0: float, w1: float, w2: float, r) -> tuple:
     n = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
     if n < 1e-15:
         return r
-    x, y, z = w0 / n, w1 / n, w2 / n
-    s, c = math.sin(n), math.cos(n)
-    v = 1.0 - c
-    q00, q01, q02 = c + v * x * x, v * x * y - s * z, v * x * z + s * y
-    q10, q11, q12 = v * x * y + s * z, c + v * y * y, v * y * z - s * x
-    q20, q21, q22 = v * x * z - s * y, v * y * z + s * x, c + v * z * z
-    r00, r01, r02, r10, r11, r12, r20, r21, r22 = r
-    return (
-        q00 * r00 + q01 * r10 + q02 * r20, q00 * r01 + q01 * r11 + q02 * r21,
-        q00 * r02 + q01 * r12 + q02 * r22,
-        q10 * r00 + q11 * r10 + q12 * r20, q10 * r01 + q11 * r11 + q12 * r21,
-        q10 * r02 + q11 * r12 + q12 * r22,
-        q20 * r00 + q21 * r10 + q22 * r20, q20 * r01 + q21 * r11 + q22 * r21,
-        q20 * r02 + q21 * r12 + q22 * r22,
-    )
+    return product_entries(axis_angle_entries(w0 / n, w1 / n, w2 / n, n), r)
 
 
 def _refine(r, t, half: float, observed: list, k: CameraIntrinsics) -> tuple:

@@ -12,7 +12,7 @@ Down = -z, Back = -y.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -123,10 +123,12 @@ class SafetyCommand:
 class SafetyState:
     mode: Mode = Mode.SAFE
     active_pattern: PatternId | None = None
-    pattern_started_at: float | None = None
-    robot_halted: bool = False
-    cooldown_until: float = float("-inf")
-    last_time: float = field(default=float("-inf"))
+    pattern_ends_at: float = float("-inf")  # end of the last pattern started
+    last_time: float = float("-inf")
+
+    @property
+    def robot_halted(self) -> bool:
+        return self.mode is Mode.HALTED
 
 
 def classify(distance: float, zones: SafetyZones) -> Zone:
@@ -159,12 +161,6 @@ def select_direction(hand: Point3, tcp: Point3, tcp_velocity) -> Direction:
     return best
 
 
-def _pattern_finished(pattern: PatternId | None, started_at: float | None, t: float) -> bool:
-    if pattern is None:
-        return True
-    return t >= started_at + pattern_duration(pattern)
-
-
 def step(
     state: SafetyState,
     distance: float,
@@ -180,48 +176,38 @@ def step(
         raise NonMonotonicTime(f"t went backwards: {t} < {state.last_time}")
     zone = classify(distance, zones)
     commands = []
-    mode = state.mode
     active_pattern = state.active_pattern
-    pattern_started_at = state.pattern_started_at
-    robot_halted = state.robot_halted
-    cooldown_until = state.cooldown_until
+    pattern_ends_at = state.pattern_ends_at
 
-    if robot_halted:
-        if distance >= zones.critical_distance + zones.resume_hysteresis:
+    # a halted robot holds until the hand clears the critical distance plus
+    # hysteresis; from there the zone decides, so a resume can start a pattern
+    if state.robot_halted and distance < zones.critical_distance + zones.resume_hysteresis:
+        mode = Mode.HALTED
+    elif zone is Zone.CRITICAL:
+        commands.append(SafetyCommand(CommandKind.HALT_ROBOT))
+        mode = Mode.HALTED
+    else:
+        if state.robot_halted:
             commands.append(SafetyCommand(CommandKind.RESUME_ROBOT))
-            robot_halted = False
-            mode = Mode.ALERT if zone is Zone.ACTIVATION else Mode.SAFE
-        else:
-            mode = Mode.HALTED
-    if not robot_halted:
-        if zone is Zone.CRITICAL:
-            commands.append(SafetyCommand(CommandKind.HALT_ROBOT))
-            robot_halted = True
-            mode = Mode.HALTED
-        elif zone is Zone.ACTIVATION:
+        if zone is Zone.ACTIVATION:
             mode = Mode.ALERT
-            if t >= cooldown_until:
+            if t >= pattern_ends_at + COOLDOWN_PAD_S:
                 pattern = mapping.pattern_for(select_direction(hand, tcp, tcp_velocity))
                 commands.append(SafetyCommand(CommandKind.START_PATTERN, pattern))
                 active_pattern = pattern
-                pattern_started_at = t
-                cooldown_until = t + pattern_duration(pattern) + COOLDOWN_PAD_S
+                pattern_ends_at = t + pattern_duration(pattern)
         else:
             mode = Mode.SAFE
 
-    if mode is not Mode.ALERT and _pattern_finished(active_pattern, pattern_started_at, t):
+    if mode is not Mode.ALERT and t >= pattern_ends_at:
         active_pattern = None
-        pattern_started_at = None
 
-    new_state = SafetyState(
+    return SafetyState(
         mode=mode,
         active_pattern=active_pattern,
-        pattern_started_at=pattern_started_at,
-        robot_halted=robot_halted,
-        cooldown_until=cooldown_until,
+        pattern_ends_at=pattern_ends_at,
         last_time=t,
-    )
-    return new_state, commands
+    ), commands
 
 
 def max_robot_speed(

@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gimbal, haptics, marker_pose, safety
-from .geometry import HandOffset, Point3, RigidTransform, invert, orthonormalized
+from .geometry import HandOffset, Point3, RigidTransform, invert, orthonormalized, product_entries
 
 RESPONSE_TIME_FLOOR_S = 0.05
 MOVEMENT_DETECTION_M = 1e-3
@@ -63,7 +63,7 @@ WRIST_ROTATION = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]]).
 CAMERA_FROM_WRIST = CAMERA_ROTATION_WORLD_TO_CAM @ WRIST_ROTATION
 
 
-_CAMERA_FROM_WRIST_ROWS = CAMERA_FROM_WRIST.tolist()
+_CAMERA_FROM_WRIST_R = CAMERA_FROM_WRIST.ravel().tolist()
 # robot base frame == world frame, so the base pose in the camera is
 # camera-from-world and the camera pose in the base is its inverse
 _CAM_FROM_WORLD = RigidTransform(
@@ -73,17 +73,6 @@ _BASE_FROM_CAMERA = invert(_CAM_FROM_WORLD)
 _CW_R, _CW_T = _CAM_FROM_WORLD.rotation.ravel().tolist(), _CAM_FROM_WORLD.translation.tolist()
 _BC_R, _BC_T = _BASE_FROM_CAMERA.rotation.ravel().tolist(), _BASE_FROM_CAMERA.translation.tolist()
 _pack_view_inputs = struct.Struct("5d").pack
-
-
-def _camera_from_marker(m) -> tuple:
-    """Entries of CAMERA_FROM_WRIST @ m, both given row by row."""
-    (a, b, c), (d, e, f), (g, h, i) = _CAMERA_FROM_WRIST_ROWS
-    m00, m01, m02, m10, m11, m12, m20, m21, m22 = m
-    return (
-        a * m00 + b * m10 + c * m20, a * m01 + b * m11 + c * m21, a * m02 + b * m12 + c * m22,
-        d * m00 + e * m10 + f * m20, d * m01 + e * m11 + f * m21, d * m02 + e * m12 + f * m22,
-        g * m00 + h * m10 + i * m20, g * m01 + h * m11 + i * m21, g * m02 + h * m12 + i * m22,
-    )
 
 
 def _transform_point(r, t, x: float, y: float, z: float) -> tuple:
@@ -461,7 +450,8 @@ def _marker_view(scenario: Scenario, hand_true: np.ndarray, servo: gimbal.ServoS
     # straight in the camera frame and through the Gram-Schmidt boundary
     # hands the camera model a proper rotation
     ox, oy, oz = scenario.hand_offset.offset
-    r = orthonormalized(_camera_from_marker(gimbal.marker_rotation_entries(actual)))
+    r = orthonormalized(product_entries(_CAMERA_FROM_WRIST_R,
+                                        gimbal.marker_rotation_entries(actual)))
     t = _transform_point(r, _transform_point(_CW_R, _CW_T, *hand_true.tolist()), -ox, -oy, -oz)
     camera = scenario.camera
     try:

@@ -416,6 +416,15 @@ class TestBundledMatrices:
         assert np.allclose(again.values, m.values, atol=5e-3)
 
 
+class TestConfusionMatrix:
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.01, 1.01])
+    def test_rejects_entries_outside_the_unit_interval(self, bad):
+        values = np.eye(10)
+        values[0, 0] = bad
+        with pytest.raises(ValueError, match=r"entries must be numbers in \[0, 1\]"):
+            ConfusionMatrix(values)
+
+
 class TestTrialsCsv:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "trials.csv"

@@ -421,6 +421,23 @@ class TestCalibrate:
         assert code == 2
         assert "keys r and t" in err
 
+    def test_out_in_missing_directory_exit_2_before_calibrating(self, capsys, tmp_path,
+                                                                 monkeypatch, intrinsics_file):
+        from handguard import marker_pose
+
+        def no_calibration(*args):
+            raise AssertionError("calibration ran")
+
+        monkeypatch.setattr(marker_pose, "calibrate_base", no_calibration)
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(observation_line(RigidTransform(np.eye(3), [0, 0, 1.0])) + "\n")
+        out_file = tmp_path / "nodir" / "cal.json"
+        code, out, err = run_cli(capsys, "calibrate", str(obs_file),
+                                 "--intrinsics", intrinsics_file, "--out", str(out_file))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --out {out_file}: directory ")
+
 
 class TestAnalyze:
     def test_rates_on_bundled_matrices(self, capsys):
@@ -514,6 +531,17 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", "rates", str(path))
         assert code == 2
         assert err.startswith("error: ")
+
+    def test_rates_on_nan_entry_exit_2(self, capsys, tmp_path):
+        from handguard import data_path
+
+        text = data_path("confusion_volar.csv").read_text()
+        path = tmp_path / "matrix.csv"
+        path.write_text(text.replace("\n1H,0.80,", "\n1H,nan,", 1))
+        code, out, err = run_cli(capsys, "analyze", "rates", str(path))
+        assert code == 2
+        assert out == ""
+        assert "entries must be numbers in [0, 1]" in err
 
     @pytest.mark.parametrize("mode", ["confusion", "anova", "rmanova", "pairwise"])
     def test_empty_trials_exit_2(self, capsys, tmp_path, mode):

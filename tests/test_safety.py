@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from handguard.geometry import Point3
 from handguard.haptics import PatternId, pattern_duration
 from handguard.safety import (
+    COOLDOWN_PAD_S,
     CommandKind,
     Direction,
     DirectionMapping,
@@ -159,6 +162,26 @@ class TestStep:
         gaps = np.diff(start_times)
         min_gap = pattern_duration(PatternId.parse("1L")) + 0.5
         assert np.all(gaps >= min_gap - 1e-9)
+
+    @pytest.mark.parametrize("t0", [0.0, 0.3, 7.1])
+    def test_retrigger_at_the_cooldown_boundary_not_before(self, t0):
+        hand = Point3(0.5, 0, 0)
+        state, (start,) = step(SafetyState(), 0.35, hand, ORIGIN, np.zeros(3), t0)
+        boundary = t0 + pattern_duration(start.pattern) + COOLDOWN_PAD_S
+        for t in (boundary - 0.01, math.nextafter(boundary, -math.inf)):
+            state, commands = step(state, 0.35, hand, ORIGIN, np.zeros(3), t)
+            assert commands == []
+        _, commands = step(state, 0.35, hand, ORIGIN, np.zeros(3), boundary)
+        assert kinds(commands) == [CommandKind.START_PATTERN]
+
+    def test_resume_into_activation_starts_pattern_in_the_same_step(self):
+        # a 1 s pattern at t = 0 and a halt at 0.1 s; the hand jumps from the
+        # critical into the activation zone at 1.6 s, after the 1.5 s cooldown
+        states, commands = run_trace([0.35] + [0.2] * 15 + [0.35])
+        assert states[-2].robot_halted
+        assert kinds(commands[-1]) == [CommandKind.RESUME_ROBOT, CommandKind.START_PATTERN]
+        assert states[-1].mode is Mode.ALERT
+        assert states[-1].active_pattern == commands[-1][1].pattern
 
     def test_non_monotonic_time_rejected(self):
         state = SafetyState()

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from handguard import marker_pose, safety, sim
+from handguard import haptics, marker_pose, safety, sim
 from handguard.geometry import Point3
 from handguard.haptics import PatternId
 from handguard.sim import (
@@ -294,6 +294,21 @@ class TestRun:
         _, metrics = run(halting_scenario())
         assert len(issued) > 1
         assert metrics.halts == len(issued)
+
+    def test_each_pattern_start_renders_its_pattern_once(self, monkeypatch):
+        # a pattern's end is taken when it starts, not re-rendered each step
+        calls = [0]
+        render = haptics.render_pattern
+
+        def counted(pattern):
+            calls[0] += 1
+            return render(pattern)
+
+        monkeypatch.setattr(haptics, "render_pattern", counted)
+        _, metrics = run(default_scenario(seed=7))
+        starts = sum(metrics.pattern_activations.values())
+        assert starts > 0
+        assert calls[0] == starts
 
     def test_halted_never_inside_critical_minus_step(self):
         s = halting_scenario()
