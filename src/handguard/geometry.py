@@ -16,12 +16,16 @@ a proper rotation built in closed form, so its result is not checked again.
 never raise.  The simulation step and the pose estimator's start points call
 ``orthonormalized`` on Python floats directly, as they do the one Rodrigues
 formula (``axis_angle_entries``) and the one 3x3 product (``product_entries``).
+``Point3`` checks its coordinates finite whenever one is built; being a
+tuple, it costs little enough that the simulation builds one each time a
+hand estimate or the TCP changes, and passes it on without another check.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,17 +36,26 @@ class InvalidRotation(ValueError):
     """Raised when a rotation matrix fails the orthonormality checks."""
 
 
-@dataclass(frozen=True)
-class Point3:
-    """A point in 3D space, meters."""
-
+class _Coords(NamedTuple):
     x: float
     y: float
     z: float
 
-    def __post_init__(self):
-        if not all(math.isfinite(v) for v in (self.x, self.y, self.z)):
+
+class Point3(_Coords):
+    """A point in 3D space, meters: an immutable (x, y, z) tuple whose
+    coordinates are checked finite when it is built, `_replace` included."""
+
+    __slots__ = ()
+
+    def __new__(cls, x, y, z):
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise ValueError("Point3 coordinates must be finite")
+        return tuple.__new__(cls, (x, y, z))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.z], dtype=float)

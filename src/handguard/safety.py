@@ -12,6 +12,7 @@ Down = -z, Back = -y.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,8 +67,8 @@ class SafetyZones:
     def __post_init__(self):
         if not 0 < self.critical_distance < self.activation_distance:
             raise ValueError("zones require 0 < critical_distance < activation_distance")
-        if self.resume_hysteresis < 0:
-            raise ValueError("resume_hysteresis must be >= 0")
+        if not 0 <= self.resume_hysteresis < math.inf:
+            raise ValueError("resume_hysteresis must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -132,9 +133,10 @@ class SafetyState:
 
 
 def classify(distance: float, zones: SafetyZones) -> Zone:
-    """Zone for a hand-to-TCP distance."""
-    if distance < 0:
-        raise ValueError("distance must be >= 0")
+    """Zone for a hand-to-TCP distance; a nan, infinite or negative distance
+    raises, so a broken estimate can never read as safe."""
+    if not 0 <= distance < math.inf:
+        raise ValueError("distance must be finite and >= 0")
     if distance < zones.critical_distance:
         return Zone.CRITICAL
     if distance < zones.activation_distance:
@@ -143,10 +145,11 @@ def classify(distance: float, zones: SafetyZones) -> Zone:
 
 
 def select_direction(hand: Point3, tcp: Point3, tcp_velocity) -> Direction:
-    """Escape direction maximizing clearance from the predicted TCP position."""
+    """Escape direction maximizing clearance from the predicted TCP position;
+    hand, tcp and tcp_velocity are any three floats (a Point3, a tuple, an array)."""
     v = np.asarray(tcp_velocity, dtype=float).reshape(3)
-    tcp_predicted = tcp.as_array() + v * PREDICTION_HORIZON_S
-    escape = hand.as_array() - tcp_predicted
+    tcp_predicted = np.array(tcp, dtype=float) + v * PREDICTION_HORIZON_S
+    escape = np.array(hand, dtype=float) - tcp_predicted
     norm = np.linalg.norm(escape)
     if norm < 1e-12:
         escape = np.array([1.0, 0.0, 0.0])
@@ -171,7 +174,11 @@ def step(
     zones: SafetyZones = SafetyZones(),
     mapping: DirectionMapping = DirectionMapping(),
 ) -> tuple:
-    """Advance the state machine one sample; returns (new_state, commands)."""
+    """Advance the state machine one sample; returns (new_state, commands).
+    A non-finite t raises ValueError: a nan would become last_time, and no
+    later t could then fail the NonMonotonicTime check."""
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     if t < state.last_time:
         raise NonMonotonicTime(f"t went backwards: {t} < {state.last_time}")
     zone = classify(distance, zones)

@@ -7,23 +7,30 @@ the safety state machine, and emits a per-step trace plus summary metrics.
 Everything is reproducible from the scenario seed.
 
 `run` drives one stage after another each step, on Python floats where
-numpy's per-call cost would be most of the work:
-- robot: the TCP moves along its loop unless the robot is halted;
+numpy's per-call cost would be most of the work, and builds a value only on
+the steps where it changes:
+- robot: the TCP moves along its loop unless the robot is halted.  Only on
+  steps where it moves (not the first, none while halted) does `run`
+  recompute it on floats as a `Point3`, with its array for the true
+  distance and its velocity `(p - q) / dt`; other steps reuse the TCP and
+  pass a zero velocity;
 - gimbal/marker (`_marker_view`): the servo steps toward the camera, and
   the marker rotation goes through the one Gram-Schmidt boundary
   (`geometry.orthonormalized`) into the one camera model; out come the
-  corner pixels and the noiseless hand estimate.  The stage is a pure
-  function of the true hand and the servo angles, so `run` calls it only
-  when the bits of those five floats change;
+  corner pixels and the noiseless hand estimate as a `Point3`.  The stage
+  is a pure function of the true hand and the servo angles, so `run` calls
+  it only when the bits of those five floats change;
 - perception (`_perceive`): with pixel noise, each visible step draws the
   noise and fits the pose with `marker_pose.fit_corners`; the hand comes
-  back to the base frame as a point, and the last estimate is kept while
+  back to the base frame as a `Point3`, and the last estimate is kept while
   no pose fits or the marker is out of frame;
-- safety: `safety.step` on the estimated distance;
+- safety: `safety.step` on the estimated distance, given the hand estimate
+  and the TCP as they are, with no point built for it;
 - human (`_HumanAgent`): counts the patterns, draws a latency and a
   mis-response for each one it takes up, moves the hand and measures the
-  response times.  The noise and the human draw from the scenario's one
-  generator in step order.
+  response times; with nothing to react to, no return and nothing being
+  measured it does nothing.  The noise and the human draw from the
+  scenario's one generator in step order.
 The true distance and the human model stay on numpy, so the logged
 distances keep their bits.  `run` records one `TraceRow` of plain values
 per step, whose fields are the trace CSV's columns (a new column is one
@@ -73,6 +80,7 @@ _BASE_FROM_CAMERA = invert(_CAM_FROM_WORLD)
 _CW_R, _CW_T = _CAM_FROM_WORLD.rotation.ravel().tolist(), _CAM_FROM_WORLD.translation.tolist()
 _BC_R, _BC_T = _BASE_FROM_CAMERA.rotation.ravel().tolist(), _BASE_FROM_CAMERA.translation.tolist()
 _pack_view_inputs = struct.Struct("5d").pack
+_AT_REST = (0.0, 0.0, 0.0)  # TCP velocity on a step the robot does not move
 
 
 def _transform_point(r, t, x: float, y: float, z: float) -> tuple:
@@ -83,9 +91,9 @@ def _transform_point(r, t, x: float, y: float, z: float) -> tuple:
             r20 * x + r21 * y + r22 * z + t[2])
 
 
-def _hand_in_base(r, t, offset) -> tuple:
+def _hand_in_base(r, t, offset) -> Point3:
     """The hand in the base frame from a marker pose (r, t) in the camera frame."""
-    return _transform_point(_BC_R, _BC_T, *_transform_point(r, t, *offset))
+    return Point3(*_transform_point(_BC_R, _BC_T, *_transform_point(r, t, *offset)))
 
 
 def _norm(v: np.ndarray) -> float:
@@ -182,7 +190,7 @@ class Scenario:
             _require_finite(f"robot_waypoints[{i}].speed", speed)
             if speed <= 0:
                 raise ScenarioError(f"robot_waypoints[{i}].speed: must be > 0")
-        if not _leg_table(self.robot_waypoints):
+        if not _leg_table(self.robot_waypoints).legs:
             raise ScenarioError("robot_waypoints: all waypoints coincide")
         if self.marker_side <= 0:
             raise ScenarioError("marker_side: must be > 0")
@@ -322,9 +330,16 @@ class SimMetrics:
         }
 
 
-def _leg_table(waypoints) -> tuple:
-    """Closed-loop legs as (start, direction unit, length, leg duration);
-    empty when all waypoints coincide."""
+class _Loop(NamedTuple):
+    """The robot's closed loop: legs as (start, direction unit, length, leg
+    duration), start and direction as float triples, and their total time."""
+
+    legs: tuple
+    cycle: float
+
+
+def _leg_table(waypoints) -> _Loop:
+    """The closed loop through the waypoints; no legs when all coincide."""
     legs = []
     n = len(waypoints)
     for i in range(n):
@@ -335,18 +350,22 @@ def _leg_table(waypoints) -> tuple:
         length = float(np.linalg.norm(delta))
         if length < 1e-12:
             continue
-        legs.append((start, delta / length, length, length / speed))
-    return tuple(legs)
+        legs.append((tuple(start.tolist()), tuple((delta / length).tolist()),
+                     length, length / speed))
+    return _Loop(tuple(legs), sum(leg[3] for leg in legs))
 
 
-def _position_on_loop(legs, time_in_motion: float) -> np.ndarray:
-    cycle = sum(leg[3] for leg in legs)
-    tm = time_in_motion % cycle
-    for start, direction, length, leg_time in legs:
+def _position_on_loop(loop: _Loop, time_in_motion: float) -> Point3:
+    """The TCP after time_in_motion along the loop, elementwise as numpy's
+    start + direction * distance would round it."""
+    tm = time_in_motion % loop.cycle
+    for (sx, sy, sz), (ux, uy, uz), length, leg_time in loop.legs:
         if tm <= leg_time:
-            return start + direction * (length * tm / leg_time)
+            f = length * tm / leg_time
+            return Point3(sx + ux * f, sy + uy * f, sz + uz * f)
         tm -= leg_time
-    return legs[-1][0] + legs[-1][1] * legs[-1][2]
+    (sx, sy, sz), (ux, uy, uz), length, _ = loop.legs[-1]
+    return Point3(sx + ux * length, sy + uy * length, sz + uz * length)
 
 
 class _HumanAgent:
@@ -391,7 +410,11 @@ class _HumanAgent:
 
     def step(self, k: int, distance: float) -> None:
         """Move the hand through step k, then close each open measurement
-        once the hand is more than MOVEMENT_DETECTION_M from where it was."""
+        once the hand is more than MOVEMENT_DETECTION_M from where it was.
+        An idle person (nothing to react to, not returning, nothing being
+        measured) does nothing."""
+        if self.respond_at is None and not self.returning and not self.open_measurements:
+            return
         dt = self.scenario.dt
         t, step_len = k * dt, self.model.hand_speed * dt
         if self.respond_at is not None and t >= self.respond_at - 1e-9 and not self.escaping:
@@ -482,24 +505,31 @@ def run(scenario: Scenario) -> tuple:
     rng = np.random.default_rng(scenario.seed)
     dt = scenario.dt
     steps = int(round(scenario.duration / dt))
-    legs = _leg_table(scenario.robot_waypoints)
+    loop = _leg_table(scenario.robot_waypoints)
 
     human = _HumanAgent(scenario, rng)
     state = safety.SafetyState()
     servo = gimbal.ServoState()
     robot_time = 0.0
-    tcp = _position_on_loop(legs, 0.0)
-    hand_est = tuple(human.position.tolist())
+    tcp = _position_on_loop(loop, 0.0)
+    tcp_array = tcp.as_array()
+    px, py, pz = tcp
+    hand_est = Point3(*human.position.tolist())
     rows = []
     view_inputs = view = None
 
     for k in range(steps):
         t = k * dt
+        # the TCP, its array and its velocity change only when the robot moves
         if not state.robot_halted and k > 0:
             robot_time += dt
-        tcp_prev = tcp
-        tcp = _position_on_loop(legs, robot_time)
-        tcp_velocity = (tcp - tcp_prev) / dt if k > 0 else np.zeros(3)
+            qx, qy, qz = px, py, pz
+            tcp = _position_on_loop(loop, robot_time)
+            tcp_array = tcp.as_array()
+            px, py, pz = tcp
+            tcp_velocity = ((px - qx) / dt, (py - qy) / dt, (pz - qz) / dt)
+        else:
+            tcp_velocity = _AT_REST
 
         hand_true = human.position
         hx, hy, hz = hand_true.tolist()
@@ -517,8 +547,7 @@ def run(scenario: Scenario) -> tuple:
             hand_est = seen
         # else: keep last known hand_est
 
-        distance_true = _norm(hand_true - tcp)
-        px, py, pz = tcp.tolist()
+        distance_true = _norm(hand_true - tcp_array)
         ex, ey, ez = hand_est
         dx, dy, dz = ex - px, ey - py, ez - pz
         distance_est = math.sqrt(dx * dx + dy * dy + dz * dz)
@@ -526,8 +555,8 @@ def run(scenario: Scenario) -> tuple:
         state, commands = safety.step(
             state,
             distance_est,
-            Point3(ex, ey, ez),
-            Point3(px, py, pz),
+            hand_est,
+            tcp,
             tcp_velocity,
             t,
             zones=scenario.zones,
@@ -569,7 +598,7 @@ def run(scenario: Scenario) -> tuple:
 def write_trace_csv(rows, path) -> None:
     with open(path, "w") as fh:
         fh.write(TRACE_CSV_HEADER + "\n")
-        fh.writelines([_CSV_ROW % row + "\n" for row in rows])
+        fh.writelines(_CSV_ROW % row + "\n" for row in rows)
 
 
 def write_metrics_json(metrics: SimMetrics, path) -> None:

@@ -368,6 +368,33 @@ class TestValidation:
         with pytest.raises(ValueError):
             Point3(float("nan"), 0, 0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_point3_rejects_non_finite_coordinates(self, axis, value):
+        coords = [0.1, -0.2, 0.3]
+        coords[axis] = value
+        with pytest.raises(ValueError, match="finite"):
+            Point3(*coords)
+        with pytest.raises(ValueError, match="finite"):
+            Point3(0.1, -0.2, 0.3)._replace(**{"xyz"[axis]: value})
+
+    def test_point3_is_immutable(self):
+        p = Point3(0.1, -0.2, 0.3)
+        for name in ("x", "y", "z", "w"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, 1.0)
+        assert (p.x, p.y, p.z) == tuple(p) == (0.1, -0.2, 0.3)
+
+    @pytest.mark.parametrize("coords", [
+        (0.1, -0.2, 0.3), (0, 1, -2), (-0.0, 5e-324, 1e308),
+        tuple(np.float64(v) for v in (0.15, 0.6, 0.2)),
+    ])
+    def test_point3_as_array_bits(self, coords):
+        # the array the frozen-dataclass Point3 built from its three fields
+        got = Point3(*coords).as_array()
+        want = np.array([coords[0], coords[1], coords[2]], dtype=float)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_hand_offset_magnitude_bound(self):
         with pytest.raises(ValueError):
             HandOffset((0.5, 0.0, 0.0))

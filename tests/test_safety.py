@@ -59,9 +59,20 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify(-0.1, ZONES)
 
+    @pytest.mark.parametrize("d", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_distance(self, d):
+        # a nan compares false with every threshold and used to read as SAFE
+        with pytest.raises(ValueError, match="finite"):
+            classify(d, ZONES)
+
     def test_zone_ordering_enforced(self):
         with pytest.raises(ValueError):
             SafetyZones(activation_distance=0.2, critical_distance=0.25)
+
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -0.01])
+    def test_rejects_bad_resume_hysteresis(self, h):
+        with pytest.raises(ValueError, match="resume_hysteresis"):
+            SafetyZones(resume_hysteresis=h)
 
 
 class TestSelectDirection:
@@ -101,6 +112,13 @@ class TestSelectDirection:
             dots = [(float(vectors[d] @ escape), d) for d in order]
             best = max(dots, key=lambda pair: pair[0])[1]
             assert select_direction(hand, tcp, vel) is best
+
+    def test_point3s_and_tuples_agree(self):
+        rng = np.random.default_rng(2)
+        for _ in range(200):
+            hand, tcp, vel = (tuple(rng.uniform(-1, 1, 3).tolist()) for _ in range(3))
+            assert select_direction(Point3(*hand), Point3(*tcp), np.array(vel)) \
+                is select_direction(hand, tcp, vel)
 
 
 class TestDirectionMapping:
@@ -186,6 +204,22 @@ class TestStep:
     def test_non_monotonic_time_rejected(self):
         state = SafetyState()
         state, _ = step(state, 0.5, Point3(1, 0, 0), ORIGIN, np.zeros(3), 1.0)
+        with pytest.raises(NonMonotonicTime):
+            step(state, 0.5, Point3(1, 0, 0), ORIGIN, np.zeros(3), 0.5)
+
+    def test_nan_distance_keeps_a_halted_robot_halted(self):
+        # before, classify(nan) read SAFE and this step resumed the robot
+        states, _ = run_trace([0.2])
+        with pytest.raises(ValueError, match="finite"):
+            step(states[-1], math.nan, Point3(0.5, 0, 0), ORIGIN, np.zeros(3), 0.1)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, t):
+        # a nan t kept as last_time would let every later t pass the
+        # monotonic check
+        state, _ = step(SafetyState(), 0.5, Point3(1, 0, 0), ORIGIN, np.zeros(3), 1.0)
+        with pytest.raises(ValueError, match="finite"):
+            step(state, 0.5, Point3(1, 0, 0), ORIGIN, np.zeros(3), t)
         with pytest.raises(NonMonotonicTime):
             step(state, 0.5, Point3(1, 0, 0), ORIGIN, np.zeros(3), 0.5)
 

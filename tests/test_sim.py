@@ -310,6 +310,40 @@ class TestRun:
         assert starts > 0
         assert calls[0] == starts
 
+    def test_tcp_recomputed_only_when_the_robot_moves(self, monkeypatch):
+        # seed 0 halts once and stays halted for 10,574 of its 12,000 steps
+        calls = [0]
+        position = sim._position_on_loop
+
+        def counted(*args):
+            calls[0] += 1
+            return position(*args)
+
+        monkeypatch.setattr(sim, "_position_on_loop", counted)
+        rows, _ = run(default_scenario(seed=0))
+        moving_steps = sum(not row.robot_halted for row in rows[:-1])
+        assert moving_steps < 2000
+        assert calls[0] == 1 + moving_steps
+
+    def test_tcp_velocity_is_the_step_difference(self, monkeypatch):
+        # safety.step gets numpy's (tcp - previous tcp) / dt, bit for bit,
+        # and a zero velocity on the first step and while halted
+        seen = []
+        step = safety.step
+
+        def spy(state, distance, hand, tcp, tcp_velocity, *args, **kwargs):
+            seen.append((np.array(tcp), np.asarray(tcp_velocity, dtype=float)))
+            return step(state, distance, hand, tcp, tcp_velocity, *args, **kwargs)
+
+        monkeypatch.setattr(safety, "step", spy)
+        s = halting_scenario()
+        rows, _ = run(s)
+        assert any(row.robot_halted for row in rows)
+        assert seen[0][1].tobytes() == np.zeros(3).tobytes()
+        for (prev, _), (tcp, velocity), row in zip(seen, seen[1:], rows):
+            want = np.zeros(3) if row.robot_halted else (tcp - prev) / s.dt
+            assert velocity.tobytes() == want.tobytes()
+
     def test_halted_never_inside_critical_minus_step(self):
         s = halting_scenario()
         trace, metrics = run(s)
@@ -389,6 +423,15 @@ class TestHumanAgent:
                 k += 1
         assert human.open_measurements == []
         assert human.response_times == {"1L": [0.25, 0.25], "2L": [0.62]}
+
+    def test_idle_person_does_nothing(self):
+        human = self.agent()
+        position, drawn = human.position, human.rng.bit_generator.state
+        for k in range(100):
+            human.step(k, distance=0.1)
+        assert human.position is position
+        assert human.rng.bit_generator.state == drawn
+        assert human.response_times == {} and human.open_measurements == []
 
     def test_short_escapes_leave_measurements_open(self):
         # an escape shorter than MOVEMENT_DETECTION_M never closes its
