@@ -2,13 +2,19 @@
 
 Two side-by-side motors drive sun gears that a planet gear sums/differences
 into rotations of the marker holder about two perpendicular axes: lateral
-(x, angle theta_p) and longitudinal (y, angle theta_c).
+(x, angle theta_p) and longitudinal (y, angle theta_c).  The servo's state
+is the two motors' rotations from rest, a `MotorDeltas`; its rate and range
+limits are the module constants SERVO_RATE_LIMIT and SERVO_RANGE.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+
+SERVO_RATE_LIMIT = 6.0  # rad/s
+SERVO_RANGE = math.pi / 2  # symmetric, +/- rad
 
 
 class GimbalDegeneracy(ValueError):
@@ -50,22 +56,6 @@ class MotorDeltas:
     def __post_init__(self):
         if not (math.isfinite(self.d_theta_a) and math.isfinite(self.d_theta_b)):
             raise ValueError("motor deltas must be finite")
-
-
-@dataclass(frozen=True)
-class ServoState:
-    """Current motor angles plus the slew/range limits of the servos."""
-
-    angle_a: float = 0.0
-    angle_b: float = 0.0
-    rate_limit: float = 6.0  # rad/s
-    range: float = math.pi / 2  # symmetric, +/- rad
-
-    def __post_init__(self):
-        if self.rate_limit <= 0:
-            raise ValueError("rate_limit must be positive")
-        if abs(self.angle_a) > self.range or abs(self.angle_b) > self.range:
-            raise ValueError("servo angle outside range")
 
 
 def motor_deltas(m: MarkerDeltas, g: GearParams = GearParams()) -> MotorDeltas:
@@ -114,18 +104,17 @@ def _slew(current: float, target: float, max_step: float, limit: float) -> float
     return min(max(current + delta, -limit), limit)
 
 
-def servo_step(s: ServoState, command: MotorDeltas, dt: float) -> ServoState:
-    """Advance servo angles toward the commanded targets, respecting rate and range."""
+def servo_step(angles: MotorDeltas, command: MotorDeltas, dt: float) -> MotorDeltas:
+    """Advance the motor angles (rotations from rest) toward the commanded
+    ones, respecting rate and range."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     # Commanded targets are clamped to range first so the servo never chases
     # an unreachable angle.
-    target_a = min(max(command.d_theta_a, -s.range), s.range)
-    target_b = min(max(command.d_theta_b, -s.range), s.range)
-    step = s.rate_limit * dt
-    return ServoState(
-        angle_a=_slew(s.angle_a, target_a, step, s.range),
-        angle_b=_slew(s.angle_b, target_b, step, s.range),
-        rate_limit=s.rate_limit,
-        range=s.range,
+    target_a = min(max(command.d_theta_a, -SERVO_RANGE), SERVO_RANGE)
+    target_b = min(max(command.d_theta_b, -SERVO_RANGE), SERVO_RANGE)
+    step = SERVO_RATE_LIMIT * dt
+    return MotorDeltas(
+        d_theta_a=_slew(angles.d_theta_a, target_a, step, SERVO_RANGE),
+        d_theta_b=_slew(angles.d_theta_b, target_b, step, SERVO_RANGE),
     )

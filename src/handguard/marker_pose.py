@@ -124,11 +124,6 @@ class PoseEstimate:
         if self.ambiguity_ratio < 1.0:
             raise ValueError("ambiguity ratio must be >= 1")
 
-    @property
-    def near_ambiguous(self) -> bool:
-        """True when the two planar minima are too close to trust (ratio < 1.2)."""
-        return self.ambiguity_ratio < 1.2
-
 
 def _require_area(c: list) -> None:
     """Raise DegenerateCorners unless every corner-triple triangle has area."""

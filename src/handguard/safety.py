@@ -5,8 +5,11 @@ halts; between critical and activation a guidance pattern is rendered; the
 robot resumes once the hand clears the critical threshold (plus optional
 hysteresis).
 
-Direction vectors live in the user workspace frame: Right = +x, Left = -x,
-Down = -z, Back = -y.
+Direction vectors are world (robot-base) vectors, and `select_direction`
+and the simulated human use them as such: Right = +x, Left = -x, Down = -z,
+Back = -y.  They are not in the user's own frame: the bundled user stands on
++y facing -y, so "right" (+x) is the user's left and "back" (-y) leads
+toward the robot.  ROADMAP item 6 is about one direction frame.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ class Direction(enum.Enum):
     BACK = "back"
 
 
-# Unit vector of each direction in the workspace frame.  Insertion order is
+# Unit vector of each direction in the world (robot-base) frame.  Insertion order is
 # the tie-break order of select_direction: Right, Left, Down, Back.
 DIRECTION_VECTORS = {
     Direction.RIGHT: np.array([1.0, 0.0, 0.0]),

@@ -14,11 +14,12 @@ the steps where it changes:
   recompute it on floats as a `Point3`, with its array for the true
   distance and its velocity `(p - q) / dt`; other steps reuse the TCP and
   pass a zero velocity;
-- gimbal/marker (`_marker_view`): the servo steps toward the camera, and
-  the marker rotation goes through the one Gram-Schmidt boundary
+- gimbal/marker (`_marker_view`): the servo's state is its two motor
+  angles, a `gimbal.MotorDeltas`; they step toward the camera, and the
+  marker rotation goes through the one Gram-Schmidt boundary
   (`geometry.orthonormalized`) into the one camera model; out come the
   corner pixels and the noiseless hand estimate as a `Point3`.  The stage
-  is a pure function of the true hand and the servo angles, so `run` calls
+  is a pure function of the true hand and the motor angles, so `run` calls
   it only when the bits of those five floats change;
 - perception (`_perceive`): with pixel noise, each visible step draws the
   noise and fits the pose with `marker_pose.fit_corners`; the hand comes
@@ -28,9 +29,12 @@ the steps where it changes:
   and the TCP as they are, with no point built for it;
 - human (`_HumanAgent`): counts the patterns, draws a latency and a
   mis-response for each one it takes up, moves the hand and measures the
-  response times; with nothing to react to, no return and nothing being
-  measured it does nothing.  The noise and the human draw from the
-  scenario's one generator in step order.
+  response times.  Its state is one phase (idle, waiting for the latency,
+  escaping, returning home) and one clock, `due`: the escape's start while
+  waiting, the return's start once an escape has scheduled it.  It takes
+  up a pattern when idle or returning; idle with nothing being measured it
+  does nothing.  The noise and the human draw from the scenario's one
+  generator in step order.
 The true distance and the human model stay on numpy, so the logged
 distances keep their bits.  `run` records one `TraceRow` of plain values
 per step, whose fields are the trace CSV's columns (a new column is one
@@ -318,17 +322,6 @@ class SimMetrics:
     measured_response_times: dict
     halts: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "min_distance": self.min_distance,
-            "critical_violations": self.critical_violations,
-            "pattern_activations": dict(self.pattern_activations),
-            "measured_response_times": {
-                k: list(v) for k, v in self.measured_response_times.items()
-            },
-            "halts": self.halts,
-        }
-
 
 class _Loop(NamedTuple):
     """The robot's closed loop: legs as (start, direction unit, length, leg
@@ -369,19 +362,22 @@ def _position_on_loop(loop: _Loop, time_in_motion: float) -> Point3:
 
 
 class _HumanAgent:
-    """The human stage of one run: hand motion, patterns and response times."""
+    """The human stage of one run: hand motion, patterns and response times.
+
+    `phase` is "idle", "waiting" (a pattern was taken up; the escape starts
+    at `due`), "escaping" (moving out, then holding; the return starts at
+    `due`, None until the hand is outside the activation zone) or
+    "returning" (the hand goes home)."""
 
     def __init__(self, scenario: Scenario, rng: np.random.Generator):
         self.scenario = scenario
         self.model = scenario.human
         self.rng = rng
-        self.position = scenario.hand_home.as_array()
-        self.respond_at = None
+        self.home = self.position = scenario.hand_home.as_array()
+        self.phase = "idle"
+        self.due = None
         self.escape_direction = None
         self.escape_origin = None
-        self.escaping = False
-        self.return_at = None
-        self.returning = False
         self.pattern_activations = {}
         self.response_times = {}
         # (pattern key, start t, hand at start); more than one is open when
@@ -390,10 +386,11 @@ class _HumanAgent:
 
     def on_pattern(self, pattern: haptics.PatternId, t: float) -> None:
         """Count the pattern and take it up, opening one response-time measurement;
-        a person already reacting to an earlier pattern draws nothing."""
+        a person already reacting to an earlier pattern (waiting or
+        escaping) draws nothing, one returning home takes it up."""
         key = str(pattern)
         self.pattern_activations[key] = self.pattern_activations.get(key, 0) + 1
-        if self.respond_at is not None or self.escaping:
+        if self.phase in ("waiting", "escaping"):
             return
         latency = sample_response_time(self.model, pattern, self.rng)
         direction = self.scenario.mapping.direction_for(pattern)
@@ -401,47 +398,39 @@ class _HumanAgent:
                 self.rng.random() < self.model.mis_response_probability:
             wrong = [d for d in safety.Direction if d is not direction]
             direction = wrong[self.rng.integers(len(wrong))]
-        self.respond_at = t + latency
+        self.phase, self.due = "waiting", t + latency
         self.escape_direction = safety.DIRECTION_VECTORS[direction]
-        self.escaping = False
-        self.returning = False
-        self.return_at = None
         self.open_measurements.append((key, t, self.position.copy()))
 
     def step(self, k: int, distance: float) -> None:
         """Move the hand through step k, then close each open measurement
         once the hand is more than MOVEMENT_DETECTION_M from where it was.
-        An idle person (nothing to react to, not returning, nothing being
-        measured) does nothing."""
-        if self.respond_at is None and not self.returning and not self.open_measurements:
+        An idle person with nothing being measured does nothing."""
+        if self.phase == "idle" and not self.open_measurements:
             return
         dt = self.scenario.dt
         t, step_len = k * dt, self.model.hand_speed * dt
-        if self.respond_at is not None and t >= self.respond_at - 1e-9 and not self.escaping:
-            self.escaping = True
+        if self.phase == "waiting" and t >= self.due - 1e-9:
+            self.phase, self.due = "escaping", None
             self.escape_origin = self.position.copy()
-        if self.escaping:
+        if self.phase == "escaping":
             travelled = _norm(self.position - self.escape_origin)
             remaining = self.model.escape_displacement - travelled
             if remaining > 1e-12:
                 self.position = self.position + self.escape_direction * min(step_len, remaining)
             else:
                 # escape complete; wait until outside the activation zone,
-                # then schedule the return home
-                if distance >= self.scenario.zones.activation_distance and self.return_at is None:
-                    self.return_at = t + self.model.return_delay
-                if self.return_at is not None and t >= self.return_at:
-                    self.escaping = False
-                    self.respond_at = None
-                    self.return_at = None
-                    self.returning = True
-        if self.returning:
-            home = self.scenario.hand_home.as_array()
-            delta = home - self.position
+                # then schedule the return home, which may begin this step
+                if distance >= self.scenario.zones.activation_distance and self.due is None:
+                    self.due = t + self.model.return_delay
+                if self.due is not None and t >= self.due:
+                    self.phase, self.due = "returning", None
+        if self.phase == "returning":
+            delta = self.home - self.position
             gap = _norm(delta)
             if gap <= step_len:
-                self.position = home
-                self.returning = False
+                self.position = self.home
+                self.phase = "idle"
             else:
                 self.position = self.position + delta * (step_len / gap)
         still_open = []
@@ -453,10 +442,13 @@ class _HumanAgent:
         self.open_measurements = still_open
 
 
-def _marker_view(scenario: Scenario, hand_true: np.ndarray, servo: gimbal.ServoState) -> tuple:
-    """The gimbal/marker stage of one step: (next ServoState, the four corner
-    pixels or None when the marker is out of frame or behind the camera,
-    noiseless hand estimate in the base frame)."""
+def _marker_view(scenario: Scenario, hand_true: np.ndarray, servo: gimbal.MotorDeltas) -> tuple:
+    """The gimbal/marker stage of one step.  The servo's state is its two
+    motor angles: they step toward the angles that turn the marker to the
+    camera, or toward themselves when that direction is degenerate.
+    Returns (next motor angles, the four corner pixels or None when the
+    marker is out of frame or behind the camera, noiseless hand estimate in
+    the base frame)."""
     # gimbal keeps the marker normal on the camera
     to_camera = CAMERA_POSITION - hand_true
     to_camera = to_camera / np.linalg.norm(to_camera)
@@ -464,11 +456,9 @@ def _marker_view(scenario: Scenario, hand_true: np.ndarray, servo: gimbal.ServoS
         wanted = gimbal.correction_angles(WRIST_ROTATION.T @ to_camera)
         motor_target = gimbal.motor_deltas(wanted, scenario.gear)
     except gimbal.GimbalDegeneracy:
-        motor_target = gimbal.MotorDeltas(servo.angle_a, servo.angle_b)
+        motor_target = servo
     servo = gimbal.servo_step(servo, motor_target, scenario.dt)
-    actual = gimbal.marker_deltas(
-        gimbal.MotorDeltas(servo.angle_a, servo.angle_b), scenario.gear
-    )
+    actual = gimbal.marker_deltas(servo, scenario.gear)
     # the marker sits at the hand minus the rotated hand offset; building it
     # straight in the camera frame and through the Gram-Schmidt boundary
     # hands the camera model a proper rotation
@@ -509,7 +499,7 @@ def run(scenario: Scenario) -> tuple:
 
     human = _HumanAgent(scenario, rng)
     state = safety.SafetyState()
-    servo = gimbal.ServoState()
+    servo = gimbal.MotorDeltas(0.0, 0.0)
     robot_time = 0.0
     tcp = _position_on_loop(loop, 0.0)
     tcp_array = tcp.as_array()
@@ -535,7 +525,7 @@ def run(scenario: Scenario) -> tuple:
         hx, hy, hz = hand_true.tolist()
 
         # the stage's inputs by their bits: == would take 0.0 for -0.0
-        inputs = _pack_view_inputs(hx, hy, hz, servo.angle_a, servo.angle_b)
+        inputs = _pack_view_inputs(hx, hy, hz, servo.d_theta_a, servo.d_theta_b)
         if inputs != view_inputs:
             view_inputs, view = inputs, _marker_view(scenario, hand_true, servo)
         servo, uv, seen = view
@@ -603,5 +593,5 @@ def write_trace_csv(rows, path) -> None:
 
 def write_metrics_json(metrics: SimMetrics, path) -> None:
     with open(path, "w") as fh:
-        json.dump(metrics.to_json_dict(), fh, indent=2, sort_keys=True)
+        json.dump(dataclasses.asdict(metrics), fh, indent=2, sort_keys=True)
         fh.write("\n")

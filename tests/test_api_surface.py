@@ -19,7 +19,6 @@ ALLOWED = {
     "as_matrix": "acceptance gate C5 compares 4x4 matrices through it",
     "synthesize_observation": "acceptance gate C6 builds its observations with it",
     "rotation_from_axis_angle": "acceptance gates C5 and C6 draw their rotations with it",
-    "near_ambiguous": "ROADMAP item 3 reports it as a trace column",
 }
 
 

@@ -6,11 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from handguard.gimbal import (
+    SERVO_RANGE,
     GearParams,
     GimbalDegeneracy,
     MarkerDeltas,
     MotorDeltas,
-    ServoState,
     correction_angles,
     marker_deltas,
     marker_rotation_entries,
@@ -150,25 +150,35 @@ class TestCorrectionAngles:
                 assert np.abs(marker_rotation(m) - reference_rotation(m)).max() <= 1e-15
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
 class TestServo:
+    REST = MotorDeltas(0.0, 0.0)
+
     def test_small_command_reached_exactly(self):
-        s = ServoState()
-        out = servo_step(s, MotorDeltas(0.01, -0.02), dt=0.01)
-        assert out.angle_a == pytest.approx(0.01)
-        assert out.angle_b == pytest.approx(-0.02)
+        out = servo_step(self.REST, MotorDeltas(0.01, -0.02), dt=0.01)
+        assert out.d_theta_a == pytest.approx(0.01)
+        assert out.d_theta_b == pytest.approx(-0.02)
 
     def test_rate_saturation(self):
-        s = ServoState()
-        out = servo_step(s, MotorDeltas(1.0, -1.0), dt=0.01)
-        assert out.angle_a == pytest.approx(0.06)  # 6 rad/s * 0.01 s
-        assert out.angle_b == pytest.approx(-0.06)
+        out = servo_step(self.REST, MotorDeltas(1.0, -1.0), dt=0.01)
+        assert out.d_theta_a == pytest.approx(0.06)  # 6 rad/s * 0.01 s
+        assert out.d_theta_b == pytest.approx(-0.06)
 
     def test_range_clamp(self):
-        s = ServoState(rate_limit=1000.0)
-        out = servo_step(s, MotorDeltas(10.0, -10.0), dt=1.0)
-        assert out.angle_a == pytest.approx(math.pi / 2)
-        assert out.angle_b == pytest.approx(-math.pi / 2)
+        # 6 rad/s for 1 s passes the pi/2 range limit
+        out = servo_step(self.REST, MotorDeltas(10.0, -10.0), dt=1.0)
+        assert out.d_theta_a == pytest.approx(math.pi / 2)
+        assert out.d_theta_b == pytest.approx(-math.pi / 2)
 
     def test_rejects_non_positive_dt(self):
         with pytest.raises(ValueError):
-            servo_step(ServoState(), MotorDeltas(0, 0), dt=0.0)
+            servo_step(self.REST, MotorDeltas(0, 0), dt=0.0)
+
+    @given(a=FINITE, b=FINITE, cmd_a=FINITE, cmd_b=FINITE,
+           dt=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_angles_stay_in_range(self, a, b, cmd_a, cmd_b, dt):
+        # from any finite angles, even out of range, one step lands in range
+        out = servo_step(MotorDeltas(a, b), MotorDeltas(cmd_a, cmd_b), dt)
+        assert abs(out.d_theta_a) <= SERVO_RANGE and abs(out.d_theta_b) <= SERVO_RANGE

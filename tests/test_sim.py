@@ -16,6 +16,7 @@ from handguard.sim import (
     TraceRow,
     UnknownPattern,
     _leg_table,
+    _norm,
     _position_on_loop,
     run,
     sample_response_time,
@@ -405,20 +406,58 @@ class TestHumanAgent:
         human = {"response_jitter_sigma": 0.0, "mis_response_probability": 0.0, **human}
         return sim._HumanAgent(default_scenario(human=human), np.random.default_rng(0))
 
-    def test_pattern_while_reacting_is_counted_and_draws_nothing(self):
+    def reacting(self, steps):
+        """An agent that took up 1L at t = 0 and then moved through `steps`
+        steps while the hand stayed inside the activation zone."""
         human = sim._HumanAgent(default_scenario(), np.random.default_rng(0))
         human.on_pattern(PatternId.parse("1L"), 0.0)
-        drawn = human.rng.bit_generator.state
-        human.on_pattern(PatternId.parse("2L"), 0.01)
-        assert human.pattern_activations == {"1L": 1, "2L": 1}
-        assert human.rng.bit_generator.state == drawn
-        assert [key for key, _, _ in human.open_measurements] == ["1L"]
+        for k in range(steps):
+            human.step(k, distance=0.1)
+        return human
+
+    def test_pattern_while_reacting_is_counted_and_draws_nothing(self):
+        # waiting for the latency, mid-escape, and holding after the escape;
+        # the hand stays inside the activation zone, so no return is due
+        full = HumanModel().escape_displacement
+        for steps, phase, low, high in ((0, "waiting", 0.0, 0.0),
+                                        (40, "escaping", 1e-3, full - 1e-3),
+                                        (200, "escaping", full - 1e-12, full + 1e-12)):
+            human = self.reacting(steps)
+            travelled = 0.0 if human.escape_origin is None \
+                else _norm(human.position - human.escape_origin)
+            assert human.phase == phase and low <= travelled <= high
+            before = (human.phase, human.due, human.position, human.rng.bit_generator.state,
+                      list(human.open_measurements))
+            human.on_pattern(PatternId.parse("2L"), 0.01 * steps)
+            assert human.pattern_activations == {"1L": 1, "2L": 1}
+            assert (human.phase, human.due, human.position, human.rng.bit_generator.state,
+                    human.open_measurements) == before
+
+    def test_pattern_while_returning_is_taken_up(self):
+        human, k = self.agent(response_jitter_sigma=0.1), 0
+        human.on_pattern(PatternId.parse("1L"), 0.0)
+        while human.phase != "returning":
+            human.step(k, distance=1.0)
+            k += 1
+        human.step(k, distance=1.0)
+        k += 1
+        assert human.open_measurements == []
+        drawn, position = human.rng.bit_generator.state, human.position
+        human.on_pattern(PatternId.parse("2L"), k * 0.01)
+        assert human.rng.bit_generator.state != drawn
+        assert [key for key, _, _ in human.open_measurements] == ["2L"]
+        assert human.phase == "waiting" and human.due > k * 0.01
+        # the return has ended: the hand holds still until the escape starts
+        while human.phase == "waiting":
+            human.step(k, distance=1.0)
+            k += 1
+            assert human.phase == "escaping" or human.position is position
 
     def test_each_pattern_taken_up_yields_one_response_time(self):
         human, k = self.agent(), 0
         for pattern in ("1L", "2L", "1L"):
             human.on_pattern(PatternId.parse(pattern), k * 0.01)
-            while human.respond_at is not None or human.returning:
+            while human.phase != "idle":
                 human.step(k, distance=1.0)
                 k += 1
         assert human.open_measurements == []
@@ -439,7 +478,7 @@ class TestHumanAgent:
         human, k = self.agent(escape_displacement=0.0005), 0
         for t0 in (0.0, 5.0):
             human.on_pattern(PatternId.parse("1L"), t0)
-            while human.respond_at is not None or human.returning:
+            while human.phase != "idle":
                 human.step(k, distance=1.0)
                 k += 1
         assert [t for _, t, _ in human.open_measurements] == [0.0, 5.0]
