@@ -32,7 +32,7 @@ PoseError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,6 +83,9 @@ class CameraIntrinsics:
     image_height: int = 720
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError("focal lengths must be positive")
         if not (0 <= self.cx <= self.image_width and 0 <= self.cy <= self.image_height):

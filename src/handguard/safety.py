@@ -3,7 +3,11 @@
 Zones on the hand-to-TCP distance: below the critical threshold the robot
 halts; between critical and activation a guidance pattern is rendered; the
 robot resumes once the hand clears the critical threshold (plus optional
-hysteresis).
+hysteresis).  `step` classifies each sample once and returns the new
+`SafetyState`, an immutable tuple of the mode, the active pattern, the
+pattern clock, the sample's time and its zone; a caller reads the zone from
+the state instead of classifying again, and `robot_halted` is a property of
+the mode.
 
 Direction vectors are world (robot-base) vectors, and `select_direction`
 and the simulated human use them as such: Right = +x, Left = -x, Down = -z,
@@ -17,6 +21,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -123,12 +128,15 @@ class SafetyCommand:
     pattern: PatternId | None = None
 
 
-@dataclass(frozen=True)
-class SafetyState:
+class SafetyState(NamedTuple):
+    """The state machine after a sample: an immutable tuple that `step`
+    builds once per call, positionally."""
+
     mode: Mode = Mode.SAFE
     active_pattern: PatternId | None = None
     pattern_ends_at: float = float("-inf")  # end of the last pattern started
     last_time: float = float("-inf")
+    zone: Zone = Zone.SAFE  # zone of the last sample's distance
 
     @property
     def robot_halted(self) -> bool:
@@ -177,27 +185,29 @@ def step(
     zones: SafetyZones = SafetyZones(),
     mapping: DirectionMapping = DirectionMapping(),
 ) -> tuple:
-    """Advance the state machine one sample; returns (new_state, commands).
-    A non-finite t raises ValueError: a nan would become last_time, and no
-    later t could then fail the NonMonotonicTime check."""
+    """Advance the state machine one sample; returns (new_state, commands),
+    the new state holding the sample's zone.  A non-finite t raises
+    ValueError: a nan would become last_time, and no later t could then fail
+    the NonMonotonicTime check."""
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
     if t < state.last_time:
         raise NonMonotonicTime(f"t went backwards: {t} < {state.last_time}")
     zone = classify(distance, zones)
     commands = []
+    halted = state.robot_halted
     active_pattern = state.active_pattern
     pattern_ends_at = state.pattern_ends_at
 
     # a halted robot holds until the hand clears the critical distance plus
     # hysteresis; from there the zone decides, so a resume can start a pattern
-    if state.robot_halted and distance < zones.critical_distance + zones.resume_hysteresis:
+    if halted and distance < zones.critical_distance + zones.resume_hysteresis:
         mode = Mode.HALTED
     elif zone is Zone.CRITICAL:
         commands.append(SafetyCommand(CommandKind.HALT_ROBOT))
         mode = Mode.HALTED
     else:
-        if state.robot_halted:
+        if halted:
             commands.append(SafetyCommand(CommandKind.RESUME_ROBOT))
         if zone is Zone.ACTIVATION:
             mode = Mode.ALERT
@@ -212,12 +222,7 @@ def step(
     if mode is not Mode.ALERT and t >= pattern_ends_at:
         active_pattern = None
 
-    return SafetyState(
-        mode=mode,
-        active_pattern=active_pattern,
-        pattern_ends_at=pattern_ends_at,
-        last_time=t,
-    ), commands
+    return SafetyState(mode, active_pattern, pattern_ends_at, t, zone), commands
 
 
 def max_robot_speed(

@@ -15,8 +15,9 @@ the steps where it changes:
   distance and its velocity `(p - q) / dt`; other steps reuse the TCP and
   pass a zero velocity;
 - gimbal/marker (`_marker_view`): the servo's state is its two motor
-  angles, a `gimbal.MotorDeltas`; they step toward the camera, and the
-  marker rotation goes through the one Gram-Schmidt boundary
+  angles, a `gimbal.MotorDeltas` (a checked tuple, like every gimbal angle
+  pair); they step toward the camera direction, normalised with `_norm`,
+  and the marker rotation goes through the one Gram-Schmidt boundary
   (`geometry.orthonormalized`) into the one camera model; out come the
   corner pixels and the noiseless hand estimate as a `Point3`.  The stage
   is a pure function of the true hand and the motor angles, so `run` calls
@@ -26,7 +27,9 @@ the steps where it changes:
   back to the base frame as a `Point3`, and the last estimate is kept while
   no pose fits or the marker is out of frame;
 - safety: `safety.step` on the estimated distance, given the hand estimate
-  and the TCP as they are, with no point built for it;
+  and the TCP as they are, with no point built for it; the state it returns
+  carries the zone, so each distance is classified once, and the halted
+  flag is read once per step;
 - human (`_HumanAgent`): counts the patterns, draws a latency and a
   mis-response for each one it takes up, moves the hand and measures the
   response times.  Its state is one phase (idle, waiting for the latency,
@@ -38,7 +41,9 @@ the steps where it changes:
 The true distance and the human model stay on numpy, so the logged
 distances keep their bits.  `run` records one `TraceRow` of plain values
 per step, whose fields are the trace CSV's columns (a new column is one
-field plus its format in `_CSV_ROW`), and folds the rows into
+field plus its format in `_CSV_ROW`); its text columns come from dicts built
+once per run (zone and mode to their values, each mapped pattern to its id
+and its direction's value).  `run` folds the rows into
 `min_distance`, `critical_violations` and `halts`; a row does not show a
 pattern restarted with the same id, so the human stage counts those.
 """
@@ -136,6 +141,9 @@ class HumanModel:
         if any(v < 0 for v in means.values()):
             raise ScenarioError("human.response_mean: times must be >= 0")
         object.__setattr__(self, "response_mean", means)
+        for name in ("response_jitter_sigma", "mis_response_probability", "hand_speed",
+                     "escape_displacement", "return_delay"):
+            _require_finite(f"human.{name}", getattr(self, name))
         if not 0 <= self.mis_response_probability <= 1:
             raise ScenarioError("human.mis_response_probability: must be in [0, 1]")
         if self.response_jitter_sigma < 0 or self.return_delay < 0:
@@ -451,7 +459,7 @@ def _marker_view(scenario: Scenario, hand_true: np.ndarray, servo: gimbal.MotorD
     the base frame)."""
     # gimbal keeps the marker normal on the camera
     to_camera = CAMERA_POSITION - hand_true
-    to_camera = to_camera / np.linalg.norm(to_camera)
+    to_camera = to_camera / _norm(to_camera)
     try:
         wanted = gimbal.correction_angles(WRIST_ROTATION.T @ to_camera)
         motor_target = gimbal.motor_deltas(wanted, scenario.gear)
@@ -499,6 +507,7 @@ def run(scenario: Scenario) -> tuple:
 
     human = _HumanAgent(scenario, rng)
     state = safety.SafetyState()
+    halted = state.robot_halted
     servo = gimbal.MotorDeltas(0.0, 0.0)
     robot_time = 0.0
     tcp = _position_on_loop(loop, 0.0)
@@ -507,11 +516,16 @@ def run(scenario: Scenario) -> tuple:
     hand_est = Point3(*human.position.tolist())
     rows = []
     view_inputs = view = None
+    # the trace's text columns, looked up per step
+    zone_text = {zone: zone.value for zone in safety.Zone}
+    mode_text = {mode: mode.value for mode in safety.Mode}
+    pattern_text = {p: (str(p), d.value) for p, d in scenario.mapping.pattern_to_direction}
+    pattern_text[None] = ("", "")
 
     for k in range(steps):
         t = k * dt
         # the TCP, its array and its velocity change only when the robot moves
-        if not state.robot_halted and k > 0:
+        if not halted and k > 0:
             robot_time += dt
             qx, qy, qz = px, py, pz
             tcp = _position_on_loop(loop, robot_time)
@@ -525,7 +539,7 @@ def run(scenario: Scenario) -> tuple:
         hx, hy, hz = hand_true.tolist()
 
         # the stage's inputs by their bits: == would take 0.0 for -0.0
-        inputs = _pack_view_inputs(hx, hy, hz, servo.d_theta_a, servo.d_theta_b)
+        inputs = _pack_view_inputs(hx, hy, hz, *servo)
         if inputs != view_inputs:
             view_inputs, view = inputs, _marker_view(scenario, hand_true, servo)
         servo, uv, seen = view
@@ -556,14 +570,11 @@ def run(scenario: Scenario) -> tuple:
             if command.kind is safety.CommandKind.START_PATTERN:
                 human.on_pattern(command.pattern, t)
 
-        pattern = state.active_pattern
+        halted = state.robot_halted
+        pattern, direction = pattern_text[state.active_pattern]
         rows.append(TraceRow(
             t, hx, hy, hz, px, py, pz, distance_true,
-            safety.classify(distance_est, scenario.zones).value,
-            state.mode.value,
-            str(pattern) if pattern else "",
-            state.robot_halted,
-            scenario.mapping.direction_for(pattern).value if pattern else "",
+            zone_text[state.zone], mode_text[state.mode], pattern, halted, direction,
             marker_visible,
         ))
         human.step(k, distance_true)

@@ -77,6 +77,42 @@ class TestGearKinematics:
         with pytest.raises(ValueError):
             GearParams(n_a=0.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["n_a", "n_b", "n_s"])
+    def test_rejects_non_finite_ratio(self, name, value):
+        # an infinite ratio used to construct and fail later, deep in the
+        # simulation, as non-finite motor deltas
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            GearParams(**{name: value})
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+class TestDeltaTuples:
+    @pytest.mark.parametrize("value", NON_FINITE)
+    @pytest.mark.parametrize("cls, index", [
+        (MarkerDeltas, 0), (MarkerDeltas, 1), (MotorDeltas, 0), (MotorDeltas, 1),
+    ])
+    def test_reject_non_finite_angles(self, cls, index, value):
+        angles = [0.1, -0.2]
+        angles[index] = value
+        with pytest.raises(ValueError, match="must be finite"):
+            cls(*angles)
+        with pytest.raises(ValueError, match="must be finite"):
+            cls._make(angles)
+        with pytest.raises(ValueError, match="must be finite"):
+            cls(0.1, -0.2)._replace(**{cls._fields[index]: value})
+
+    @pytest.mark.parametrize("cls", [MarkerDeltas, MotorDeltas])
+    def test_immutable_pairs(self, cls):
+        angles = cls(0.1, -0.2)
+        for name in cls._fields + ("other",):
+            with pytest.raises(AttributeError):
+                setattr(angles, name, 1.0)
+        assert tuple(angles) == (0.1, -0.2) == tuple(getattr(angles, f) for f in cls._fields)
+        assert cls(*angles) == angles == cls._make(angles)
+
 
 @settings(max_examples=200, deadline=None)
 @given(

@@ -198,6 +198,15 @@ class TestObservationValidation:
             MarkerObservation(0, [[0, 0], [1, 0], [1, float("nan")], [0, 1]])
 
 
+class TestIntrinsicsValidation:
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("name", ["fx", "fy", "cx", "cy", "image_width", "image_height"])
+    def test_rejects_non_finite_field(self, name, value):
+        # an infinite focal length or image size used to construct
+        with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+            CameraIntrinsics(**{name: value})
+
+
 class TestEstimatePose:
     def test_noiseless_round_trip(self):
         rng = np.random.default_rng(42)

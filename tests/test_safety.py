@@ -247,6 +247,29 @@ class TestStep:
         _, commands = run_trace(list(distances))
         assert all(CommandKind.HALT_ROBOT not in kinds(c) for c in commands)
 
+    @pytest.mark.parametrize("distance", [
+        math.nextafter(0.25, -math.inf), 0.25, math.nextafter(0.25, math.inf),
+        math.nextafter(0.40, -math.inf), 0.40, math.nextafter(0.40, math.inf),
+    ])
+    def test_state_zone_is_the_sample_zone(self, distance):
+        hand = Point3(0.5, 0, 0)
+        state, _ = step(SafetyState(), distance, hand, ORIGIN, np.zeros(3), 0.0)
+        assert state.zone is classify(distance, ZONES)
+        # a halt held by hysteresis past both boundaries still reports the zone
+        zones = SafetyZones(resume_hysteresis=0.2)
+        halted, _ = step(SafetyState(), 0.1, hand, ORIGIN, np.zeros(3), 0.0, zones=zones)
+        state, commands = step(halted, distance, hand, ORIGIN, np.zeros(3), 0.1, zones=zones)
+        assert state.robot_halted and commands == []
+        assert state.zone is classify(distance, zones)
+
+    def test_state_is_immutable(self):
+        state, _ = step(SafetyState(), 0.35, Point3(0.5, 0, 0), ORIGIN, np.zeros(3), 0.0)
+        for name in SafetyState._fields + ("robot_halted",):
+            with pytest.raises(AttributeError):
+                setattr(state, name, None)
+        assert state.mode is Mode.ALERT and state.zone is Zone.ACTIVATION
+        assert SafetyState().zone is Zone.SAFE
+
     def test_determinism(self):
         rng = np.random.default_rng(9)
         distances = list(rng.uniform(0.1, 0.6, size=100))

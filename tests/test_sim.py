@@ -1,9 +1,12 @@
 import hashlib
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from handguard import haptics, marker_pose, safety, sim
 from handguard.geometry import Point3
@@ -69,6 +72,24 @@ class TestRobotTcpPosition:
         wp = ((Point3(0, 0, 0), 0.1), (Point3(0, 0, 0), 0.1))
         with pytest.raises(ScenarioError, match="robot_waypoints: all waypoints coincide"):
             Scenario(robot_waypoints=wp)
+
+
+MAGNITUDE = st.floats(min_value=1e-150, max_value=1e150)
+COMPONENT = st.one_of(
+    MAGNITUDE,
+    MAGNITUDE.map(lambda x: -x),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    st.floats(min_value=-sys.float_info.min, max_value=sys.float_info.min),  # subnormals
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.tuples(COMPONENT, COMPONENT, COMPONENT))
+def test_norm_is_numpy_norm_bit_for_bit(v):
+    # the gimbal stage normalises with _norm; the logged distances and the
+    # marker pixels keep their bits only if it rounds as numpy does
+    a = np.array(v)
+    assert np.float64(_norm(a)).tobytes() == np.linalg.norm(a).tobytes()
 
 
 class TestSampleResponseTime:
@@ -138,6 +159,16 @@ class TestScenarioValidation:
     def test_bad_mis_response_probability(self):
         with pytest.raises(ScenarioError, match="mis_response"):
             default_scenario(human={"mis_response_probability": 1.5})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("name", [
+        "response_jitter_sigma", "mis_response_probability", "hand_speed",
+        "escape_displacement", "return_delay",
+    ])
+    def test_non_finite_human_parameter_names_field(self, name, value):
+        # a nan jitter used to construct and run with no jitter at all
+        with pytest.raises(ScenarioError, match=f"^human\\.{name}: must be a finite number$"):
+            HumanModel(**{name: value})
 
     @pytest.mark.parametrize("name, value", [
         ("dt", "0.01"),
@@ -344,6 +375,20 @@ class TestRun:
         for (prev, _), (tcp, velocity), row in zip(seen, seen[1:], rows):
             want = np.zeros(3) if row.robot_halted else (tcp - prev) / s.dt
             assert velocity.tobytes() == want.tobytes()
+
+    def test_each_distance_classified_once(self, monkeypatch):
+        # the trace's zone is the one safety.step computed, not a second call
+        calls = [0]
+        classify = safety.classify
+
+        def counted(*args):
+            calls[0] += 1
+            return classify(*args)
+
+        monkeypatch.setattr(safety, "classify", counted)
+        rows, _ = run(default_scenario(duration=2.0, seed=3))
+        assert len(rows) == 200
+        assert calls[0] == 200
 
     def test_halted_never_inside_critical_minus_step(self):
         s = halting_scenario()
