@@ -160,16 +160,13 @@ def cmd_pose(args) -> int:
         return _fail(str(exc), EXIT_USAGE)
     if not rows:
         return _fail("no observations in file", EXIT_DATA_ERROR)
+    estimates = iter(marker_pose.estimate_poses(
+        [obs for _, obs, parse_error in rows if parse_error is None], args.marker_side, intrinsics))
     failures = 0
     for line_no, obs, parse_error in rows:
-        if parse_error is not None:
-            print(json.dumps({"line": line_no, "error": parse_error}))
-            failures += 1
-            continue
-        try:
-            est = marker_pose.estimate_pose(obs, args.marker_side, intrinsics)
-        except marker_pose.PoseError as exc:
-            print(json.dumps({"line": line_no, "error": str(exc)}))
+        est = next(estimates) if parse_error is None else parse_error
+        if not isinstance(est, marker_pose.PoseEstimate):
+            print(json.dumps({"line": line_no, "error": str(est)}))
             failures += 1
             continue
         out = est.pose.to_json_dict()

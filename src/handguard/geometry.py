@@ -140,10 +140,10 @@ def orthonormalized(entries) -> tuple:
     return x0, x1, x2, y0, y1, y2, z0, z1, z2
 
 
-def axis_angle_entries(x: float, y: float, z: float, angle: float) -> tuple:
-    """Rodrigues: the nine entries, row by row, of the rotation by angle
-    about the unit axis (x, y, z)."""
-    s, c = math.sin(angle), math.cos(angle)
+def axis_angle_entries(x, y, z, s, c) -> tuple:
+    """Rodrigues: the nine entries, row by row, of the rotation about the
+    unit axis (x, y, z) by the angle whose sine is s and cosine c.  Pure
+    arithmetic, so it also runs elementwise on float64 arrays."""
     v = 1.0 - c
     return (c + v * x * x, v * x * y - s * z, v * x * z + s * y,
             v * x * y + s * z, c + v * y * y, v * y * z - s * x,
@@ -250,4 +250,5 @@ def rotation_from_axis_angle(axis, angle: float) -> np.ndarray:
     n = math.hypot(x, y, z)
     if n < 1e-15:
         return np.eye(3)
-    return np.reshape(axis_angle_entries(x / n, y / n, z / n, angle), (3, 3))
+    return np.reshape(axis_angle_entries(x / n, y / n, z / n, math.sin(angle), math.cos(angle)),
+                      (3, 3))

@@ -11,13 +11,32 @@ IPPE (Collins & Bartoli, "Infinitesimal Plane-based Pose Estimation", IJCV
 2014), so each candidate starts next to its own minimum.  It refines each
 with damped Gauss-Newton on the 6-DoF reprojection objective and keeps the
 candidate with the smaller residual together with the ambiguity ratio.
-The whole path runs on Python floats, and no numpy call runs between the
-corner pixels and the kept fit: the observation's checks, a closed-form
-3x3 solve for the homography, IPPE with its matrix products unrolled,
-and the Gauss-Newton loop, which builds the normal equations JᵀJ and Jᵀr
-directly, never the 8x6 J, and solves the damped 6x6 system with an
-unrolled Cholesky factorization.  `fit_corners` returns the kept fit as
-floats; the one RigidTransform built is the winner's, by `estimate_pose`.
+For one frame the whole path runs on Python floats, and no numpy call
+runs between the corner pixels and the kept fit: the observation's checks,
+a closed-form 3x3 solve for the homography, IPPE with its matrix products
+unrolled, and the Gauss-Newton loop, which builds the normal equations
+JᵀJ and Jᵀr directly, never the 8x6 J, and solves the damped 6x6 system
+with an unrolled Cholesky factorization.  `fit_corners` returns the kept
+fit as floats; the one RigidTransform built per frame is the winner's, by
+`estimate_poses`.
+
+Two drivers refine the candidates, with the same bits.  `fit_corners`
+fits one frame on the scalar `_refine`.  `fit_corners_many`, behind
+`estimate_poses` and `handguard pose`, fits many: IPPE per frame, then all
+frames' candidates ("lanes") in lockstep, one Gauss-Newton iteration at a
+time as float64 arrays.  Each lane gets the float operations `_refine`
+gives it, in the same order: `_rotated_corners`, `_normal_equations` and
+`product_entries` run unchanged on the arrays, `_damped_step` takes an
+inverse root that records failed pivots, and sine and cosine are taken per
+lane through math.  Lanes stop unevenly: on a pose_batch file of 100
+frames, 200 lanes are down to 32-51 after 5 iterations, while a file's
+slowest lane runs 28-50 (seeds 0-15), and a lockstep iteration costs
+about as much as 50 lanes' scalar ones.  So once fewer than
+LOCKSTEP_MIN_LANES lanes are active, each resumes on `_refine` from its
+own (r, t), damping and iterations left, which is exact because the
+loop's other state is a function of (r, t).  Below that many lanes in
+all no array is built, so a single frame, as in the simulation and
+`calibrate`, takes the scalar path.
 
 Refinement stops after an accepted step that lowers the squared-pixel cost
 by at most GN_COST_RTOL of the new cost or has a norm below GN_STEP_TOL,
@@ -53,6 +72,11 @@ MAX_RMS_PX = 1.0
 # 8·rms²/σ² of a correct fit follows χ²₂ (8 residuals, 6 unknowns), whose tail
 # beyond -2·ln(p) has probability p: this gate rejects p = 1e-6 of them
 _RMS_GATE_PER_SIGMA = math.sqrt(-2.0 * math.log(1e-6) / 8.0)
+# The lockstep fit hands each lane to the scalar _refine below this many
+# active lanes.  On pose_batch a lockstep iteration costs about 0.6 ms of
+# numpy calls at 16-32 lanes and 1 ms at 200, a scalar one about 12 us per
+# lane; the fit's time is flat for crossovers of 24-48 and rises outside.
+LOCKSTEP_MIN_LANES = 32
 
 
 class PoseError(ValueError):
@@ -202,6 +226,9 @@ def _square_homography(normalized: list, half: float) -> tuple:
     s0 = ((u1 - u2) * (v3 - v2) - (u3 - u2) * (v1 - v2)) / det
     s1 = ((u2 - u0) * (v3 - v0) - (u3 - u0) * (v2 - v0)) / det
     s3 = ((u1 - u0) * (v2 - v0) - (u2 - u0) * (v1 - v0)) / det
+    if s1 + s3 == 0.0:
+        # a self-intersecting quad: the centre's homogeneous weight h22 is 0
+        raise DegenerateCorners("corners map the marker centre to infinity")
     return ((s0 * u0 + s1 * u1) / half, -(s0 * u0 + s3 * u3) / half, s1 * u1 + s3 * u3,
             (s0 * v0 + s1 * v1) / half, -(s0 * v0 + s3 * v3) / half, s1 * v1 + s3 * v3,
             (s0 + s1) / half, -(s0 + s3) / half, s1 + s3)
@@ -355,33 +382,35 @@ def _inverse_root(pivot: float) -> float:
     return 1.0 / math.sqrt(pivot)
 
 
-def _damped_step(h, g, lam: float) -> tuple:
+def _damped_step(h, g, lam, inverse_root=_inverse_root) -> tuple:
     """Solve (H + lam*I) s = -g by an unrolled Cholesky factorization L Lᵀ.
 
     h is the upper triangle of the symmetric 6x6 H, row by row.  A pivot
     that is not positive raises LinAlgError, as numpy's Cholesky would.
+    The lockstep fit passes lane arrays and an inverse_root that records
+    each lane's failed pivots instead of raising.
     """
     (a00, a01, a02, a03, a04, a05, a11, a12, a13, a14, a15,
      a22, a23, a24, a25, a33, a34, a35, a44, a45, a55) = h
     g0, g1, g2, g3, g4, g5 = g
     # column j of L, with i_j = 1 / L[j][j]
-    i0 = _inverse_root(a00 + lam)
+    i0 = inverse_root(a00 + lam)
     l10, l20, l30, l40, l50 = a01 * i0, a02 * i0, a03 * i0, a04 * i0, a05 * i0
-    i1 = _inverse_root(a11 + lam - l10 * l10)
+    i1 = inverse_root(a11 + lam - l10 * l10)
     l21 = (a12 - l20 * l10) * i1
     l31 = (a13 - l30 * l10) * i1
     l41 = (a14 - l40 * l10) * i1
     l51 = (a15 - l50 * l10) * i1
-    i2 = _inverse_root(a22 + lam - l20 * l20 - l21 * l21)
+    i2 = inverse_root(a22 + lam - l20 * l20 - l21 * l21)
     l32 = (a23 - l30 * l20 - l31 * l21) * i2
     l42 = (a24 - l40 * l20 - l41 * l21) * i2
     l52 = (a25 - l50 * l20 - l51 * l21) * i2
-    i3 = _inverse_root(a33 + lam - l30 * l30 - l31 * l31 - l32 * l32)
+    i3 = inverse_root(a33 + lam - l30 * l30 - l31 * l31 - l32 * l32)
     l43 = (a34 - l40 * l30 - l41 * l31 - l42 * l32) * i3
     l53 = (a35 - l50 * l30 - l51 * l31 - l52 * l32) * i3
-    i4 = _inverse_root(a44 + lam - l40 * l40 - l41 * l41 - l42 * l42 - l43 * l43)
+    i4 = inverse_root(a44 + lam - l40 * l40 - l41 * l41 - l42 * l42 - l43 * l43)
     l54 = (a45 - l50 * l40 - l51 * l41 - l52 * l42 - l53 * l43) * i4
-    i5 = _inverse_root(a55 + lam - l50 * l50 - l51 * l51 - l52 * l52 - l53 * l53 - l54 * l54)
+    i5 = inverse_root(a55 + lam - l50 * l50 - l51 * l51 - l52 * l52 - l53 * l53 - l54 * l54)
     # L y = -g, then Lᵀ s = y
     y0 = -g0 * i0
     y1 = (-g1 - l10 * y0) * i1
@@ -403,22 +432,24 @@ def _rotate(w0: float, w1: float, w2: float, r) -> tuple:
     n = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
     if n < 1e-15:
         return r
-    return product_entries(axis_angle_entries(w0 / n, w1 / n, w2 / n, n), r)
+    return product_entries(axis_angle_entries(w0 / n, w1 / n, w2 / n, math.sin(n), math.cos(n)), r)
 
 
-def _refine(r, t, half: float, observed: list, k: CameraIntrinsics) -> tuple:
+def _refine(r, t, half: float, observed: list, k: CameraIntrinsics,
+            lam: float = GN_DAMPING_INIT, iterations: int = GN_MAX_ITERATIONS) -> tuple:
     """Damped Gauss-Newton on the 6-DoF reprojection objective.
 
     Starts from rotation entries r (row by row) and translation t, and
     returns the refined (r, t, rms_pixels); r is not re-orthonormalized.
     half is the marker's half-side and observed the four corners' pixels
     (u, v).  The loop runs on Python floats: at 8 residuals and 6 unknowns
-    numpy's per-call cost is most of the work.
+    numpy's per-call cost is most of the work.  lam and iterations let a
+    lane of the lockstep fit resume here where it left off: the loop's
+    other state is a function of (r, t).
     """
-    lam = GN_DAMPING_INIT
     cost, rows = _residuals(r, t, half, observed, k)
     h, g = _normal_equations(rows, k)
-    for _ in range(GN_MAX_ITERATIONS):
+    for _ in range(iterations):
         try:
             s0, s1, s2, s3, s4, s5 = _damped_step(h, g, lam)
         except np.linalg.LinAlgError:
@@ -446,40 +477,215 @@ def _refine(r, t, half: float, observed: list, k: CameraIntrinsics) -> tuple:
     return r, t, math.sqrt(cost / 8.0)
 
 
+def _residual_lanes(r, t, half: float, observed, k: CameraIntrinsics) -> tuple:
+    """_residuals on lane arrays, all four corners at once.
+
+    r and t hold one array per entry with one element per lane, observed
+    is the (u, v) pixels as (2, 4, lanes).  Each element gets the
+    operations _residuals gives it, in the same order, and the cost adds
+    the corners' squared residuals one at a time as _residuals does.
+    Returns the cost per lane, the rows as an (8, 4, lanes) array of (mx,
+    my, mz, x, y, z, eu, ev) and a `behind` mask in place of the raise:
+    a lane with a corner at or behind the camera plane, whose cost and
+    rows are meaningless.
+    """
+    mx, my, mz = np.array(_rotated_corners(r, half)).transpose(1, 0, 2)
+    tx, ty, tz = t
+    x, y, z = mx + tx, my + ty, mz + tz
+    u, v = observed
+    eu, ev = k.fx * x / z + k.cx - u, k.fy * y / z + k.cy - v
+    eu2, ev2 = eu * eu, ev * ev
+    cost = 0.0
+    for corner in range(4):
+        cost = cost + eu2[corner] + ev2[corner]
+    return cost, np.array((mx, my, mz, x, y, z, eu, ev)), (z <= MIN_DEPTH_M).any(axis=0)
+
+
+def _normal_equation_lanes(rows, k: CameraIntrinsics) -> tuple:
+    """_normal_equations on (8, 4, lanes) rows, with its bits.
+
+    One call on the four corners as a single batch gives each corner's
+    terms, each already added to 0.0; they are then summed over the
+    corners in order.  Adding 0.0 to the terms of corners 1-3 leaves the
+    sums' bits unchanged, since no partial sum is -0.0.  Entry (3, 4) of
+    JᵀJ is the constant 0.0.
+    """
+    h, g = _normal_equations([rows.reshape(8, -1)], k)
+    terms = np.array(h[:16] + h[17:] + g).reshape(26, 4, -1)
+    sums = terms[:, 0] + terms[:, 1] + terms[:, 2] + terms[:, 3]
+    return (*sums[:16], 0.0, *sums[16:20]), sums[20:]
+
+
+def _rotate_lanes(w0, w1, w2, r, solved):
+    """_rotate on lane arrays.  Sine and cosine are taken per lane through
+    math, so the bits do not depend on numpy's vectorized libm; lanes not
+    solved turn by a meaningless angle and are discarded by the caller."""
+    n = np.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+    angles = np.where(solved, n, 0.0).tolist()
+    turn = axis_angle_entries(w0 / n, w1 / n, w2 / n, np.array(list(map(math.sin, angles))),
+                              np.array(list(map(math.cos, angles))))
+    return np.where(n < 1e-15, r, product_entries(turn, r))
+
+
+def _refine_lockstep(lanes: list, half: float, k: CameraIntrinsics) -> list:
+    """_refine from each lane's start (r, t, observed pixels), with the same
+    bits, one Gauss-Newton iteration at a time over all lanes as arrays.
+
+    Per lane: (r, t, rms), or None when a start corner is behind the camera.
+    An active lane's state is its (r, t), cost, residual rows and damping;
+    its normal equations are recomputed from the rows each iteration, as
+    they are a function of (r, t).  Once fewer than LOCKSTEP_MIN_LANES lanes
+    are active, each resumes on the scalar _refine with its own damping and
+    iterations left.
+    """
+    fits = [None] * len(lanes)
+    r = np.array([lane[0] for lane in lanes]).T.copy()
+    t = np.array([lane[1] for lane in lanes]).T.copy()
+    observed = np.array([lane[2] for lane in lanes]).transpose(2, 1, 0).copy()
+    solved_pivots = []
+
+    def inverse_root(pivot):
+        solved_pivots.append(pivot > 0.0)
+        return 1.0 / np.sqrt(pivot)
+
+    with np.errstate(all="ignore"):  # a lane that failed a check computes garbage
+        cost, rows, behind = _residual_lanes(r, t, half, observed, k)
+        live = ~behind  # _refine raises NonPositiveDepth at such a start
+        ids = np.flatnonzero(live)
+        r, t, cost, rows, observed = (
+            r[:, live], t[:, live], cost[live], rows[..., live], observed[..., live])
+        lam = np.full(len(ids), GN_DAMPING_INIT)
+        iterations_left = GN_MAX_ITERATIONS
+        while iterations_left and len(ids) >= LOCKSTEP_MIN_LANES:
+            iterations_left -= 1
+            h, g = _normal_equation_lanes(rows, k)
+            solved_pivots.clear()
+            s0, s1, s2, s3, s4, s5 = _damped_step(h, g, lam, inverse_root)
+            solved = np.logical_and.reduce(solved_pivots)
+            r_c = _rotate_lanes(s0, s1, s2, r, solved)
+            t_c = (t[0] + s3, t[1] + s4, t[2] + s5)
+            cost_c, rows_c, behind = _residual_lanes(r_c, t_c, half, observed, k)
+            moved = solved & ~behind
+            accepted = moved & (cost_c < cost)
+            step = np.sqrt(s0 * s0 + s1 * s1 + s2 * s2 + s3 * s3 + s4 * s4 + s5 * s5)
+            converged = (step < GN_STEP_TOL) | (cost - cost_c <= GN_COST_RTOL * cost_c)
+            lam = lam * np.where(accepted, GN_DAMPING_DOWN, GN_DAMPING_UP)
+            done = accepted & converged | moved & ~accepted & (lam > GN_DAMPING_MAX)
+            r = np.where(accepted, r_c, r)
+            t = np.where(accepted, t_c, t)
+            cost = np.where(accepted, cost_c, cost)
+            rows = np.where(accepted, rows_c, rows)
+            if done.any():
+                for lane, r_lane, t_lane, cost_lane in zip(
+                        ids[done].tolist(), r[:, done].T.tolist(), t[:, done].T.tolist(),
+                        cost[done].tolist()):
+                    fits[lane] = tuple(r_lane), tuple(t_lane), math.sqrt(cost_lane / 8.0)
+                live = ~done
+                ids, r, t, cost, rows, lam, observed = (
+                    ids[live], r[:, live], t[:, live], cost[live], rows[..., live], lam[live],
+                    observed[..., live])
+    for lane, r_lane, t_lane, lam_lane in zip(ids.tolist(), r.T.tolist(), t.T.tolist(),
+                                              lam.tolist()):
+        fits[lane] = _refine(tuple(r_lane), tuple(t_lane), half, lanes[lane][2], k, lam_lane,
+                             iterations_left)
+    return fits
+
+
+def _refine_lanes(lanes: list, half: float, k: CameraIntrinsics) -> list:
+    """_refine from each lane's start (r, t, observed pixels): per lane
+    (r, t, rms), or None when a start corner is behind the camera.  Picks
+    the lockstep loop from LOCKSTEP_MIN_LANES lanes up."""
+    if len(lanes) >= LOCKSTEP_MIN_LANES:
+        return _refine_lockstep(lanes, half, k)
+    fits = []
+    for r, t, observed in lanes:
+        try:
+            fits.append(_refine(r, t, half, observed, k))
+        except NonPositiveDepth:
+            fits.append(None)
+    return fits
+
+
+def _starts(pixels: list, half: float, k: CameraIntrinsics) -> tuple:
+    """The two IPPE starts (r, t) of one frame's corner pixels."""
+    _require_area(pixels)
+    normalized = _normalized_corners(pixels, k)
+    return _ippe_candidates(_square_homography(normalized, half), normalized, half)
+
+
+def _kept_fit(fits: list, pixel_sigma: float) -> tuple:
+    """The fit with the smaller rms among a frame's refined candidates (None
+    for a dropped one) and the ambiguity ratio; NoConvergence when it fails
+    the gate."""
+    gate = max(MAX_RMS_PX, _RMS_GATE_PER_SIGMA * pixel_sigma)
+    fits = sorted((fit for fit in fits if fit is not None), key=lambda fit: fit[2])
+    if not fits or fits[0][2] > gate:
+        raise NoConvergence(f"no pose candidate fits within {gate} px")
+    (best_r, best_t, best_rms), *rest = fits
+    ratio = (rest[0][2] + 1e-15) / (best_rms + 1e-15) if rest else float("inf")
+    return best_r, best_t, best_rms, max(1.0, ratio)
+
+
 def estimate_pose(
     obs: MarkerObservation, marker_side: float, intrinsics: CameraIntrinsics,
     pixel_sigma: float = 0.0,
 ) -> PoseEstimate:
     """Estimate the marker pose in the camera frame from four corner pixels
     whose noise has standard deviation pixel_sigma (px)."""
+    (est,) = estimate_poses([obs], marker_side, intrinsics, pixel_sigma)
+    if isinstance(est, PoseError):
+        raise est
+    return est
+
+
+def estimate_poses(
+    observations: list, marker_side: float, intrinsics: CameraIntrinsics,
+    pixel_sigma: float = 0.0,
+) -> list:
+    """estimate_pose on each observation, fitted together by
+    fit_corners_many: per observation its PoseEstimate, or the PoseError
+    that estimate_pose raises on it."""
     if not 0 < marker_side < math.inf:
         raise ValueError("marker_side must be a positive finite number")
     if not 0 <= pixel_sigma < math.inf:
         raise ValueError("pixel_sigma must be a finite number >= 0")
-    r, t, rms, ratio = fit_corners(obs.corners.tolist(), marker_side, intrinsics, pixel_sigma)
-    return PoseEstimate(RigidTransform.from_orthonormalized(np.reshape(r, (3, 3)), t), rms, ratio)
+    fits = fit_corners_many([obs.corners.tolist() for obs in observations], marker_side,
+                            intrinsics, pixel_sigma)
+    return [fit if isinstance(fit, PoseError) else PoseEstimate(
+        RigidTransform.from_orthonormalized(np.reshape(fit[0], (3, 3)), fit[1]), *fit[2:])
+        for fit in fits]
 
 
 def fit_corners(pixels: list, marker_side: float, k: CameraIntrinsics, pixel_sigma: float):
     """estimate_pose's fit on floats, for checked arguments: the four corners'
     (u, v) to the kept fit's (r, t, rms, ratio), where r holds the rotation
     entries row by row, not re-orthonormalized."""
-    _require_area(pixels)
-    gate = max(MAX_RMS_PX, _RMS_GATE_PER_SIGMA * pixel_sigma)
     half = marker_side / 2.0
-    normalized = _normalized_corners(pixels, k)
-    fits = []
-    for r, t in _ippe_candidates(_square_homography(normalized, half), normalized, half):
+    lanes = [(r, t, pixels) for r, t in _starts(pixels, half, k)]
+    return _kept_fit(_refine_lanes(lanes, half, k), pixel_sigma)
+
+
+def fit_corners_many(pixel_rows: list, marker_side: float, k: CameraIntrinsics,
+                     pixel_sigma: float) -> list:
+    """fit_corners on each frame's four corner pixels, with the same bits:
+    per frame the kept fit, or the PoseError that fit_corners raises on it.
+    The candidates of all frames are refined together by _refine_lanes."""
+    half = marker_side / 2.0
+    frames, lanes = [], []
+    for pixels in pixel_rows:
         try:
-            fits.append(_refine(r, t, half, pixels, k))
-        except NonPositiveDepth:
-            continue
-    fits.sort(key=lambda fit: fit[2])
-    if not fits or fits[0][2] > gate:
-        raise NoConvergence(f"no pose candidate fits within {gate} px")
-    (best_r, best_t, best_rms), *rest = fits
-    ratio = (rest[0][2] + 1e-15) / (best_rms + 1e-15) if rest else float("inf")
-    return best_r, best_t, best_rms, max(1.0, ratio)
+            lanes.extend((r, t, pixels) for r, t in _starts(pixels, half, k))
+            frames.append(None)
+        except PoseError as exc:
+            frames.append(exc)
+    fits = iter(_refine_lanes(lanes, half, k))
+    for i, error in enumerate(frames):
+        if error is None:
+            try:
+                frames[i] = _kept_fit([next(fits), next(fits)], pixel_sigma)  # two IPPE starts
+            except NoConvergence as exc:
+                frames[i] = exc
+    return frames
 
 
 def calibrate_base(

@@ -515,7 +515,7 @@ def run(scenario: Scenario) -> tuple:
     px, py, pz = tcp
     hand_est = Point3(*human.position.tolist())
     rows = []
-    view_inputs = view = None
+    view_inputs = view = hand_true = distance_true = None
     # the trace's text columns, looked up per step
     zone_text = {zone: zone.value for zone in safety.Zone}
     mode_text = {mode: mode.value for mode in safety.Mode}
@@ -524,7 +524,8 @@ def run(scenario: Scenario) -> tuple:
 
     for k in range(steps):
         t = k * dt
-        # the TCP, its array and its velocity change only when the robot moves
+        # the TCP, its array, its velocity and the true distance change only
+        # when the robot moves
         if not halted and k > 0:
             robot_time += dt
             qx, qy, qz = px, py, pz
@@ -532,11 +533,15 @@ def run(scenario: Scenario) -> tuple:
             tcp_array = tcp.as_array()
             px, py, pz = tcp
             tcp_velocity = ((px - qx) / dt, (py - qy) / dt, (pz - qz) / dt)
+            distance_true = None
         else:
             tcp_velocity = _AT_REST
-
-        hand_true = human.position
-        hx, hy, hz = hand_true.tolist()
+        # the hand's coordinates and true distance change only when it moves:
+        # _HumanAgent replaces its position array then, and never writes into it
+        if human.position is not hand_true:
+            hand_true = human.position
+            hx, hy, hz = hand_true.tolist()
+            distance_true = None
 
         # the stage's inputs by their bits: == would take 0.0 for -0.0
         inputs = _pack_view_inputs(hx, hy, hz, *servo)
@@ -551,7 +556,8 @@ def run(scenario: Scenario) -> tuple:
             hand_est = seen
         # else: keep last known hand_est
 
-        distance_true = _norm(hand_true - tcp_array)
+        if distance_true is None:
+            distance_true = _norm(hand_true - tcp_array)
         ex, ey, ez = hand_est
         dx, dy, dz = ex - px, ey - py, ez - pz
         distance_est = math.sqrt(dx * dx + dy * dy + dz * dz)

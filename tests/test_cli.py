@@ -5,10 +5,13 @@ import json
 import numpy as np
 import pytest
 
-from handguard import scenario_path
+from handguard import marker_pose, scenario_path
 from handguard.cli import main
 from handguard.geometry import RigidTransform, rotation_from_axis_angle
 from handguard.marker_pose import CameraIntrinsics, project, synthesize_observation
+
+# a self-intersecting corner quad: its homography sends the marker centre to infinity
+BOWTIE_LINE = "0,600,300,610,300,600,310,610,310"
 
 
 def run_cli(capsys, *argv):
@@ -321,6 +324,70 @@ class TestPose:
         assert "t" in docs[0]
         assert "error" in docs[1] and docs[1]["line"] == 2
 
+    def test_self_intersecting_row_is_a_row_error(self, capsys, tmp_path, intrinsics_file):
+        good = observation_line(RigidTransform(np.eye(3), [0, 0, 1.0]))
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(f"{good}\n{BOWTIE_LINE}\n{good}\n")
+        code, out, _ = run_cli(
+            capsys, "pose", str(obs_file), "--intrinsics", intrinsics_file
+        )
+        assert code == 0
+        docs = [json.loads(line) for line in out.strip().splitlines()]
+        assert docs[1] == {"line": 2, "error": "corners map the marker centre to infinity"}
+        assert "t" in docs[0] and docs[2]["line"] == 3 and "t" in docs[2]
+
+    def test_stdout_matches_per_row_estimate_pose(self, capsys, tmp_path, intrinsics_file,
+                                                  monkeypatch):
+        # enough rows for the lockstep fit, among them a parse error, a
+        # degenerate and a self-intersecting quad and fits that fail the
+        # 1 px gate at 3 px noise: each line as estimate_pose on its row alone
+        rng = np.random.default_rng(8)
+        lines = ["marker_id,u0,v0,u1,v1,u2,v2,u3,v3", "# comment"]
+        for i in range(marker_pose.LOCKSTEP_MIN_LANES):
+            pose = RigidTransform(rotation_from_axis_angle(rng.normal(size=3), 0.6),
+                                  [rng.uniform(-0.2, 0.2), rng.uniform(-0.15, 0.15), 1.0])
+            obs = synthesize_observation(pose, 0.04, CameraIntrinsics(),
+                                         pixel_noise_sigma=3.0 if i % 4 == 3 else 0.5, seed=i)
+            lines.append(f"{i}," + ",".join(repr(v) for v in obs.corners.ravel().tolist()))
+        lines[5:5] = ["9,1,2,3", BOWTIE_LINE, "1,0,0,1,1,2,2,3,3"]
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text("\n".join(lines) + "\n")
+        expected = []
+        for line_no, line in enumerate(lines, start=1):
+            if line.startswith(("marker_id", "#")):
+                continue
+            parts = [float(x) for x in line.split(",")]
+            if len(parts) != 9:
+                expected.append({"line": line_no, "error": "expected 9 comma-separated values"})
+                continue
+            try:
+                est = marker_pose.estimate_pose(
+                    marker_pose.MarkerObservation(int(parts[0]), np.reshape(parts[1:], (4, 2))),
+                    0.04, CameraIntrinsics())
+            except marker_pose.PoseError as exc:
+                expected.append({"line": line_no, "error": str(exc)})
+                continue
+            doc = est.pose.to_json_dict()
+            doc.update({"line": line_no, "marker_id": int(parts[0]),
+                        "rms_px": est.rms_reprojection_error,
+                        "ambiguity_ratio": est.ambiguity_ratio})
+            expected.append(doc)
+        lockstep_calls = []
+        lockstep = marker_pose._refine_lockstep
+        monkeypatch.setattr(marker_pose, "_refine_lockstep",
+                            lambda *args: lockstep_calls.append(1) or lockstep(*args))
+        code, out, _ = run_cli(
+            capsys, "pose", str(obs_file), "--intrinsics", intrinsics_file
+        )
+        assert code == 0
+        assert lockstep_calls == [1]
+        assert out == "".join(json.dumps(doc) + "\n" for doc in expected)
+        errors = {doc["error"] for doc in expected if "error" in doc}
+        assert errors == {"expected 9 comma-separated values",
+                          "corners map the marker centre to infinity",
+                          "corners are collinear or enclose no area",
+                          "no pose candidate fits within 1.0 px"}
+
     def test_all_rows_bad_exit_1(self, capsys, tmp_path, intrinsics_file):
         obs_file = tmp_path / "obs.csv"
         obs_file.write_text("1,0,0,1,1,2,2,3,3\n")
@@ -404,6 +471,16 @@ class TestCalibrate:
         got = RigidTransform.from_json_dict(json.loads(out_file.read_text()))
         assert np.abs(got.as_matrix() - truth.as_matrix()).max() < 1e-6
 
+
+    def test_self_intersecting_row_exit_1(self, capsys, tmp_path, intrinsics_file):
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(BOWTIE_LINE + "\n")
+        code, out, err = run_cli(
+            capsys, "calibrate", str(obs_file), "--intrinsics", intrinsics_file
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: calibration failed: corners map the marker centre to infinity\n"
 
     @pytest.mark.parametrize("missing", ["r", "t"])
     def test_base_transform_without_key_exit_2(self, capsys, tmp_path, intrinsics_file,

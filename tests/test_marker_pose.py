@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from handguard import marker_pose
 from handguard.geometry import (
     RigidTransform,
     compose,
@@ -20,6 +21,7 @@ from handguard.marker_pose import (
     GN_DAMPING_UP,
     GN_MAX_ITERATIONS,
     GN_STEP_TOL,
+    LOCKSTEP_MIN_LANES,
     MAX_RMS_PX,
     MIN_DEPTH_M,
     CameraIntrinsics,
@@ -38,6 +40,8 @@ from handguard.marker_pose import (
     _square_homography,
     calibrate_base,
     estimate_pose,
+    fit_corners,
+    fit_corners_many,
     project,
     project_corners,
     synthesize_observation,
@@ -453,6 +457,11 @@ EDGE_ON_CORNERS = np.array([
 ])
 
 
+# TL, TR, BR, BL with BR and BL swapped: the quad crosses itself, and its
+# homography sends the marker centre to infinity (h22 = s1 + s3 = 0 exactly)
+BOWTIE_CORNERS = [[600.0, 300.0], [610.0, 300.0], [600.0, 310.0], [610.0, 310.0]]
+
+
 def in_front(pose):
     return bool(np.all((marker_corners_3d(SIDE) @ pose.rotation.T + pose.translation)[:, 2] > 0))
 
@@ -548,6 +557,21 @@ class TestSquareHomography:
             assert np.array_equal(_normalized_corners(obs.corners.tolist(), K), normalized)
             got, _ = front_end(obs)
             assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_self_intersecting_quad_is_degenerate(self):
+        with pytest.raises(DegenerateCorners, match="centre to infinity"):
+            fit_corners(BOWTIE_CORNERS, SIDE, K, 0.0)
+
+    @pytest.mark.parametrize("eps", [1e-12, 1e-6, 1e-3, 3.0])
+    def test_near_self_intersecting_quads_fail_cleanly(self, eps):
+        # moving one corner along u gives the centre a finite image and the
+        # fit fails the gate; moving it along v keeps h22 at 0
+        for corner in range(4):
+            for axis, error in ((0, NoConvergence), (1, DegenerateCorners)):
+                corners = [list(c) for c in BOWTIE_CORNERS]
+                corners[corner][axis] += eps
+                with pytest.raises(error):
+                    fit_corners(corners, SIDE, K, 0.0)
 
     def test_collinear_basis_is_degenerate(self):
         with pytest.raises(DegenerateCorners):
@@ -806,6 +830,119 @@ class TestScalarRefine:
         for refine in (refine_pose, reference_refine):
             with pytest.raises(NonPositiveDepth):
                 refine(start, SIDE, observed, K)
+
+
+def pose_frames(seed, n, sigma):
+    """Corner pixels of n random poses, depth 0.3-2 m and tilt up to 1.2 rad,
+    with sigma px of noise; poses with a corner behind the camera are skipped."""
+    rng = np.random.default_rng(seed)
+    frames = []
+    for _ in range(n):
+        r = rotation_from_axis_angle(rng.normal(size=3), rng.uniform(-1.2, 1.2))
+        t = [rng.uniform(-0.2, 0.2), rng.uniform(-0.15, 0.15), rng.uniform(0.3, 2.0)]
+        try:
+            corners = project(RigidTransform(r, t), SIDE, K)
+        except NonPositiveDepth:
+            continue
+        frames.append((corners + rng.normal(0.0, sigma, size=corners.shape)).tolist())
+    return frames
+
+
+def per_frame(frames, pixel_sigma=0.0):
+    """repr of fit_corners on each frame alone, or of the PoseError it raises."""
+    out = []
+    for pixels in frames:
+        try:
+            out.append(repr(fit_corners(pixels, SIDE, K, pixel_sigma)))
+        except PoseError as exc:
+            out.append(repr(exc))
+    return out
+
+
+def together(frames, pixel_sigma=0.0):
+    return [repr(fit) for fit in fit_corners_many(frames, SIDE, K, pixel_sigma)]
+
+
+def outcome_kinds(reprs):
+    return {"fit" if text.startswith("(") else text.split("(")[0] for text in reprs}
+
+
+class TestLockstep:
+    # fit_corners_many must give every frame the bits of fit_corners on that
+    # frame alone, which refines its two starts on the scalar _refine
+
+    @pytest.mark.parametrize("seed, sigma", [(40, 0.0), (41, 0.5), (42, 2.0), (43, 5.0)])
+    def test_matches_per_frame_fit_by_repr(self, seed, sigma):
+        # 750 frames per noise level, 3,000 in all, under the noise-scaled
+        # gate and under the 1 px gate, which most frames fail at 2 and 5 px
+        frames = pose_frames(seed, 750, sigma)
+        assert len(frames) == 750
+        kinds = set()
+        for pixel_sigma in (sigma, 0.0):
+            expected = per_frame(frames, pixel_sigma)
+            assert together(frames, pixel_sigma) == expected
+            kinds |= outcome_kinds(expected)
+        assert kinds == ({"fit", "NoConvergence"} if sigma >= 2.0 else {"fit"})
+
+    def test_starts_and_steps_behind_the_camera(self, monkeypatch):
+        # squares jittered by 120 px: some IPPE starts have a corner behind
+        # the camera, and some lanes step behind it while refining, a few
+        # to a lower cost; degenerate rows fail before they have lanes
+        rng = np.random.default_rng(0)
+        square = np.array([[600.0, 300.0], [680.0, 300.0], [680.0, 380.0], [600.0, 380.0]])
+        frames = (square + rng.normal(0.0, 120.0, size=(400, 4, 2))).tolist()
+        frames[7:7] = [BOWTIE_CORNERS, [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]]
+        flagged = []
+        lanes = marker_pose._residual_lanes
+
+        def counted(*args):
+            cost, rows, behind = lanes(*args)
+            flagged.append(int(behind.sum()))
+            return cost, rows, behind
+
+        monkeypatch.setattr(marker_pose, "_residual_lanes", counted)
+        expected = per_frame(frames)
+        assert together(frames) == expected
+        assert outcome_kinds(expected) == {"fit", "NoConvergence", "DegenerateCorners"}
+        assert flagged[0] > 0 and sum(flagged[1:]) > 0
+
+    @pytest.mark.parametrize("n_rows", [0, 1, LOCKSTEP_MIN_LANES // 2 - 1,
+                                        LOCKSTEP_MIN_LANES // 2, LOCKSTEP_MIN_LANES // 2 + 1])
+    def test_lane_counts_around_the_crossover(self, monkeypatch, n_rows):
+        # each frame has two lanes: the arrays are built from
+        # LOCKSTEP_MIN_LANES lanes up, never below
+        calls = []
+        lockstep = marker_pose._refine_lockstep
+        monkeypatch.setattr(marker_pose, "_refine_lockstep",
+                            lambda lanes, *args: calls.append(len(lanes)) or lockstep(lanes, *args))
+        frames = pose_frames(44, n_rows, 0.5)
+        assert len(frames) == n_rows
+        assert together(frames, 0.5) == per_frame(frames, 0.5)
+        assert calls == ([2 * n_rows] if 2 * n_rows >= LOCKSTEP_MIN_LANES else [])
+
+    @pytest.mark.parametrize("trap", ["always", "after_accept", "below_max"])
+    def test_failed_pivots_and_spent_budget(self, monkeypatch, trap):
+        # the last pivot forced to fail: "always" fails every solve, so every
+        # lane spends its 50 iterations in lockstep; "after_accept" fails
+        # each solve at GN_DAMPING_INIT * GN_DAMPING_DOWN, so lanes alternate
+        # an accepted step and a failed solve; "below_max" fails each solve
+        # until the damping is past GN_DAMPING_MAX, which ends refinement
+        # only after a rejected step
+        damped = marker_pose._damped_step
+        after_accept = GN_DAMPING_INIT * GN_DAMPING_DOWN
+
+        def failing(h, g, lam, *inverse_root):
+            fail = {"always": True, "after_accept": lam == after_accept,
+                    "below_max": lam < 2.0 * GN_DAMPING_MAX}[trap]
+            if np.ndim(lam):
+                return damped((*h[:20], np.where(fail, -math.inf, h[20])), g, lam, *inverse_root)
+            return damped((*h[:20], -math.inf if fail else h[20]), g, lam)
+
+        monkeypatch.setattr(marker_pose, "_damped_step", failing)
+        frames = pose_frames(45, 100, 0.5)
+        expected = per_frame(frames, 0.5)
+        assert together(frames, 0.5) == expected
+        assert "fit" in outcome_kinds(expected)
 
 
 class TestCalibrateBase:

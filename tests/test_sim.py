@@ -599,6 +599,22 @@ class TestMarkerView:
         assert len(rows) == 12000
         assert calls[0] == 232
 
+    def test_true_distance_kept_while_hand_and_tcp_rest(self, monkeypatch):
+        # the hand or the TCP moves on 1,445 of seed 0's 12,000 steps, and
+        # run measures the true distance on those steps only
+        calls = [0]
+
+        def counted(v):
+            calls[0] += sys._getframe(1).f_code is run.__code__
+            return _norm(v)
+
+        monkeypatch.setattr(sim, "_norm", counted)
+        rows, _ = run(default_scenario(seed=0))
+        moved = sum(before is None or before[1:7] != row[1:7]
+                    for before, row in zip([None] + rows[:-1], rows))
+        assert moved == 1445
+        assert calls[0] == moved
+
     def test_correct_fits_stay_visible_at_two_px(self, monkeypatch):
         # the fit gate scales with the scenario's pixel noise; gated at a
         # fixed 1 px, 666 of these 2,000 steps lose the marker
