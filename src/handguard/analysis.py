@@ -3,7 +3,12 @@
 Implements recognition rates, one-way (between groups) ANOVA, single-factor
 repeated-measures ANOVA, and paired t-tests with one-step Bonferroni
 correction.  p-values come from a self-contained regularized incomplete
-beta evaluated by Lentz's continued fraction (no scipy dependency).
+beta evaluated by Lentz's continued fraction (no scipy dependency), through
+one tail, `f_sf`: the two-sided t tail with df dof is the F(1, df) tail at
+t**2.  Both ANOVAs end in one F test, `_f_test`, which holds the rule for
+a table with no error variance (F = inf, p = 0 and `degenerate` when there
+is an effect; F = 0, p = 1 when there is none); each passes its own error
+floor.
 """
 
 from __future__ import annotations
@@ -167,8 +172,8 @@ def f_sf(f: float, df1: int, df2: int) -> float:
 
 
 def t_two_sided_p(t: float, df: int) -> float:
-    x = df / (df + t * t)
-    return regularized_incomplete_beta(df / 2.0, 0.5, x)
+    """P(|T| >= |t|) for Student's t with df dof: the F(1, df) tail at t**2."""
+    return f_sf(t * t, 1, df)
 
 
 # --- confusion matrices ----------------------------------------------------
@@ -267,6 +272,17 @@ def read_trials_csv(path, side: WristSide) -> tuple:
 # --- ANOVA and paired t ----------------------------------------------------
 
 
+def _f_test(ss_effect, df_effect: int, ss_error, df_error: int, error_floor: float) -> AnovaResult:
+    """F test of an effect against its error term; `ss_error <= error_floor`
+    is no error variance (see the module docstring)."""
+    if ss_error <= error_floor:
+        if ss_effect > 0:
+            return AnovaResult(math.inf, df_effect, df_error, 0.0, degenerate=True)
+        return AnovaResult(0.0, df_effect, df_error, 1.0)
+    f = (ss_effect / df_effect) / (ss_error / df_error)
+    return AnovaResult(f, df_effect, df_error, f_sf(f, df_effect, df_error))
+
+
 def one_way_anova(groups) -> AnovaResult:
     """Between/within decomposition over independent groups."""
     groups = [np.asarray(g, dtype=float) for g in groups]
@@ -277,15 +293,7 @@ def one_way_anova(groups) -> AnovaResult:
     grand = sum(g.sum() for g in groups) / n_total
     ss_between = sum(len(g) * (g.mean() - grand) ** 2 for g in groups)
     ss_within = sum(((g - g.mean()) ** 2).sum() for g in groups)
-    df_between = k - 1
-    df_within = n_total - k
-    if ss_within <= 0:
-        if ss_between > 0:
-            # F is infinite: reported as p = 0 with the degenerate flag set
-            return AnovaResult(math.inf, df_between, df_within, 0.0, degenerate=True)
-        return AnovaResult(0.0, df_between, df_within, 1.0)
-    f = (ss_between / df_between) / (ss_within / df_within)
-    return AnovaResult(f, df_between, df_within, f_sf(f, df_between, df_within))
+    return _f_test(ss_between, k - 1, ss_within, n_total - k, error_floor=0.0)
 
 
 def rm_anova(table) -> AnovaResult:
@@ -301,14 +309,7 @@ def rm_anova(table) -> AnovaResult:
     ss_within = ((data - condition_means) ** 2).sum()
     ss_subject = k * ((subject_means - grand) ** 2).sum()
     ss_error = ss_within - ss_subject
-    df_condition = k - 1
-    df_error = (n - 1) * (k - 1)
-    if ss_error <= 1e-300:
-        if ss_condition > 0:
-            return AnovaResult(math.inf, df_condition, df_error, 0.0, degenerate=True)
-        return AnovaResult(0.0, df_condition, df_error, 1.0)
-    f = (ss_condition / df_condition) / (ss_error / df_error)
-    return AnovaResult(f, df_condition, df_error, f_sf(f, df_condition, df_error))
+    return _f_test(ss_condition, k - 1, ss_error, (n - 1) * (k - 1), error_floor=1e-300)
 
 
 def paired_t_bonferroni(samples: dict, pairs) -> list:

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 runtime data failure, 2 usage/config error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -211,75 +212,64 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args) -> int:
-    mode = args.mode
-    try:
-        if mode == "rates":
-            matrix = analysis.ConfusionMatrix.from_csv(_require_file(args.input))
-            diag, mean = analysis.recognition_rates(matrix)
-            print(json.dumps({
-                "per_pattern": dict(zip(analysis.PATTERN_ORDER, diag.tolist())),
-                "mean": mean,
-            }))
-            return EXIT_OK
+def _rates(path: Path, side: analysis.WristSide) -> dict:
+    diag, mean = analysis.recognition_rates(analysis.ConfusionMatrix.from_csv(path))
+    return {"per_pattern": dict(zip(analysis.PATTERN_ORDER, diag.tolist())), "mean": mean}
 
-        participants, counts = analysis.read_trials_csv(
-            _require_file(args.input), analysis.WristSide(args.side)
-        )
-        if mode == "confusion":
-            matrix = analysis.confusion_from_trials(counts)
-            print(json.dumps({
-                "patterns": list(analysis.PATTERN_ORDER),
-                "matrix": matrix.values.tolist(),
-            }))
-            return EXIT_OK
-        table = analysis.per_participant_rates(participants, counts)
-        if mode == "anova":
-            result = analysis.one_way_anova([table[:, j] for j in range(table.shape[1])])
-        elif mode == "rmanova":
-            result = analysis.rm_anova(table)
-        else:  # pairwise
-            samples = {
-                pattern: table[:, j].tolist()
-                for j, pattern in enumerate(analysis.PATTERN_ORDER)
-            }
-            pairs = [
-                (analysis.PATTERN_ORDER[i], analysis.PATTERN_ORDER[j])
-                for i in range(10) for j in range(i + 1, 10)
-            ]
-            results = analysis.paired_t_bonferroni(samples, pairs)
-            print(json.dumps([
-                {
-                    "pair": list(r.pair),
-                    "t": r.t_statistic,
-                    "raw_p": r.raw_p,
-                    "corrected_p": r.corrected_p,
-                    "significant": r.significant,
-                }
-                for r in results
-            ]))
-            return EXIT_OK
-        print(json.dumps({
-            "f": result.f_statistic,
-            "df_between": result.df_between,
-            "df_within": result.df_within,
-            "p": result.p_value,
-            "degenerate": result.degenerate,
-        }))
-        return EXIT_OK
+
+def _confusion(path: Path, side: analysis.WristSide) -> dict:
+    matrix = analysis.confusion_from_trials(analysis.read_trials_csv(path, side)[1])
+    return {"patterns": list(analysis.PATTERN_ORDER), "matrix": matrix.values.tolist()}
+
+
+def _rate_table(path: Path, side: analysis.WristSide) -> np.ndarray:
+    return analysis.per_participant_rates(*analysis.read_trials_csv(path, side))
+
+
+def _anova_fields(result: analysis.AnovaResult) -> dict:
+    return {"f": result.f_statistic, "df_between": result.df_between,
+            "df_within": result.df_within, "p": result.p_value, "degenerate": result.degenerate}
+
+
+def _pairwise(path: Path, side: analysis.WristSide) -> list:
+    table = _rate_table(path, side)
+    samples = dict(zip(analysis.PATTERN_ORDER, (column.tolist() for column in table.T)))
+    pairs = itertools.combinations(analysis.PATTERN_ORDER, 2)
+    return [{"pair": list(r.pair), "t": r.t_statistic, "raw_p": r.raw_p,
+             "corrected_p": r.corrected_p, "significant": r.significant}
+            for r in analysis.paired_t_bonferroni(samples, pairs)]
+
+
+# `analyze` mode, in the order the parser lists them -> its JSON payload
+# from the input file and the wrist side
+_ANALYSES = {
+    "confusion": _confusion,
+    "rates": _rates,
+    "anova": lambda path, side: _anova_fields(
+        analysis.one_way_anova(list(_rate_table(path, side).T))),
+    "rmanova": lambda path, side: _anova_fields(analysis.rm_anova(_rate_table(path, side))),
+    "pairwise": _pairwise,
+}
+
+
+def cmd_analyze(args) -> int:
+    try:
+        payload = _ANALYSES[args.mode](_require_file(args.input), analysis.WristSide(args.side))
     except FileNotFoundError as exc:
         return _fail(f"file not found: {exc}", EXIT_USAGE)
-    except (ValueError, analysis.MissingPattern) as exc:
+    except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
+    print(json.dumps(payload))
+    return EXIT_OK
 
 
 def cmd_speed_bound(args) -> int:
-    if args.critical >= 0 and args.activation == args.critical:
-        # zero-width alert zone leaves no reaction margin at all
-        print(f"{0.0:.6f}")
-        return EXIT_OK
+    # a zero-width alert zone leaves no reaction margin at all, so the bound
+    # is 0 whatever the formula gives; SafetyZones takes no such zone, so the
+    # other inputs are checked by max_robot_speed against the default zones
+    zero_width = args.critical >= 0 and args.activation == args.critical
     try:
-        zones = safety.SafetyZones(
+        zones = safety.SafetyZones() if zero_width else safety.SafetyZones(
             activation_distance=args.activation,
             critical_distance=args.critical,
         )
@@ -288,7 +278,7 @@ def cmd_speed_bound(args) -> int:
         )
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    print(f"{bound:.6f}")
+    print(f"{0.0 if zero_width else bound:.6f}")
     return EXIT_OK
 
 
@@ -327,9 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("analyze", help="confusion-matrix and recognition statistics")
-    p.add_argument("mode", choices=["confusion", "rates", "anova", "rmanova", "pairwise"])
+    p.add_argument("mode", choices=list(_ANALYSES))
     p.add_argument("input", help="matrix CSV (rates) or trials CSV (other modes)")
-    p.add_argument("--side", default="volar", choices=["volar", "dorsal"])
+    p.add_argument("--side", default=analysis.WristSide.VOLAR.value,
+                   choices=[side.value for side in analysis.WristSide])
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("speed-bound", help="robot speed upper bound from zone geometry")

@@ -75,6 +75,8 @@ class HandOffset:
         v = np.asarray(self.offset, dtype=float)
         if v.shape != (3,):
             raise ValueError("offset must be a 3-vector")
+        if not np.all(np.isfinite(v)):
+            raise ValueError(f"hand offset components must be finite; got {self.offset}")
         if float(np.linalg.norm(v)) >= 0.5:
             raise ValueError("hand offset magnitude must be < 0.5 m")
         object.__setattr__(self, "offset", tuple(float(x) for x in v))

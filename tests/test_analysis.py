@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from handguard import data_path
 from handguard.analysis import (
@@ -114,6 +116,25 @@ class TestDistributions:
         assert t_two_sided_p(t, df) == pytest.approx(expected, abs=1e-12)
 
 
+def beta_t_two_sided_p(t, df):
+    """The two-sided t tail written straight as I_x(df/2, 1/2) at x = df/(df + t^2):
+    the reference that the F(1, df) form must match bit for bit."""
+    return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))
+
+
+@settings(max_examples=500, deadline=None)
+@given(t=st.floats(allow_nan=False, allow_infinity=False), df=st.integers(1, 200))
+@example(t=0.0, df=1)
+@example(t=-0.0, df=7)
+@example(t=5e-324, df=3)
+@example(t=-1e-300, df=200)
+@example(t=1e-300, df=9)
+@example(t=1e300, df=1)
+@example(t=-1e300, df=200)
+def test_t_tail_is_the_f_tail_bit_for_bit(t, df):
+    assert t_two_sided_p(t, df).hex() == beta_t_two_sided_p(t, df).hex()
+
+
 class TestOneWayAnova:
     def test_hand_computed_oracle(self):
         # groups {1,2,3}, {2,3,4}, {3,4,5}: SS_between = 6, SS_within = 6,
@@ -180,6 +201,18 @@ class TestRmAnova:
     def test_rejects_tiny_table(self):
         with pytest.raises(ValueError):
             rm_anova([[1.0, 2.0]])
+
+
+@pytest.mark.parametrize("anova, table, want", [
+    # no error variance, no effect (one-way); the effect case is above
+    (one_way_anova, [[1.0, 1.0], [1.0, 1.0]], AnovaResult(0.0, 1, 2, 1.0)),
+    # no error variance with an effect (repeated measures): the conditions
+    # and the subjects are additive, so the error sum of squares is exactly 0
+    (rm_anova, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+     AnovaResult(math.inf, 1, 2, 0.0, degenerate=True)),
+])
+def test_zero_error_variance(anova, table, want):
+    assert anova(table) == want
 
 
 class TestPairedT:

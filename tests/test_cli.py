@@ -693,3 +693,27 @@ class TestSpeedBound:
             argv += ["--response-time", "1.0"]
         assert usage_error(*argv) == 2
         assert f"must be a finite number: {value}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", [
+        ("--response-time", "-1"),
+        ("--response-time", "1.0", "--hand-speed", "0"),
+        ("--response-time", "1.0", "--clearance", "-1"),
+    ])
+    def test_zero_width_zone_checks_the_other_inputs(self, capsys, bad):
+        # a zero-width zone gives 0 only for inputs the default zones accept
+        default_zones = run_cli(capsys, "speed-bound", *bad)
+        zero_width = run_cli(
+            capsys, "speed-bound", "--activation", "0.25", "--critical", "0.25", *bad)
+        assert zero_width == default_zones
+        assert default_zones[0] == 2
+        assert default_zones[2] == (
+            "error: response time and clearance must be >= 0, hand_speed > 0\n"
+        )
+
+    def test_zero_width_zone_with_no_reaction_time(self, capsys):
+        # the formula's zero-denominator cap (10 m/s) must not reach a zero-width zone
+        code, out, _ = run_cli(
+            capsys, "speed-bound", "--activation", "0.25", "--critical", "0.25",
+            "--response-time", "0", "--clearance", "0",
+        )
+        assert (code, out) == (0, "0.000000\n")

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -398,6 +399,14 @@ class TestValidation:
     def test_hand_offset_magnitude_bound(self):
         with pytest.raises(ValueError):
             HandOffset((0.5, 0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", range(3))
+    def test_hand_offset_rejects_non_finite(self, axis, bad):
+        offset = [0.0, 0.0, -0.1]
+        offset[axis] = bad
+        with pytest.raises(ValueError, match="hand offset components must be finite"):
+            HandOffset(tuple(offset))
 
 
 @settings(max_examples=50, deadline=None)
