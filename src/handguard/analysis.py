@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import collections
 import csv
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .haptics import ALL_PATTERNS, PatternId
+from .haptics import ALL_PATTERNS, PatternId, WristSide
 
 # Canonical row/column order of the 10x10 perception matrix.
 PATTERN_ORDER = tuple(str(p) for p in ALL_PATTERNS)
@@ -35,11 +34,6 @@ _BETACF_EPS = 1e-12
 
 class MissingPattern(ValueError):
     """Some actual pattern has no trials for the requested side."""
-
-
-class WristSide(enum.Enum):
-    VOLAR = "volar"
-    DORSAL = "dorsal"
 
 
 _SIDES = {side.value: side for side in WristSide}

@@ -2,21 +2,23 @@
 calibration, and analysis workflows.
 
 Exit codes: 0 success, 1 runtime data failure, 2 usage/config error.
+
+The parser is built once per process.  Importing this module loads only
+the stdlib and `haptics`; each command imports the layers it uses (numpy
+among them) when it runs, so `pattern` and `--help` never load numpy.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import analysis, haptics, marker_pose, safety, scenario_path, sim
-from .geometry import RigidTransform
+from . import haptics, scenario_path
 
 EXIT_OK = 0
 EXIT_DATA_ERROR = 1
@@ -35,13 +37,24 @@ def _require_file(path: str) -> Path:
     return p
 
 
-def _missing_directory(flag: str, out: str):
-    """The usage message when the output file `out` has no directory to go in, else None."""
-    parent = Path(out).parent
-    return None if parent.is_dir() else f"{flag} {out}: directory {parent} does not exist"
+def _output_error(flag: str, out: str, suffixes=("",)):
+    """The usage message when the output file `out`, written once per suffix
+    (`_with_suffix`), has no directory to go in or would land on a
+    directory; else None."""
+    path = Path(out)
+    if not path.parent.is_dir():
+        return f"{flag} {out}: directory {path.parent} does not exist"
+    if not path.name:  # "", "." or "/", which take no suffix
+        return f"{flag} {out}: is a directory"
+    for written in (_with_suffix(out, suffix) for suffix in suffixes):
+        if Path(written).is_dir():
+            return f"{flag} {written}: is a directory"
+    return None
 
 
 def _read_intrinsics(path: str) -> marker_pose.CameraIntrinsics:
+    from . import marker_pose, sim
+
     with open(_require_file(path)) as fh:
         return sim.build_section(marker_pose.CameraIntrinsics, json.load(fh), "intrinsics")
 
@@ -62,6 +75,10 @@ def _marker_side(text: str) -> float:
 
 def _read_observations(path: str) -> list:
     """Parse `marker_id,u0,v0,...,u3,v3` lines; returns (line_no, obs-or-error)."""
+    import numpy as np
+
+    from . import marker_pose
+
     rows = []
     with open(_require_file(path)) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -85,6 +102,8 @@ def _read_observations(path: str) -> list:
 
 
 def cmd_simulate(args) -> int:
+    from . import sim
+
     path = args.scenario or str(scenario_path())
     try:
         with open(_require_file(path)) as fh:
@@ -107,18 +126,18 @@ def cmd_simulate(args) -> int:
         if lo > hi:
             return _fail(f"--seeds {args.seeds}: a must be <= b", EXIT_USAGE)
         seeds = list(range(lo, hi + 1))
+    suffixes = [f".{seed}" for seed in seeds] if len(seeds) > 1 else [""]
     for flag, out in (("--trace", args.trace), ("--metrics", args.metrics)):
-        if message := _missing_directory(flag, out):
+        if message := _output_error(flag, out, suffixes):
             return _fail(message, EXIT_USAGE)
 
-    for seed in seeds:
+    for seed, suffix in zip(seeds, suffixes):
         doc["seed"] = seed
         try:
             scenario = sim.Scenario.from_json_dict(doc)
         except sim.ScenarioError as exc:
             return _fail(str(exc), EXIT_USAGE)
         trace, metrics = sim.run(scenario)
-        suffix = f".{seed}" if len(seeds) > 1 else ""
         trace_path = _with_suffix(args.trace, suffix)
         metrics_path = _with_suffix(args.metrics, suffix)
         sim.write_trace_csv(trace, trace_path)
@@ -152,6 +171,8 @@ def cmd_pattern(args) -> int:
 
 
 def cmd_pose(args) -> int:
+    from . import marker_pose
+
     try:
         intrinsics = _read_intrinsics(args.intrinsics)
         rows = _read_observations(args.observations)
@@ -182,6 +203,9 @@ def cmd_pose(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    from . import marker_pose
+    from .geometry import RigidTransform
+
     try:
         intrinsics = _read_intrinsics(args.intrinsics)
         rows = _read_observations(args.observations)
@@ -194,7 +218,7 @@ def cmd_calibrate(args) -> int:
         return _fail(f"file not found: {exc}", EXIT_USAGE)
     except (ValueError, json.JSONDecodeError) as exc:
         return _fail(str(exc), EXIT_USAGE)
-    if args.out and (message := _missing_directory("--out", args.out)):
+    if args.out and (message := _output_error("--out", args.out)):
         return _fail(message, EXIT_USAGE)
     usable = [obs for _, obs, err in rows if err is None]
     if not usable:
@@ -212,17 +236,23 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _rates(path: Path, side: analysis.WristSide) -> dict:
+def _rates(path: Path, side: haptics.WristSide) -> dict:
+    from . import analysis
+
     diag, mean = analysis.recognition_rates(analysis.ConfusionMatrix.from_csv(path))
     return {"per_pattern": dict(zip(analysis.PATTERN_ORDER, diag.tolist())), "mean": mean}
 
 
-def _confusion(path: Path, side: analysis.WristSide) -> dict:
+def _confusion(path: Path, side: haptics.WristSide) -> dict:
+    from . import analysis
+
     matrix = analysis.confusion_from_trials(analysis.read_trials_csv(path, side)[1])
     return {"patterns": list(analysis.PATTERN_ORDER), "matrix": matrix.values.tolist()}
 
 
-def _rate_table(path: Path, side: analysis.WristSide) -> np.ndarray:
+def _rate_table(path: Path, side: haptics.WristSide) -> np.ndarray:
+    from . import analysis
+
     return analysis.per_participant_rates(*analysis.read_trials_csv(path, side))
 
 
@@ -231,7 +261,21 @@ def _anova_fields(result: analysis.AnovaResult) -> dict:
             "df_within": result.df_within, "p": result.p_value, "degenerate": result.degenerate}
 
 
-def _pairwise(path: Path, side: analysis.WristSide) -> list:
+def _anova(path: Path, side: haptics.WristSide) -> dict:
+    from . import analysis
+
+    return _anova_fields(analysis.one_way_anova(list(_rate_table(path, side).T)))
+
+
+def _rmanova(path: Path, side: haptics.WristSide) -> dict:
+    from . import analysis
+
+    return _anova_fields(analysis.rm_anova(_rate_table(path, side)))
+
+
+def _pairwise(path: Path, side: haptics.WristSide) -> list:
+    from . import analysis
+
     table = _rate_table(path, side)
     samples = dict(zip(analysis.PATTERN_ORDER, (column.tolist() for column in table.T)))
     pairs = itertools.combinations(analysis.PATTERN_ORDER, 2)
@@ -245,16 +289,15 @@ def _pairwise(path: Path, side: analysis.WristSide) -> list:
 _ANALYSES = {
     "confusion": _confusion,
     "rates": _rates,
-    "anova": lambda path, side: _anova_fields(
-        analysis.one_way_anova(list(_rate_table(path, side).T))),
-    "rmanova": lambda path, side: _anova_fields(analysis.rm_anova(_rate_table(path, side))),
+    "anova": _anova,
+    "rmanova": _rmanova,
     "pairwise": _pairwise,
 }
 
 
 def cmd_analyze(args) -> int:
     try:
-        payload = _ANALYSES[args.mode](_require_file(args.input), analysis.WristSide(args.side))
+        payload = _ANALYSES[args.mode](_require_file(args.input), haptics.WristSide(args.side))
     except FileNotFoundError as exc:
         return _fail(f"file not found: {exc}", EXIT_USAGE)
     except ValueError as exc:
@@ -264,6 +307,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_speed_bound(args) -> int:
+    from . import safety
+
     # a zero-width alert zone leaves no reaction margin at all, so the bound
     # is 0 whatever the formula gives; SafetyZones takes no such zone, so the
     # other inputs are checked by max_robot_speed against the default zones
@@ -282,6 +327,7 @@ def cmd_speed_bound(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="handguard",
@@ -319,8 +365,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="confusion-matrix and recognition statistics")
     p.add_argument("mode", choices=list(_ANALYSES))
     p.add_argument("input", help="matrix CSV (rates) or trials CSV (other modes)")
-    p.add_argument("--side", default=analysis.WristSide.VOLAR.value,
-                   choices=[side.value for side in analysis.WristSide])
+    p.add_argument("--side", default=haptics.WristSide.VOLAR.value,
+                   choices=[side.value for side in haptics.WristSide])
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("speed-bound", help="robot speed upper bound from zone geometry")
@@ -335,8 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     return args.func(args)
 
 

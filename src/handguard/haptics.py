@@ -17,6 +17,13 @@ STEP_HIGH_S = 0.1
 STEP_LOW_S = 0.2
 
 
+class WristSide(enum.Enum):
+    """The side of the wrist that the band's motors sit on."""
+
+    VOLAR = "volar"
+    DORSAL = "dorsal"
+
+
 class Shape(enum.IntEnum):
     RIGHT_TO_LEFT = 1
     LEFT_TO_RIGHT = 2

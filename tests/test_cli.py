@@ -1,10 +1,15 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import handguard
 from handguard import marker_pose, scenario_path
 from handguard.cli import main
 from handguard.geometry import RigidTransform, rotation_from_axis_angle
@@ -184,6 +189,27 @@ class TestSimulate:
         assert code == 2
         assert err.startswith(f"error: {flag} {outputs[flag]}: directory ")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--trace", "--metrics"])
+    @pytest.mark.parametrize("seeds", [[], ["--seeds", "2..3"]], ids=["one seed", "sweep"])
+    def test_output_on_a_directory_exit_2_before_running(self, capsys, tmp_path, monkeypatch,
+                                                         flag, seeds):
+        from handguard import sim
+
+        def no_run(scenario):
+            raise AssertionError("simulation ran")
+
+        monkeypatch.setattr(sim, "run", no_run)
+        outputs = {"--trace": tmp_path / "t.csv", "--metrics": tmp_path / "m.json"}
+        outputs[flag] = tmp_path / "out"
+        # a sweep writes out.2 and out.3, never out itself
+        taken = tmp_path / ("out.3" if seeds else "out")
+        taken.mkdir()
+        code, out, err = run_cli(capsys, "simulate", "--trace", str(outputs["--trace"]),
+                                 "--metrics", str(outputs["--metrics"]), *seeds)
+        assert (code, out, err) == (2, "", f"error: {flag} {taken}: is a directory\n")
+        assert list(tmp_path.iterdir()) == [taken]
+        assert list(taken.iterdir()) == []
 
     @pytest.mark.parametrize("mapping, message", [
         ([], "mapping: expected a JSON object"),
@@ -515,6 +541,21 @@ class TestCalibrate:
         assert out == ""
         assert err.startswith(f"error: --out {out_file}: directory ")
 
+    def test_out_on_a_directory_exit_2_before_calibrating(self, capsys, tmp_path,
+                                                         monkeypatch, intrinsics_file):
+        def no_calibration(*args):
+            raise AssertionError("calibration ran")
+
+        monkeypatch.setattr(marker_pose, "calibrate_base", no_calibration)
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(observation_line(RigidTransform(np.eye(3), [0, 0, 1.0])) + "\n")
+        out_dir = tmp_path / "cal"
+        out_dir.mkdir()
+        code, out, err = run_cli(capsys, "calibrate", str(obs_file),
+                                 "--intrinsics", intrinsics_file, "--out", str(out_dir))
+        assert (code, out, err) == (2, "", f"error: --out {out_dir}: is a directory\n")
+        assert list(out_dir.iterdir()) == []
+
 
 class TestAnalyze:
     def test_rates_on_bundled_matrices(self, capsys):
@@ -717,3 +758,66 @@ class TestSpeedBound:
             "--response-time", "0", "--clearance", "0",
         )
         assert (code, out) == (0, "0.000000\n")
+
+
+def _fresh(*code_args, cwd=None):
+    """(exit code, stdout, stderr) of `python -c CODE ARGS...` with this handguard on the path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(handguard.__file__).parent.parent),
+           "COLUMNS": "80"}
+    proc = subprocess.run([sys.executable, "-c", *code_args], env=env, cwd=cwd,
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+LAYERS = ("handguard.analysis", "handguard.sim", "handguard.marker_pose", "handguard.safety",
+          "handguard.geometry", "handguard.gimbal")
+
+LOADED_BY = """\
+import contextlib, io, sys
+from handguard import cli
+cli.build_parser()
+code = 0
+if len(sys.argv) > 2:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[2:])
+print(code, sorted(name for name in sys.argv[1].split() if name in sys.modules))
+"""
+
+
+class TestProcess:
+    """What one process pays for the CLI, and that reusing its parser changes nothing."""
+
+    @pytest.mark.parametrize("argv, unused", [
+        ([], ("numpy",) + LAYERS),
+        (["pattern", "1H"], ("numpy",) + LAYERS),
+        (["analyze", "rates", str(handguard.data_path("confusion_volar.csv"))],
+         ("handguard.sim", "handguard.marker_pose", "handguard.gimbal")),
+    ], ids=["import and build_parser", "pattern", "analyze rates"])
+    def test_import_budget(self, argv, unused):
+        code, out, err = _fresh(LOADED_BY, " ".join(unused), *argv)
+        assert (code, err) == (0, "")
+        assert out == "0 []\n"
+
+    def test_reused_parser_answers_like_a_fresh_process(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        (tmp_path / "fresh").mkdir()
+        calls = [
+            ["analyze", "nosuch", "x.csv"],
+            ["--help"],
+            ["analyze", "rates", str(handguard.data_path("confusion_volar.csv"))],
+            ["simulate", "--trace", "t.csv", "--metrics", "m.json"],
+            ["analyze", "nosuch", "x.csv"],
+            ["--help"],
+        ]
+        monkeypatch.chdir(tmp_path)
+        for argv in calls:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            fresh = _fresh("import sys; from handguard.cli import main; sys.exit(main())",
+                           *argv, cwd=tmp_path / "fresh")
+            assert (code, captured.out, captured.err) == fresh, argv
+        for name in ("t.csv", "m.json"):
+            assert (tmp_path / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
