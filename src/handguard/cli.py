@@ -53,10 +53,10 @@ def _output_error(flag: str, out: str, suffixes=("",)):
 
 
 def _read_intrinsics(path: str) -> marker_pose.CameraIntrinsics:
-    from . import marker_pose, sim
+    from . import config, marker_pose
 
     with open(_require_file(path)) as fh:
-        return sim.build_section(marker_pose.CameraIntrinsics, json.load(fh), "intrinsics")
+        return config.build_section(marker_pose.CameraIntrinsics, json.load(fh), "intrinsics")
 
 
 def _finite(text: str) -> float:
@@ -74,10 +74,10 @@ def _marker_side(text: str) -> float:
 
 
 def _read_observations(path: str) -> list:
-    """Parse `marker_id,u0,v0,...,u3,v3` lines; returns (line_no, obs-or-error)."""
-    import numpy as np
-
-    from . import marker_pose
+    """Parse `marker_id,u0,v0,...,u3,v3` lines.  Per data line returns
+    (line_no, marker_id, corners, None), the corners as four (u, v) floats
+    that pass MarkerObservation's checks, or (line_no, None, None, message)."""
+    from .marker_pose import check_corners
 
     rows = []
     with open(_require_file(path)) as fh:
@@ -86,18 +86,16 @@ def _read_observations(path: str) -> list:
             if not line or line.startswith("#") or line.lower().startswith("marker_id"):
                 continue
             try:
-                parts = [float(x) for x in line.split(",")]
+                parts = list(map(float, line.split(",")))
                 if len(parts) != 9:
                     raise ValueError("expected 9 comma-separated values")
                 if not parts[0].is_integer():  # also inf and nan
                     raise ValueError("marker_id must be an integer")
-                obs = marker_pose.MarkerObservation(
-                    marker_id=int(parts[0]),
-                    corners=np.array(parts[1:]).reshape(4, 2),
-                )
-                rows.append((line_no, obs, None))
+                corners = list(zip(parts[1::2], parts[2::2]))
+                check_corners(corners)
+                rows.append((line_no, int(parts[0]), corners, None))
             except ValueError as exc:
-                rows.append((line_no, None, str(exc)))
+                rows.append((line_no, None, None, str(exc)))
     return rows
 
 
@@ -172,6 +170,7 @@ def cmd_pattern(args) -> int:
 
 def cmd_pose(args) -> int:
     from . import marker_pose
+    from .geometry import orthonormalized
 
     try:
         intrinsics = _read_intrinsics(args.intrinsics)
@@ -182,23 +181,25 @@ def cmd_pose(args) -> int:
         return _fail(str(exc), EXIT_USAGE)
     if not rows:
         return _fail("no observations in file", EXIT_DATA_ERROR)
-    estimates = iter(marker_pose.estimate_poses(
-        [obs for _, obs, parse_error in rows if parse_error is None], args.marker_side, intrinsics))
+    fits = iter(marker_pose.fit_corners_many(
+        [corners for _, _, corners, error in rows if error is None], args.marker_side,
+        intrinsics, 0.0))
     failures = 0
-    for line_no, obs, parse_error in rows:
-        est = next(estimates) if parse_error is None else parse_error
-        if not isinstance(est, marker_pose.PoseEstimate):
-            print(json.dumps({"line": line_no, "error": str(est)}))
+    for line_no, marker_id, _, error in rows:
+        fit = next(fits) if error is None else error
+        if not isinstance(fit, tuple):
+            print(json.dumps({"line": line_no, "error": str(fit)}))
             failures += 1
             continue
-        out = est.pose.to_json_dict()
-        out.update({
-            "line": line_no,
-            "marker_id": obs.marker_id,
-            "rms_px": est.rms_reprojection_error,
-            "ambiguity_ratio": est.ambiguity_ratio,
-        })
-        print(json.dumps(out))
+        # orthonormalized rejects a rotation that is not finite and the
+        # translation is checked here; rms is a square root, never negative,
+        # and _kept_fit's ratio is at least 1, so neither needs a check
+        r, t, rms, ratio = fit
+        r = orthonormalized(r)
+        if not all(map(math.isfinite, t)):
+            raise ValueError("translation must be finite")
+        print(json.dumps({"r": r, "t": t, "line": line_no, "marker_id": marker_id,
+                          "rms_px": rms, "ambiguity_ratio": ratio}))
     return EXIT_DATA_ERROR if failures == len(rows) else EXIT_OK
 
 
@@ -220,12 +221,13 @@ def cmd_calibrate(args) -> int:
         return _fail(str(exc), EXIT_USAGE)
     if args.out and (message := _output_error("--out", args.out)):
         return _fail(message, EXIT_USAGE)
-    usable = [obs for _, obs, err in rows if err is None]
+    usable = [(marker_id, corners) for _, marker_id, corners, error in rows if error is None]
     if not usable:
         return _fail("no usable base-marker observation", EXIT_DATA_ERROR)
     try:
         base_in_camera = marker_pose.calibrate_base(
-            usable[0], args.marker_side, intrinsics, base_marker_to_robot_base
+            marker_pose.MarkerObservation(*usable[0]), args.marker_side, intrinsics,
+            base_marker_to_robot_base,
         )
     except marker_pose.PoseError as exc:
         return _fail(f"calibration failed: {exc}", EXIT_DATA_ERROR)

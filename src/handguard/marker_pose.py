@@ -17,26 +17,33 @@ a closed-form 3x3 solve for the homography, IPPE with its matrix products
 unrolled, and the Gauss-Newton loop, which builds the normal equations
 JᵀJ and Jᵀr directly, never the 8x6 J, and solves the damped 6x6 system
 with an unrolled Cholesky factorization.  `fit_corners` returns the kept
-fit as floats; the one RigidTransform built per frame is the winner's, by
-`estimate_poses`.
+fit as floats; `estimate_pose` builds the one RigidTransform of a frame,
+the winner's, and `handguard pose` builds none: it prints the floats.
 
-Two drivers refine the candidates, with the same bits.  `fit_corners`
-fits one frame on the scalar `_refine`.  `fit_corners_many`, behind
-`estimate_poses` and `handguard pose`, fits many: IPPE per frame, then all
-frames' candidates ("lanes") in lockstep, one Gauss-Newton iteration at a
-time as float64 arrays.  Each lane gets the float operations `_refine`
-gives it, in the same order: `_rotated_corners`, `_normal_equations` and
-`product_entries` run unchanged on the arrays, `_damped_step` takes an
-inverse root that records failed pivots, and sine and cosine are taken per
-lane through math.  Lanes stop unevenly: on a pose_batch file of 100
-frames, 200 lanes are down to 32-51 after 5 iterations, while a file's
-slowest lane runs 28-50 (seeds 0-15), and a lockstep iteration costs
-about as much as 50 lanes' scalar ones.  So once fewer than
-LOCKSTEP_MIN_LANES lanes are active, each resumes on `_refine` from its
-own (r, t), damping and iterations left, which is exact because the
-loop's other state is a function of (r, t).  Below that many lanes in
-all no array is built, so a single frame, as in the simulation and
-`calibrate`, takes the scalar path.
+Each fit stage has an array form that gives every frame the same bits.
+`fit_corners` fits one frame on the scalar `_starts` and `_refine`.
+`fit_corners_many`, behind `handguard pose`, fits many.  From
+LOCKSTEP_MIN_LANES candidates ("lanes", two per frame) up,
+`_starts_lockstep` takes all frames' IPPE starts at once as float64
+arrays: the homography, IPPE and Gram-Schmidt run with the scalar
+functions' float operations in the same order, hypot, atan2, sine and
+cosine are taken per frame through math and sums through the builtin, the
+scalar branches are masks, and a frame that fails a check is fitted again
+by `_starts`, so it gets the scalar path's error.  Then all lanes are
+refined in lockstep, one Gauss-Newton iteration at a time as float64
+arrays.  Each lane gets the float operations `_refine` gives it, in the
+same order: `_rotated_corners`, `_normal_equations` and `product_entries`
+run unchanged on the arrays, `_damped_step` takes an inverse root that
+records failed pivots, and sine and cosine are taken per lane through
+math.  Lanes stop unevenly: on a pose_batch file of 100 frames, 200 lanes
+are down to 32-51 after 5 iterations, while a file's slowest lane runs
+28-50 (seeds 0-15), and a lockstep iteration costs about as much as 50
+lanes' scalar ones.  So once fewer than LOCKSTEP_MIN_LANES lanes are
+active, each resumes on `_refine` from its own (r, t), damping and
+iterations left, which is exact because the loop's other state is a
+function of (r, t).  Below that many lanes in all no array is built, so a
+single frame, as in the simulation, `estimate_pose` and `calibrate`,
+takes the scalar path.
 
 Refinement stops after an accepted step that lowers the squared-pixel cost
 by at most GN_COST_RTOL of the new cost or has a norm below GN_STEP_TOL,
@@ -56,7 +63,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .geometry import (
-    RigidTransform, axis_angle_entries, compose, invert, orthonormalized, product_entries,
+    ORTHONORMALITY_TOL, RigidTransform, axis_angle_entries, compose, invert, orthonormalized,
+    product_entries,
 )
 
 MIN_DEPTH_M = 1e-6
@@ -131,10 +139,7 @@ class MarkerObservation:
         c = np.array(self.corners, dtype=float)
         if c.shape != (4, 2):
             raise ValueError("corners must be a 4x2 array")
-        pixels = c.tolist()
-        if not all(math.isfinite(x) for corner in pixels for x in corner):
-            raise ValueError("corners must be finite")
-        _require_area(pixels)
+        check_corners(c.tolist())
         c.setflags(write=False)
         object.__setattr__(self, "corners", c)
 
@@ -150,6 +155,15 @@ class PoseEstimate:
             raise ValueError("rms error must be >= 0")
         if self.ambiguity_ratio < 1.0:
             raise ValueError("ambiguity ratio must be >= 1")
+
+
+def check_corners(pixels: list) -> None:
+    """The checks on one observation's four corner pixels (u, v), as floats:
+    ValueError unless they are finite, DegenerateCorners unless every
+    corner-triple triangle has area."""
+    if not all(math.isfinite(x) for corner in pixels for x in corner):
+        raise ValueError("corners must be finite")
+    _require_area(pixels)
 
 
 def _require_area(c: list) -> None:
@@ -516,6 +530,10 @@ def _normal_equation_lanes(rows, k: CameraIntrinsics) -> tuple:
     return (*sums[:16], 0.0, *sums[16:20]), sums[20:]
 
 
+# the identity's entries as one (9, 1) lane array, which broadcasts to any lanes
+_IDENTITY_LANE = np.eye(3).reshape(9, 1)
+
+
 def _rotate_lanes(w0, w1, w2, r, solved):
     """_rotate on lane arrays.  Sine and cosine are taken per lane through
     math, so the bits do not depend on numpy's vectorized libm; lanes not
@@ -613,10 +631,129 @@ def _starts(pixels: list, half: float, k: CameraIntrinsics) -> tuple:
     return _ippe_candidates(_square_homography(normalized, half), normalized, half)
 
 
+def _frame_starts(pixels: list, half: float, k: CameraIntrinsics):
+    """_starts, or the PoseError it raises."""
+    try:
+        return _starts(pixels, half, k)
+    except PoseError as exc:
+        return exc
+
+
+def _sum_lanes(*terms) -> np.ndarray:
+    """sum(terms) per lane, taken through the builtin: from Python 3.12 on
+    it does not add floats left to right."""
+    shape = np.shape(terms[0])
+    return np.fromiter(map(sum, zip(*(np.ravel(term).tolist() for term in terms))), float,
+                       np.prod(shape)).reshape(shape)
+
+
+def _at_least_zero(x):
+    """max(x, 0.0) on lane arrays, nan and -0.0 included: x unless 0.0 > x."""
+    return np.where(0.0 > x, 0.0, x)
+
+
+def _orthonormalized_lanes(r) -> tuple:
+    """geometry.orthonormalized on lane arrays, with its float operations in
+    order: the nine entries and a mask of the lanes on which it raises."""
+    a, b, c, d, e, f, g, h, i = r
+    n0 = np.sqrt(a * a + d * d + g * g)
+    x0, y0, z0 = a / n0, d / n0, g / n0
+    p = x0 * b + y0 * e + z0 * h
+    vx, vy, vz = b - p * x0, e - p * y0, h - p * z0
+    n1 = np.sqrt(vx * vx + vy * vy + vz * vz)
+    x1, y1, z1 = vx / n1, vy / n1, vz / n1
+    x2, y2, z2 = y0 * z1 - z0 * y1, z0 * x1 - x0 * z1, x0 * y1 - y0 * x1
+    raises = (~np.isfinite(r).all(axis=0) | (n0 < 1e-12) | (n1 < 1e-12)
+              | (abs(x0 * x1 + y0 * y1 + z0 * z1) > ORTHONORMALITY_TOL)
+              | (abs(x2 * c + y2 * f + z2 * i) < 1e-12))
+    return (x0, x1, x2, y0, y1, y2, z0, z1, z2), raises
+
+
+def _starts_lockstep(pixel_rows: list, half: float, k: CameraIntrinsics) -> list:
+    """_frame_starts on each frame, with the same bits, all frames at once.
+
+    _require_area, _normalized_corners, _square_homography,
+    _ippe_candidates and orthonormalized run on float64 arrays, one element
+    per frame (per frame and candidate once the two candidates split), each
+    with the scalar functions' float operations in the same order.  hypot,
+    atan2, sine and cosine are taken per frame through math and sums through
+    the builtin; the scalar branches (t < 1e-15 in IPPE, n < 1e-15 in
+    _rotate, tz < 0) are masks.  A frame that fails a check, or that a
+    division by zero would stop, is fitted again by _starts, so it gets the
+    error _starts gives it.
+    """
+    pixels = np.array(pixel_rows, dtype=float).transpose(1, 2, 0)  # (corner, u/v, frame)
+    with np.errstate(all="ignore"):  # a frame that fails a check computes garbage
+        corners = list(pixels)
+        failed = np.logical_or.reduce([
+            ~(abs((bu - au) * (dv - av) - (du - au) * (bv - av)) / 2 >= 1e-9)
+            for (au, av), (bu, bv), (du, dv) in zip(corners, corners[1:] + corners[:1],
+                                                    corners[2:] + corners[:2])])
+        normalized = (pixels - np.array([[k.cx], [k.cy]])) / np.array([[k.fx], [k.fy]])
+        (u0, v0), (u1, v1), (u2, v2), (u3, v3) = normalized
+        # _square_homography
+        det = (u1 - u0) * (v3 - v0) - (u3 - u0) * (v1 - v0)
+        s0 = ((u1 - u2) * (v3 - v2) - (u3 - u2) * (v1 - v2)) / det
+        s1 = ((u2 - u0) * (v3 - v0) - (u3 - u0) * (v2 - v0)) / det
+        s3 = ((u1 - u0) * (v2 - v0) - (u2 - u0) * (v1 - v0)) / det
+        h00, h01, h02 = (s0 * u0 + s1 * u1) / half, -(s0 * u0 + s3 * u3) / half, s1 * u1 + s3 * u3
+        h10, h11, h12 = (s0 * v0 + s1 * v1) / half, -(s0 * v0 + s3 * v3) / half, s1 * v1 + s3 * v3
+        h20, h21, h22 = (s0 + s1) / half, -(s0 + s3) / half, s1 + s3
+        # _ippe_candidates
+        p, q = h02 / h22, h12 / h22
+        j00, j01 = (h00 - h20 * p) / h22, (h01 - h21 * p) / h22
+        j10, j11 = (h10 - h20 * q) / h22, (h11 - h21 * q) / h22
+        t = np.array(list(map(math.hypot, p.tolist(), q.tolist())))
+        w = np.where(t >= 1e-15, np.array(list(map(math.atan2, t.tolist(), [1.0] * len(t)))) / t,
+                     0.0)
+        w0, w1 = -q * w, p * w
+        v00, v01, _, v10, v11, _, v20, v21, _ = _rotate_lanes(w0, w1, 0.0, _IDENTITY_LANE, True)
+        b00, b01, b10, b11 = v00 - p * v20, v01 - p * v21, v10 - q * v20, v11 - q * v21
+        det_b = b00 * b11 - b01 * b10
+        a00, a01 = (b11 * j00 - b01 * j10) / det_b, (b11 * j01 - b01 * j11) / det_b
+        a10, a11 = (b00 * j10 - b10 * j00) / det_b, (b00 * j11 - b10 * j01) / det_b
+        f = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
+        d = a00 * a11 - a01 * a10
+        gamma = np.sqrt((f + np.sqrt(_at_least_zero(f * f - 4.0 * d * d))) / 2.0)
+        r00, r01, r10, r11 = a00 / gamma, a01 / gamma, a10 / gamma, a11 / gamma
+        m00 = 1.0 - r00 * r00 - r10 * r10
+        m01 = -r00 * r01 - r10 * r11
+        m11 = 1.0 - r01 * r01 - r11 * r11
+        b0 = np.sqrt(_at_least_zero(m00))
+        b1 = np.copysign(np.sqrt(_at_least_zero(m11)), m01)
+        c0, c1, c2 = r10 * b1 - b0 * r11, b0 * r01 - r00 * b1, r00 * r11 - r10 * r01
+        u_mean, v_mean = _sum_lanes(u0, u1, u2, u3) / 4.0, _sum_lanes(v0, v1, v2, v3) / 4.0
+        duv = [(u - u_mean, v - v_mean) for u, v in normalized]
+        spread = _sum_lanes(*(du * du + dv * dv for du, dv in duv))
+        # both candidates as (2, frames) arrays, s = 1.0 then -1.0
+        s = np.array([[1.0], [-1.0]])
+        r = _rotate_lanes(w0, w1, 0.0, np.broadcast_arrays(
+            r00, r01, s * c0, r10, r11, s * c1, s * b0, s * b1, c2), True)
+        buv = [(u * mz - mx, v * mz - my)
+               for (u, v), (mx, my, mz) in zip(normalized, _rotated_corners(r, half))]
+        tz = -_sum_lanes(*(du * bu + dv * bv for (du, dv), (bu, bv) in zip(duv, buv))) / spread
+        translation = (_sum_lanes(*(bu for bu, _ in buv)) / 4.0 + u_mean * tz,
+                       _sum_lanes(*(bv for _, bv in buv)) / 4.0 + v_mean * tz, tz)
+        behind = tz < 0
+        r = [np.where(behind, -x, x) if j % 3 < 2 else x for j, x in enumerate(r)]
+        translation = [np.where(behind, -x, x) for x in translation]
+        r, raises = _orthonormalized_lanes(np.array(r))
+        failed |= ((det == 0.0) | ~np.isfinite(det) | (h22 == 0.0) | (det_b == 0.0)
+                   | (gamma == 0.0) | (spread == 0.0)
+                   | (raises | ~np.isfinite(translation).all(axis=0)).any(axis=0))
+    # per frame: per candidate the rotation entries, then the translation
+    starts = [tuple(zip(map(tuple, r_frame), map(tuple, t_frame)))
+              for r_frame, t_frame in zip(np.array(r).transpose(2, 1, 0).tolist(),
+                                          np.array(translation).transpose(2, 1, 0).tolist())]
+    for i in np.flatnonzero(failed).tolist():
+        starts[i] = _frame_starts(pixel_rows[i], half, k)
+    return starts
+
+
 def _kept_fit(fits: list, pixel_sigma: float) -> tuple:
     """The fit with the smaller rms among a frame's refined candidates (None
-    for a dropped one) and the ambiguity ratio; NoConvergence when it fails
-    the gate."""
+    for a dropped one) and the ambiguity ratio, at least 1; NoConvergence
+    when it fails the gate."""
     gate = max(MAX_RMS_PX, _RMS_GATE_PER_SIGMA * pixel_sigma)
     fits = sorted((fit for fit in fits if fit is not None), key=lambda fit: fit[2])
     if not fits or fits[0][2] > gate:
@@ -632,28 +769,12 @@ def estimate_pose(
 ) -> PoseEstimate:
     """Estimate the marker pose in the camera frame from four corner pixels
     whose noise has standard deviation pixel_sigma (px)."""
-    (est,) = estimate_poses([obs], marker_side, intrinsics, pixel_sigma)
-    if isinstance(est, PoseError):
-        raise est
-    return est
-
-
-def estimate_poses(
-    observations: list, marker_side: float, intrinsics: CameraIntrinsics,
-    pixel_sigma: float = 0.0,
-) -> list:
-    """estimate_pose on each observation, fitted together by
-    fit_corners_many: per observation its PoseEstimate, or the PoseError
-    that estimate_pose raises on it."""
     if not 0 < marker_side < math.inf:
         raise ValueError("marker_side must be a positive finite number")
     if not 0 <= pixel_sigma < math.inf:
         raise ValueError("pixel_sigma must be a finite number >= 0")
-    fits = fit_corners_many([obs.corners.tolist() for obs in observations], marker_side,
-                            intrinsics, pixel_sigma)
-    return [fit if isinstance(fit, PoseError) else PoseEstimate(
-        RigidTransform.from_orthonormalized(np.reshape(fit[0], (3, 3)), fit[1]), *fit[2:])
-        for fit in fits]
+    r, t, rms, ratio = fit_corners(obs.corners.tolist(), marker_side, intrinsics, pixel_sigma)
+    return PoseEstimate(RigidTransform.from_orthonormalized(np.reshape(r, (3, 3)), t), rms, ratio)
 
 
 def fit_corners(pixels: list, marker_side: float, k: CameraIntrinsics, pixel_sigma: float):
@@ -669,22 +790,25 @@ def fit_corners_many(pixel_rows: list, marker_side: float, k: CameraIntrinsics,
                      pixel_sigma: float) -> list:
     """fit_corners on each frame's four corner pixels, with the same bits:
     per frame the kept fit, or the PoseError that fit_corners raises on it.
-    The candidates of all frames are refined together by _refine_lanes."""
+    From LOCKSTEP_MIN_LANES candidates (two per frame) up, _starts_lockstep
+    takes every frame's starts at once; the candidates of all frames are
+    refined together by _refine_lanes."""
     half = marker_side / 2.0
-    frames, lanes = [], []
-    for pixels in pixel_rows:
-        try:
-            lanes.extend((r, t, pixels) for r, t in _starts(pixels, half, k))
-            frames.append(None)
-        except PoseError as exc:
-            frames.append(exc)
+    if 2 * len(pixel_rows) >= LOCKSTEP_MIN_LANES:
+        starts = _starts_lockstep(pixel_rows, half, k)
+    else:
+        starts = [_frame_starts(pixels, half, k) for pixels in pixel_rows]
+    lanes = [(r, t, pixels) for pixels, frame in zip(pixel_rows, starts)
+             if not isinstance(frame, PoseError) for r, t in frame]
     fits = iter(_refine_lanes(lanes, half, k))
-    for i, error in enumerate(frames):
-        if error is None:
+    frames = []
+    for frame in starts:
+        if not isinstance(frame, PoseError):
             try:
-                frames[i] = _kept_fit([next(fits), next(fits)], pixel_sigma)  # two IPPE starts
+                frame = _kept_fit([next(fits), next(fits)], pixel_sigma)  # two IPPE starts
             except NoConvergence as exc:
-                frames[i] = exc
+                frame = exc
+        frames.append(frame)
     return frames
 
 

@@ -61,6 +61,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gimbal, haptics, marker_pose, safety
+from .config import ScenarioError, build_section, check_object, require_finite
 from .geometry import HandOffset, Point3, RigidTransform, invert, orthonormalized, product_entries
 
 RESPONSE_TIME_FLOOR_S = 0.05
@@ -111,10 +112,6 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-class ScenarioError(ValueError):
-    """Scenario config failed validation; message names the offending field."""
-
-
 class UnknownPattern(KeyError):
     """Pattern id outside the human model's response-time table."""
 
@@ -137,13 +134,13 @@ class HumanModel:
             raise ScenarioError("human.response_mean: expected a JSON object")
         means = {str(haptics.PatternId.parse(k)): v for k, v in self.response_mean.items()}
         for pattern, mean in means.items():
-            _require_finite(f"human.response_mean.{pattern}", mean)
+            require_finite(f"human.response_mean.{pattern}", mean)
         if any(v < 0 for v in means.values()):
             raise ScenarioError("human.response_mean: times must be >= 0")
         object.__setattr__(self, "response_mean", means)
         for name in ("response_jitter_sigma", "mis_response_probability", "hand_speed",
                      "escape_displacement", "return_delay"):
-            _require_finite(f"human.{name}", getattr(self, name))
+            require_finite(f"human.{name}", getattr(self, name))
         if not 0 <= self.mis_response_probability <= 1:
             raise ScenarioError("human.mis_response_probability: must be in [0, 1]")
         if self.response_jitter_sigma < 0 or self.return_delay < 0:
@@ -164,12 +161,6 @@ def sample_response_time(
     return max(draw, RESPONSE_TIME_FLOOR_S)
 
 
-def _require_finite(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) \
-            or not math.isfinite(value):
-        raise ScenarioError(f"{name}: must be a finite number")
-
-
 @dataclass(frozen=True)
 class Scenario:
     dt: float = 0.01
@@ -188,7 +179,7 @@ class Scenario:
 
     def __post_init__(self):
         for name in ("dt", "duration", "marker_side", "pixel_noise_sigma"):
-            _require_finite(name, getattr(self, name))
+            require_finite(name, getattr(self, name))
         if isinstance(self.seed, bool) or not isinstance(self.seed, numbers.Integral) \
                 or self.seed < 0:
             raise ScenarioError("seed: must be an integer >= 0")
@@ -199,7 +190,7 @@ class Scenario:
         if len(self.robot_waypoints) < 2:
             raise ScenarioError("robot_waypoints: at least 2 waypoints required")
         for i, (_, speed) in enumerate(self.robot_waypoints):
-            _require_finite(f"robot_waypoints[{i}].speed", speed)
+            require_finite(f"robot_waypoints[{i}].speed", speed)
             if speed <= 0:
                 raise ScenarioError(f"robot_waypoints[{i}].speed: must be > 0")
         if not _leg_table(self.robot_waypoints).legs:
@@ -215,7 +206,7 @@ class Scenario:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "Scenario":
-        _check_object(doc, {f.name for f in dataclasses.fields(cls)}, "scenario")
+        check_object(doc, {f.name for f in dataclasses.fields(cls)}, "scenario")
         kwargs = dict(doc)  # scalars pass through; __post_init__ checks them
         try:
             if "robot_waypoints" in doc:
@@ -223,7 +214,7 @@ class Scenario:
                     raise ScenarioError("robot_waypoints: expected a list of objects")
                 wps = []
                 for i, entry in enumerate(doc["robot_waypoints"]):
-                    _check_object(entry, {"point", "speed"}, f"robot_waypoints[{i}]",
+                    check_object(entry, {"point", "speed"}, f"robot_waypoints[{i}]",
                                   all_required=True)
                     point = _finite_coords(f"robot_waypoints[{i}].point", entry["point"])
                     wps.append((Point3(*point), entry["speed"]))
@@ -254,36 +245,12 @@ _SECTIONS = {
 }
 
 
-def _check_object(doc, allowed: set, path: str, all_required: bool = False) -> None:
-    """doc is a JSON object with keys from allowed, all of them if all_required;
-    ScenarioError names the path and the first offending key."""
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{path}: expected a JSON object")
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
-    missing = sorted(allowed - set(doc)) if all_required else []
-    if missing:
-        raise ScenarioError(f"{path}.{missing[0]}: missing")
-
-
-def build_section(cls, doc, path: str):
-    """A section dataclass built from its JSON object.  Its fields are the
-    keys, and each numeric field must be a finite number; ScenarioError names
-    the offending key or field."""
-    _check_object(doc, {f.name for f in dataclasses.fields(cls)}, path)
-    for f in dataclasses.fields(cls):
-        if f.name in doc and isinstance(f.default, numbers.Real):
-            _require_finite(f"{path}.{f.name}", doc[f.name])
-    return cls(**doc)
-
-
 def _finite_coords(name: str, coords) -> tuple:
     coords = tuple(coords)
     if len(coords) != 3:
         raise ScenarioError(f"{name}: expected 3 coordinates")
     for i, value in enumerate(coords):
-        _require_finite(f"{name}[{i}]", value)
+        require_finite(f"{name}[{i}]", value)
     return coords
 
 

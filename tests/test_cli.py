@@ -435,6 +435,19 @@ class TestPose:
         docs = [json.loads(line) for line in out.strip().splitlines()]
         assert docs[1] == {"line": 2, "error": "marker_id must be an integer"}
 
+    @pytest.mark.parametrize("corner", ["inf", "-inf", "nan"])
+    def test_non_finite_corner_is_a_row_error(self, capsys, tmp_path, intrinsics_file, corner):
+        good = observation_line(RigidTransform(np.eye(3), [0, 0, 1.0]))
+        marker_id, _, rest = good.split(",", 2)
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(f"{good}\n{marker_id},{corner},{rest}\n")
+        code, out, _ = run_cli(
+            capsys, "pose", str(obs_file), "--intrinsics", intrinsics_file
+        )
+        assert code == 0
+        docs = [json.loads(line) for line in out.strip().splitlines()]
+        assert docs[1] == {"line": 2, "error": "corners must be finite"}
+
     @pytest.mark.parametrize("marker_id, expected", [("3", 3), ("3.0", 3), ("-2", -2)])
     def test_integral_marker_id_reads_as_int(self, capsys, tmp_path, intrinsics_file,
                                              marker_id, expected):
@@ -497,6 +510,18 @@ class TestCalibrate:
         got = RigidTransform.from_json_dict(json.loads(out_file.read_text()))
         assert np.abs(got.as_matrix() - truth.as_matrix()).max() < 1e-6
 
+
+    def test_uses_the_first_row_that_passes_the_checks(self, capsys, tmp_path, intrinsics_file):
+        truth = RigidTransform(rotation_from_axis_angle((0, 1, 0), 0.3), [-0.05, 0.02, 0.9])
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text("\n".join([
+            "1,0,0,1,1,2,2,3,3", "2,inf,0,1,0,1,1,0,1", "3,1,2,3",
+            observation_line(truth), observation_line(RigidTransform(np.eye(3), [0, 0, 1.0])),
+        ]) + "\n")
+        code, out, _ = run_cli(capsys, "calibrate", str(obs_file), "--intrinsics", intrinsics_file)
+        assert code == 0
+        got = RigidTransform.from_json_dict(json.loads(out))
+        assert np.abs(got.as_matrix() - truth.as_matrix()).max() < 1e-6
 
     def test_self_intersecting_row_exit_1(self, capsys, tmp_path, intrinsics_file):
         obs_file = tmp_path / "obs.csv"
@@ -792,8 +817,15 @@ class TestProcess:
         (["pattern", "1H"], ("numpy",) + LAYERS),
         (["analyze", "rates", str(handguard.data_path("confusion_volar.csv"))],
          ("handguard.sim", "handguard.marker_pose", "handguard.gimbal")),
-    ], ids=["import and build_parser", "pattern", "analyze rates"])
-    def test_import_budget(self, argv, unused):
+        (["pose", "{obs}", "--intrinsics", "{intrinsics}"],
+         ("handguard.sim", "handguard.gimbal", "handguard.safety", "handguard.analysis")),
+        (["calibrate", "{obs}", "--intrinsics", "{intrinsics}"],
+         ("handguard.sim", "handguard.gimbal", "handguard.safety", "handguard.analysis")),
+    ], ids=["import and build_parser", "pattern", "analyze rates", "pose", "calibrate"])
+    def test_import_budget(self, argv, unused, tmp_path, intrinsics_file):
+        obs = tmp_path / "obs.csv"
+        obs.write_text(observation_line(RigidTransform(np.eye(3), [0, 0, 1.0])) + "\n")
+        argv = [arg.format(obs=obs, intrinsics=intrinsics_file) for arg in argv]
         code, out, err = _fresh(LOADED_BY, " ".join(unused), *argv)
         assert (code, err) == (0, "")
         assert out == "0 []\n"

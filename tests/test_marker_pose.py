@@ -867,6 +867,14 @@ def outcome_kinds(reprs):
     return {"fit" if text.startswith("(") else text.split("(")[0] for text in reprs}
 
 
+# a marker seen nearly edge-on, with 0.5 px noise: its quad folds, and the
+# least-squares translation of one IPPE start puts it behind the camera
+MIRRORED_CORNERS = [
+    [519.7211372172835, 414.9055105940249], [541.29204155723, 411.70620662167926],
+    [540.5179141736531, 412.6642370380099], [516.4402255649517, 414.6882912931304],
+]
+
+
 class TestLockstep:
     # fit_corners_many must give every frame the bits of fit_corners on that
     # frame alone, which refines its two starts on the scalar _refine
@@ -905,6 +913,48 @@ class TestLockstep:
         assert together(frames) == expected
         assert outcome_kinds(expected) == {"fit", "NoConvergence", "DegenerateCorners"}
         assert flagged[0] > 0 and sum(flagged[1:]) > 0
+
+    def test_array_starts_take_every_branch(self, monkeypatch):
+        # noisy frames and four that take the array starts' branches: a
+        # square centred on the principal point (p = q = 0, so the view-ray
+        # rotation is the identity), a start mirrored through the camera
+        # centre (tz < 0), and a degenerate and a bow-tie quad, which fail
+        # their checks and are fitted again by _starts
+        centred = project(RigidTransform(np.eye(3), [0.0, 0.0, 1.0]), SIDE, K).tolist()
+        degenerate = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
+        frames = pose_frames(46, LOCKSTEP_MIN_LANES // 2 - 4, 0.5)
+        frames[3:3] = [centred, MIRRORED_CORNERS, degenerate, BOWTIE_CORNERS]
+        assert len(frames) == LOCKSTEP_MIN_LANES // 2
+        unturned, rotated, orthonormalized_in, refitted = [], [], [], []
+        rotate, orthonormalize = marker_pose._rotate_lanes, marker_pose._orthonormalized_lanes
+        frame_starts = marker_pose._frame_starts
+
+        def rotate_lanes(w0, w1, w2, r, solved):
+            if r is marker_pose._IDENTITY_LANE:
+                unturned.append(np.flatnonzero((w0 == 0.0) & (w1 == 0.0)).tolist())
+            rotated.append(rotate(w0, w1, w2, r, solved))
+            return rotated[-1]
+
+        monkeypatch.setattr(marker_pose, "_rotate_lanes", rotate_lanes)
+        monkeypatch.setattr(marker_pose, "_orthonormalized_lanes",
+                            lambda r: orthonormalized_in.append(r) or orthonormalize(r))
+        monkeypatch.setattr(marker_pose, "_frame_starts",
+                            lambda pixels, *args: refitted.append(pixels) or frame_starts(pixels, *args))
+        starts = marker_pose._starts_lockstep(frames, SIDE / 2.0, K)
+        monkeypatch.undo()
+        assert unturned == [[3]]
+        # r00 of each (candidate, frame) before and after the tz < 0 branch
+        before, after = rotated[1][0], orthonormalized_in[0][0]
+        assert np.flatnonzero(((after == -before) & (before != 0.0)).any(axis=0)).tolist() == [4]
+        assert refitted == [degenerate, BOWTIE_CORNERS]
+        assert [repr(start) for start in starts] == [
+            repr(frame_starts(pixels, SIDE / 2.0, K)) for pixels in frames]
+        for pixel_sigma in (0.5, 0.0):
+            expected = per_frame(frames, pixel_sigma)
+            assert together(frames, pixel_sigma) == expected
+        assert expected[3].startswith("(") and expected[5:7] == [
+            repr(DegenerateCorners("corners are collinear or enclose no area")),
+            repr(DegenerateCorners("corners map the marker centre to infinity"))]
 
     @pytest.mark.parametrize("n_rows", [0, 1, LOCKSTEP_MIN_LANES // 2 - 1,
                                         LOCKSTEP_MIN_LANES // 2, LOCKSTEP_MIN_LANES // 2 + 1])
