@@ -20,30 +20,30 @@ with an unrolled Cholesky factorization.  `fit_corners` returns the kept
 fit as floats; `estimate_pose` builds the one RigidTransform of a frame,
 the winner's, and `handguard pose` builds none: it prints the floats.
 
-Each fit stage has an array form that gives every frame the same bits.
-`fit_corners` fits one frame on the scalar `_starts` and `_refine`.
-`fit_corners_many`, behind `handguard pose`, fits many.  From
-LOCKSTEP_MIN_LANES candidates ("lanes", two per frame) up,
-`_starts_lockstep` takes all frames' IPPE starts at once as float64
-arrays: the homography, IPPE and Gram-Schmidt run with the scalar
-functions' float operations in the same order, hypot, atan2, sine and
-cosine are taken per frame through math and sums through the builtin, the
-scalar branches are masks, and a frame that fails a check is fitted again
-by `_starts`, so it gets the scalar path's error.  Then all lanes are
-refined in lockstep, one Gauss-Newton iteration at a time as float64
-arrays.  Each lane gets the float operations `_refine` gives it, in the
-same order: `_rotated_corners`, `_normal_equations` and `product_entries`
-run unchanged on the arrays, `_damped_step` takes an inverse root that
-records failed pivots, and sine and cosine are taken per lane through
-math.  Lanes stop unevenly: on a pose_batch file of 100 frames, 200 lanes
-are down to 32-51 after 5 iterations, while a file's slowest lane runs
-28-50 (seeds 0-15), and a lockstep iteration costs about as much as 50
-lanes' scalar ones.  So once fewer than LOCKSTEP_MIN_LANES lanes are
-active, each resumes on `_refine` from its own (r, t), damping and
-iterations left, which is exact because the loop's other state is a
-function of (r, t).  Below that many lanes in all no array is built, so a
-single frame, as in the simulation, `estimate_pose` and `calibrate`,
-takes the scalar path.
+Each fit driver has one path, and both give every frame the same bits.
+`fit_corners` fits one frame (the simulation, `estimate_pose` and
+`calibrate`) on floats: the scalar `_starts`, then `_refine` on each
+start.  `fit_corners_many`, behind `handguard pose`, fits a file on
+float64 arrays ("lanes", two per frame), at every file size.
+`_starts_lockstep` takes all frames' IPPE starts at once: the homography,
+IPPE and Gram-Schmidt run with the scalar functions' float operations in
+the same order, hypot, atan2, sine and cosine are taken per frame through
+math and sums through the builtin, and the scalar branches and checks are
+masks.  The scalar and array checks reject the same frames, so a flagged
+frame's lanes never enter the arrays, and `_starts` only names its
+PoseError.  Then all lanes are refined in lockstep, one Gauss-Newton
+iteration at a time.  Each lane gets the float operations `_refine` gives
+it, in the same order: `_rotated_corners`, `_normal_equations` and
+`product_entries` run unchanged on the arrays, `_damped_step` takes an
+inverse root that records failed pivots, and sine and cosine are taken
+per lane through math.  Lanes stop unevenly: on a pose_batch file of 100
+frames, 200 lanes are down to 32-51 after 5 iterations, while a file's
+slowest lane runs 28-50 (seeds 0-15), and a lockstep iteration costs
+about as much as 50 lanes' scalar ones.  So once fewer than
+LOCKSTEP_MIN_LANES lanes are active, each resumes on `_refine` from its
+own (r, t), damping and iterations left, which is exact because the
+loop's other state is a function of (r, t); a file of fewer than 16
+frames goes to `_refine` straight from its array starts.
 
 Refinement stops after an accepted step that lowers the squared-pixel cost
 by at most GN_COST_RTOL of the new cost or has a norm below GN_STEP_TOL,
@@ -63,8 +63,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .geometry import (
-    ORTHONORMALITY_TOL, RigidTransform, axis_angle_entries, compose, invert, orthonormalized,
-    product_entries,
+    ORTHONORMALITY_TOL, InvalidRotation, RigidTransform, axis_angle_entries, compose, invert,
+    orthonormalized, product_entries,
 )
 
 MIN_DEPTH_M = 1e-6
@@ -168,8 +168,9 @@ def check_corners(pixels: list) -> None:
 
 def _require_area(c: list) -> None:
     """Raise DegenerateCorners unless every corner-triple triangle has area."""
-    if min(abs((bu - au) * (dv - av) - (du - au) * (bv - av)) / 2
-           for (au, av), (bu, bv), (du, dv) in zip(c, c[1:] + c[:1], c[2:] + c[:2])) < 1e-9:
+    # not min(...) < 1e-9: min skips a nan area (products that overflowed) unless it is first
+    if not all(abs((bu - au) * (dv - av) - (du - au) * (bv - av)) / 2 >= 1e-9
+               for (au, av), (bu, bv), (du, dv) in zip(c, c[1:] + c[:1], c[2:] + c[:2])):
         raise DegenerateCorners("corners are collinear or enclose no area")
 
 
@@ -276,12 +277,20 @@ def _ippe_candidates(h, normalized: list, half: float) -> tuple:
     # A = B^-1 J with B = [[1, 0, -p], [0, 1, -q]] @ rv[:, :2]
     b00, b01, b10, b11 = v00 - p * v20, v01 - p * v21, v10 - q * v20, v11 - q * v21
     det = b00 * b11 - b01 * b10
+    # this check and the gamma, spread and finiteness ones below stop a
+    # division by zero or a non-finite start, as _starts_lockstep's masks
+    # do: on corners far outside any image, det rounds to 0 from about 1e17
+    # px and entries overflow from about 1e150 px
+    if det == 0.0:
+        raise DegenerateCorners("corners give no finite pose candidate")
     a00, a01 = (b11 * j00 - b01 * j10) / det, (b11 * j01 - b01 * j11) / det
     a10, a11 = (b00 * j10 - b10 * j00) / det, (b00 * j11 - b10 * j01) / det
     # largest singular value of the 2x2 A
     f = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
     d = a00 * a11 - a01 * a10
     gamma = math.sqrt((f + math.sqrt(max(f * f - 4.0 * d * d, 0.0))) / 2.0)
+    if gamma == 0.0:
+        raise DegenerateCorners("corners give no finite pose candidate")
     r00, r01, r10, r11 = a00 / gamma, a01 / gamma, a10 / gamma, a11 / gamma
     # third row b of the two orthonormal columns: b b^T = I - R~^T R~
     m00 = 1.0 - r00 * r00 - r10 * r10
@@ -295,6 +304,8 @@ def _ippe_candidates(h, normalized: list, half: float) -> tuple:
     u_mean, v_mean = sum(u for u, _ in normalized) / 4.0, sum(v for _, v in normalized) / 4.0
     duv = [(u - u_mean, v - v_mean) for u, v in normalized]
     spread = sum(du * du + dv * dv for du, dv in duv)
+    if spread == 0.0:
+        raise DegenerateCorners("corners give no finite pose candidate")
     candidates = []
     for s in (1.0, -1.0):
         # rv @ [[r00, r01, s c0], [r10, r11, s c1], [s b0, s b1, c2]]
@@ -313,7 +324,12 @@ def _ippe_candidates(h, normalized: list, half: float) -> tuple:
             # corners through the camera centre keeps every projection
             r = tuple(-x if j % 3 < 2 else x for j, x in enumerate(r))  # columns 0, 1
             translation = tuple(-x for x in translation)
-        candidates.append((orthonormalized(r), translation))
+        if not all(map(math.isfinite, translation)):
+            raise DegenerateCorners("corners give no finite pose candidate")
+        try:
+            candidates.append((orthonormalized(r), translation))
+        except InvalidRotation:
+            raise DegenerateCorners("corners give no finite pose candidate") from None
     return tuple(candidates)
 
 
@@ -545,28 +561,26 @@ def _rotate_lanes(w0, w1, w2, r, solved):
     return np.where(n < 1e-15, r, product_entries(turn, r))
 
 
-def _refine_lockstep(lanes: list, half: float, k: CameraIntrinsics) -> list:
-    """_refine from each lane's start (r, t, observed pixels), with the same
-    bits, one Gauss-Newton iteration at a time over all lanes as arrays.
+def _refine_lockstep(r, t, observed, half: float, k: CameraIntrinsics) -> list:
+    """_refine from each lane's start, with the same bits, one Gauss-Newton
+    iteration at a time over all lanes as arrays.
 
-    Per lane: (r, t, rms), or None when a start corner is behind the camera.
-    An active lane's state is its (r, t), cost, residual rows and damping;
-    its normal equations are recomputed from the rows each iteration, as
-    they are a function of (r, t).  Once fewer than LOCKSTEP_MIN_LANES lanes
-    are active, each resumes on the scalar _refine with its own damping and
-    iterations left.
+    r (9, lanes) and t (3, lanes) hold the starts' entries, observed the
+    (u, v) pixels as (2, 4, lanes).  Per lane: (r, t, rms), or None when a
+    start corner is behind the camera.  An active lane's state is its (r,
+    t), cost, residual rows and damping; its normal equations are
+    recomputed from the rows each iteration, as they are a function of (r,
+    t).  Once fewer than LOCKSTEP_MIN_LANES lanes are active, each resumes
+    on the scalar _refine with its own damping and iterations left.
     """
-    fits = [None] * len(lanes)
-    r = np.array([lane[0] for lane in lanes]).T.copy()
-    t = np.array([lane[1] for lane in lanes]).T.copy()
-    observed = np.array([lane[2] for lane in lanes]).transpose(2, 1, 0).copy()
+    fits = [None] * r.shape[1]
     solved_pivots = []
 
     def inverse_root(pivot):
         solved_pivots.append(pivot > 0.0)
         return 1.0 / np.sqrt(pivot)
 
-    with np.errstate(all="ignore"):  # a lane that failed a check computes garbage
+    with np.errstate(all="ignore"):  # a lane behind the camera or not solved computes garbage
         cost, rows, behind = _residual_lanes(r, t, half, observed, k)
         live = ~behind  # _refine raises NonPositiveDepth at such a start
         ids = np.flatnonzero(live)
@@ -602,41 +616,20 @@ def _refine_lockstep(lanes: list, half: float, k: CameraIntrinsics) -> list:
                 ids, r, t, cost, rows, lam, observed = (
                     ids[live], r[:, live], t[:, live], cost[live], rows[..., live], lam[live],
                     observed[..., live])
-    for lane, r_lane, t_lane, lam_lane in zip(ids.tolist(), r.T.tolist(), t.T.tolist(),
-                                              lam.tolist()):
-        fits[lane] = _refine(tuple(r_lane), tuple(t_lane), half, lanes[lane][2], k, lam_lane,
+    for lane, r_lane, t_lane, lam_lane, observed_lane in zip(
+            ids.tolist(), r.T.tolist(), t.T.tolist(), lam.tolist(),
+            observed.transpose(2, 1, 0).tolist()):
+        fits[lane] = _refine(tuple(r_lane), tuple(t_lane), half, observed_lane, k, lam_lane,
                              iterations_left)
     return fits
 
 
-def _refine_lanes(lanes: list, half: float, k: CameraIntrinsics) -> list:
-    """_refine from each lane's start (r, t, observed pixels): per lane
-    (r, t, rms), or None when a start corner is behind the camera.  Picks
-    the lockstep loop from LOCKSTEP_MIN_LANES lanes up."""
-    if len(lanes) >= LOCKSTEP_MIN_LANES:
-        return _refine_lockstep(lanes, half, k)
-    fits = []
-    for r, t, observed in lanes:
-        try:
-            fits.append(_refine(r, t, half, observed, k))
-        except NonPositiveDepth:
-            fits.append(None)
-    return fits
-
-
 def _starts(pixels: list, half: float, k: CameraIntrinsics) -> tuple:
-    """The two IPPE starts (r, t) of one frame's corner pixels."""
+    """The two IPPE starts (r, t) of one frame's corner pixels.  Raises a
+    PoseError on exactly the frames that _starts_lockstep flags."""
     _require_area(pixels)
     normalized = _normalized_corners(pixels, k)
     return _ippe_candidates(_square_homography(normalized, half), normalized, half)
-
-
-def _frame_starts(pixels: list, half: float, k: CameraIntrinsics):
-    """_starts, or the PoseError it raises."""
-    try:
-        return _starts(pixels, half, k)
-    except PoseError as exc:
-        return exc
 
 
 def _sum_lanes(*terms) -> np.ndarray:
@@ -669,20 +662,19 @@ def _orthonormalized_lanes(r) -> tuple:
     return (x0, x1, x2, y0, y1, y2, z0, z1, z2), raises
 
 
-def _starts_lockstep(pixel_rows: list, half: float, k: CameraIntrinsics) -> list:
-    """_frame_starts on each frame, with the same bits, all frames at once.
+def _starts_lockstep(pixels, half: float, k: CameraIntrinsics) -> tuple:
+    """_starts on each frame, with the same bits, all frames at once.
 
-    _require_area, _normalized_corners, _square_homography,
-    _ippe_candidates and orthonormalized run on float64 arrays, one element
-    per frame (per frame and candidate once the two candidates split), each
-    with the scalar functions' float operations in the same order.  hypot,
-    atan2, sine and cosine are taken per frame through math and sums through
-    the builtin; the scalar branches (t < 1e-15 in IPPE, n < 1e-15 in
-    _rotate, tz < 0) are masks.  A frame that fails a check, or that a
-    division by zero would stop, is fitted again by _starts, so it gets the
-    error _starts gives it.
+    pixels is (corner, u/v, frame).  _require_area, _normalized_corners,
+    _square_homography, _ippe_candidates and orthonormalized run on float64
+    arrays, one element per frame (per candidate and frame once the two
+    candidates split), each with the scalar functions' float operations in
+    the same order.  hypot, atan2, sine and cosine are taken per frame
+    through math and sums through the builtin; the scalar branches (t <
+    1e-15 in IPPE, n < 1e-15 in _rotate, tz < 0) are masks, and so are the
+    scalar checks.  Returns r (9, 2, frames), t (3, 2, frames) and the mask of
+    frames on which _starts raises, whose entries are meaningless.
     """
-    pixels = np.array(pixel_rows, dtype=float).transpose(1, 2, 0)  # (corner, u/v, frame)
     with np.errstate(all="ignore"):  # a frame that fails a check computes garbage
         corners = list(pixels)
         failed = np.logical_or.reduce([
@@ -741,13 +733,7 @@ def _starts_lockstep(pixel_rows: list, half: float, k: CameraIntrinsics) -> list
         failed |= ((det == 0.0) | ~np.isfinite(det) | (h22 == 0.0) | (det_b == 0.0)
                    | (gamma == 0.0) | (spread == 0.0)
                    | (raises | ~np.isfinite(translation).all(axis=0)).any(axis=0))
-    # per frame: per candidate the rotation entries, then the translation
-    starts = [tuple(zip(map(tuple, r_frame), map(tuple, t_frame)))
-              for r_frame, t_frame in zip(np.array(r).transpose(2, 1, 0).tolist(),
-                                          np.array(translation).transpose(2, 1, 0).tolist())]
-    for i in np.flatnonzero(failed).tolist():
-        starts[i] = _frame_starts(pixel_rows[i], half, k)
-    return starts
+    return np.array(r), np.array(translation), failed
 
 
 def _kept_fit(fits: list, pixel_sigma: float) -> tuple:
@@ -782,33 +768,40 @@ def fit_corners(pixels: list, marker_side: float, k: CameraIntrinsics, pixel_sig
     (u, v) to the kept fit's (r, t, rms, ratio), where r holds the rotation
     entries row by row, not re-orthonormalized."""
     half = marker_side / 2.0
-    lanes = [(r, t, pixels) for r, t in _starts(pixels, half, k)]
-    return _kept_fit(_refine_lanes(lanes, half, k), pixel_sigma)
+    fits = []
+    for r, t in _starts(pixels, half, k):
+        try:
+            fits.append(_refine(r, t, half, pixels, k))
+        except NonPositiveDepth:  # a start corner behind the camera
+            fits.append(None)
+    return _kept_fit(fits, pixel_sigma)
 
 
 def fit_corners_many(pixel_rows: list, marker_side: float, k: CameraIntrinsics,
                      pixel_sigma: float) -> list:
     """fit_corners on each frame's four corner pixels, with the same bits:
     per frame the kept fit, or the PoseError that fit_corners raises on it.
-    From LOCKSTEP_MIN_LANES candidates (two per frame) up, _starts_lockstep
-    takes every frame's starts at once; the candidates of all frames are
-    refined together by _refine_lanes."""
+    _starts_lockstep takes every frame's two starts at once, and
+    _refine_lockstep refines the starts of all frames that pass the checks
+    together, each frame's two side by side; _starts names the PoseError of
+    a frame that fails them."""
     half = marker_side / 2.0
-    if 2 * len(pixel_rows) >= LOCKSTEP_MIN_LANES:
-        starts = _starts_lockstep(pixel_rows, half, k)
-    else:
-        starts = [_frame_starts(pixels, half, k) for pixels in pixel_rows]
-    lanes = [(r, t, pixels) for pixels, frame in zip(pixel_rows, starts)
-             if not isinstance(frame, PoseError) for r, t in frame]
-    fits = iter(_refine_lanes(lanes, half, k))
+    pixels = np.array(pixel_rows, dtype=float).reshape(-1, 4, 2).transpose(1, 2, 0)
+    r, t, failed = _starts_lockstep(pixels, half, k)
+    kept = ~failed
+    fits = iter(_refine_lockstep(r[..., kept].transpose(0, 2, 1).reshape(9, -1),
+                                 t[..., kept].transpose(0, 2, 1).reshape(3, -1),
+                                 np.repeat(pixels[..., kept], 2, axis=2).transpose(1, 0, 2),
+                                 half, k))
     frames = []
-    for frame in starts:
-        if not isinstance(frame, PoseError):
-            try:
-                frame = _kept_fit([next(fits), next(fits)], pixel_sigma)  # two IPPE starts
-            except NoConvergence as exc:
-                frame = exc
-        frames.append(frame)
+    for flagged, row in zip(failed.tolist(), pixel_rows):
+        try:
+            if flagged:
+                _starts(row, half, k)
+                raise AssertionError(f"the array checks flag corners that _starts accepts: {row}")
+            frames.append(_kept_fit([next(fits), next(fits)], pixel_sigma))
+        except PoseError as exc:
+            frames.append(exc)
     return frames
 
 

@@ -17,6 +17,20 @@ from handguard.marker_pose import CameraIntrinsics, project, synthesize_observat
 
 # a self-intersecting corner quad: its homography sends the marker centre to infinity
 BOWTIE_LINE = "0,600,300,610,300,600,310,610,310"
+# finite corners far outside any image: IPPE's 2x2 determinant of B is 0,
+# its entries overflow, and the triangle areas overflow to nan
+HUGE_CORNER_ROWS = [
+    pytest.param("7,1e150,3e150,-2e150,1e150,-1e150,-1e150,1e150,-4e150",
+                 "corners give no finite pose candidate", id="zero_det_b"),
+    pytest.param("7,1.2080592803397192e+153,-2.3682409912508468e+153,-2.113401280556395e+152,"
+                 "1.780887302438758e+153,-7.865058401348934e+152,-8.455369047416342e+152,"
+                 "1.0139927681015233e+153,8.612777938971297e+152",
+                 "corners give no finite pose candidate", id="overflow"),
+    pytest.param("7,-7.043799213083251e+155,-9.47463212427897e+155,-9.700686647663059e+154,"
+                 "-1.4239039186501397e+156,4.798405101081079e+155,1.9943331267367114e+155,"
+                 "-1.0877481441818841e+154,2.7007069421368026e+155",
+                 "corners are collinear or enclose no area", id="nan_area"),
+]
 
 
 def run_cli(capsys, *argv):
@@ -414,6 +428,23 @@ class TestPose:
                           "corners are collinear or enclose no area",
                           "no pose candidate fits within 1.0 px"}
 
+    @pytest.mark.parametrize("n_good", [0, marker_pose.LOCKSTEP_MIN_LANES // 2])
+    @pytest.mark.parametrize("bad, error", HUGE_CORNER_ROWS)
+    def test_huge_finite_corners_are_a_row_error(self, capsys, tmp_path, intrinsics_file,
+                                                 bad, error, n_good):
+        # alone, and among enough rows for the array starts and the lockstep fit
+        good = observation_line(RigidTransform(np.eye(3), [0, 0, 1.0]))
+        lines = [good] * n_good
+        lines.insert(n_good // 4, bad)
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text("\n".join(lines) + "\n")
+        code, out, _ = run_cli(capsys, "pose", str(obs_file), "--intrinsics", intrinsics_file)
+        assert code == (0 if n_good else 1)
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert len(docs) == n_good + 1
+        assert docs.pop(n_good // 4) == {"line": n_good // 4 + 1, "error": error}
+        assert all("t" in doc for doc in docs)
+
     def test_all_rows_bad_exit_1(self, capsys, tmp_path, intrinsics_file):
         obs_file = tmp_path / "obs.csv"
         obs_file.write_text("1,0,0,1,1,2,2,3,3\n")
@@ -532,6 +563,26 @@ class TestCalibrate:
         assert code == 1
         assert out == ""
         assert err == "error: calibration failed: corners map the marker centre to infinity\n"
+
+    @pytest.mark.parametrize("n_good", [0, marker_pose.LOCKSTEP_MIN_LANES // 2])
+    @pytest.mark.parametrize("bad, error", HUGE_CORNER_ROWS)
+    def test_huge_finite_corners_exit_1(self, capsys, tmp_path, intrinsics_file, bad, error,
+                                        n_good):
+        # a message, not a traceback, alone and as the first of many rows;
+        # the reader drops a row whose triangle areas are nan, so then the
+        # next row calibrates
+        good = observation_line(RigidTransform(np.eye(3), [0, 0, 1.0]))
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text("\n".join([bad] + [good] * n_good) + "\n")
+        code, out, err = run_cli(capsys, "calibrate", str(obs_file),
+                                 "--intrinsics", intrinsics_file)
+        read_error = error == "corners are collinear or enclose no area"
+        if read_error and n_good:
+            assert code == 0 and err == "" and "r" in json.loads(out)
+        else:
+            message = ("no usable base-marker observation" if read_error
+                       else f"calibration failed: {error}")
+            assert (code, out, err) == (1, "", f"error: {message}\n")
 
     @pytest.mark.parametrize("missing", ["r", "t"])
     def test_base_transform_without_key_exit_2(self, capsys, tmp_path, intrinsics_file,

@@ -919,15 +919,14 @@ class TestLockstep:
         # square centred on the principal point (p = q = 0, so the view-ray
         # rotation is the identity), a start mirrored through the camera
         # centre (tz < 0), and a degenerate and a bow-tie quad, which fail
-        # their checks and are fitted again by _starts
+        # their checks and are named by _starts
         centred = project(RigidTransform(np.eye(3), [0.0, 0.0, 1.0]), SIDE, K).tolist()
         degenerate = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
         frames = pose_frames(46, LOCKSTEP_MIN_LANES // 2 - 4, 0.5)
         frames[3:3] = [centred, MIRRORED_CORNERS, degenerate, BOWTIE_CORNERS]
         assert len(frames) == LOCKSTEP_MIN_LANES // 2
-        unturned, rotated, orthonormalized_in, refitted = [], [], [], []
+        unturned, rotated, orthonormalized_in = [], [], []
         rotate, orthonormalize = marker_pose._rotate_lanes, marker_pose._orthonormalized_lanes
-        frame_starts = marker_pose._frame_starts
 
         def rotate_lanes(w0, w1, w2, r, solved):
             if r is marker_pose._IDENTITY_LANE:
@@ -938,17 +937,23 @@ class TestLockstep:
         monkeypatch.setattr(marker_pose, "_rotate_lanes", rotate_lanes)
         monkeypatch.setattr(marker_pose, "_orthonormalized_lanes",
                             lambda r: orthonormalized_in.append(r) or orthonormalize(r))
-        monkeypatch.setattr(marker_pose, "_frame_starts",
-                            lambda pixels, *args: refitted.append(pixels) or frame_starts(pixels, *args))
-        starts = marker_pose._starts_lockstep(frames, SIDE / 2.0, K)
+        r, t, failed = marker_pose._starts_lockstep(np.array(frames).transpose(1, 2, 0),
+                                                    SIDE / 2.0, K)
         monkeypatch.undo()
         assert unturned == [[3]]
         # r00 of each (candidate, frame) before and after the tz < 0 branch
         before, after = rotated[1][0], orthonormalized_in[0][0]
         assert np.flatnonzero(((after == -before) & (before != 0.0)).any(axis=0)).tolist() == [4]
-        assert refitted == [degenerate, BOWTIE_CORNERS]
-        assert [repr(start) for start in starts] == [
-            repr(frame_starts(pixels, SIDE / 2.0, K)) for pixels in frames]
+        assert np.flatnonzero(failed).tolist() == [5, 6]
+        # frame by frame, the arrays hold the floats of _starts on that frame alone
+        for frame, pixels in enumerate(frames):
+            if failed[frame]:
+                with pytest.raises(PoseError):
+                    marker_pose._starts(pixels, SIDE / 2.0, K)
+                continue
+            starts = tuple((tuple(r[:, c, frame].tolist()), tuple(t[:, c, frame].tolist()))
+                           for c in range(2))
+            assert repr(starts) == repr(marker_pose._starts(pixels, SIDE / 2.0, K))
         for pixel_sigma in (0.5, 0.0):
             expected = per_frame(frames, pixel_sigma)
             assert together(frames, pixel_sigma) == expected
@@ -956,19 +961,78 @@ class TestLockstep:
             repr(DegenerateCorners("corners are collinear or enclose no area")),
             repr(DegenerateCorners("corners map the marker centre to infinity"))]
 
+    def test_array_and_scalar_checks_reject_the_same_frames(self):
+        # one rule for a bad frame: random quads at corner scales of 1e-12
+        # to 1e308 px, about the origin and about the principal point; from
+        # about 1e17 px IPPE's determinant of B can round to 0, and from
+        # about 1e150 px its entries can overflow
+        rng = np.random.default_rng(47)
+        n = 6000
+        scale = 10.0 ** rng.uniform(-12.0, 308.0, size=(n, 1, 1))
+        centre = np.where(rng.random((n, 1, 1)) < 0.5, 0.0, np.array([K.cx, K.cy]))
+        frames = (centre + rng.uniform(-1.0, 1.0, size=(n, 4, 2)) * scale).tolist()
+        _, _, failed = marker_pose._starts_lockstep(np.array(frames).transpose(1, 2, 0),
+                                                    SIDE / 2.0, K)
+        raises = []
+        for pixels in frames:
+            try:
+                marker_pose._starts(pixels, SIDE / 2.0, K)
+                raises.append(False)
+            except PoseError:
+                raises.append(True)
+        assert failed.tolist() == raises
+        # neither driver raises anything but a PoseError, and they agree
+        expected = per_frame(frames)
+        assert together(frames) == expected
+        assert outcome_kinds(expected) == {"fit", "NoConvergence", "DegenerateCorners"}
+        assert {repr(DegenerateCorners("corners give no finite pose candidate")),
+                repr(DegenerateCorners("corners are collinear or enclose no area"))} <= set(expected)
+
+    @pytest.mark.parametrize("fx, fy, pixels", [
+        # the translation overflows, and the rotation is not finite either
+        (1.7765564451988404e-112, 8.342974533419404e-111, [
+            [1.173754738524599e+43, 1.179381837965411e+43],
+            [5.793346352053403e+42, 1.6696365523083102e+43],
+            [1.156900661522773e+43, -1.4850879728956991e+43],
+            [1.8583978933323616e+43, -1.7432452714848305e+43]]),
+        # A's largest singular value underflows to 0
+        (3.340849653236704e+170, 1.636782675674398e+171, [
+            [-1565213269.5364432, 1051779483.4719839], [1871305093.8686032, 1048508375.0878563],
+            [1340024936.2422695, -1246519896.2195518], [1291337741.0309482, -805581011.8928378]]),
+        # the rotation entries are not finite
+        (3.340849653236704e+170, 1.636782675674398e+171, [
+            [2691311197.3355536, -1408381512.9212022], [1295199158.4331613, -1729357589.1258986],
+            [2807333309.4152403, -423301190.538408], [1774457340.8892753, 1915913340.6603436]]),
+        # the squared offsets from the corners' mean underflow: spread is 0
+        (1e158, 1e158, [[0.0, 3e-4], [3e-4, 3e-4], [3e-4, 0.0], [0.0, 0.0]]),
+    ], ids=["translation", "gamma", "rotation", "spread"])
+    def test_each_ippe_check_is_reached(self, fx, fy, pixels):
+        # focal lengths far outside any camera reach the IPPE checks that
+        # huge corners reach with real intrinsics, and the gamma and spread
+        # checks, which they do not
+        k = CameraIntrinsics(fx=fx, fy=fy, cx=0.0, cy=0.0)
+        _, _, failed = marker_pose._starts_lockstep(np.array([pixels]).transpose(1, 2, 0),
+                                                    SIDE / 2.0, k)
+        assert failed.tolist() == [True]
+        error = repr(DegenerateCorners("corners give no finite pose candidate"))
+        with pytest.raises(DegenerateCorners) as info:
+            fit_corners(pixels, SIDE, k, 0.0)
+        assert repr(info.value) == error
+        assert [repr(fit) for fit in fit_corners_many([pixels], SIDE, k, 0.0)] == [error]
+
     @pytest.mark.parametrize("n_rows", [0, 1, LOCKSTEP_MIN_LANES // 2 - 1,
                                         LOCKSTEP_MIN_LANES // 2, LOCKSTEP_MIN_LANES // 2 + 1])
     def test_lane_counts_around_the_crossover(self, monkeypatch, n_rows):
-        # each frame has two lanes: the arrays are built from
-        # LOCKSTEP_MIN_LANES lanes up, never below
+        # each frame has two lanes, and the arrays are built at every file
+        # size; below LOCKSTEP_MIN_LANES lanes each goes straight to _refine
         calls = []
         lockstep = marker_pose._refine_lockstep
         monkeypatch.setattr(marker_pose, "_refine_lockstep",
-                            lambda lanes, *args: calls.append(len(lanes)) or lockstep(lanes, *args))
+                            lambda r, *args: calls.append(r.shape) or lockstep(r, *args))
         frames = pose_frames(44, n_rows, 0.5)
         assert len(frames) == n_rows
         assert together(frames, 0.5) == per_frame(frames, 0.5)
-        assert calls == ([2 * n_rows] if 2 * n_rows >= LOCKSTEP_MIN_LANES else [])
+        assert calls == [(9, 2 * n_rows)]
 
     @pytest.mark.parametrize("trap", ["always", "after_accept", "below_max"])
     def test_failed_pivots_and_spent_budget(self, monkeypatch, trap):

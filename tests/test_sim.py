@@ -54,6 +54,12 @@ def halting_scenario():
     )
 
 
+def unsafe_steps(rows, zones) -> int:
+    """Steps whose true hand-TCP distance is below zones.critical_distance
+    while the robot is not halted."""
+    return sum(row.distance < zones.critical_distance and not row.robot_halted for row in rows)
+
+
 class TestRobotTcpPosition:
     LEGS = _leg_table(WAYPOINTS)
 
@@ -444,6 +450,20 @@ class TestRun:
         assert lines[0] == TRACE_CSV_HEADER
         assert len(lines) == 1 + len(trace)
         assert all(len(line.split(",")) == 14 for line in lines[1:])
+
+
+class TestSafetyInvariants:
+    def test_no_unsafe_step_without_pixel_noise(self):
+        # the bundled 120 s scenario at sigma 0, seeds 0-15; some runs halt,
+        # so the person does come within the critical distance
+        halts = 0
+        for seed in range(16):
+            scenario = default_scenario(seed=seed, pixel_noise_sigma=0.0)
+            rows, metrics = run(scenario)
+            assert len(rows) == 12000
+            assert unsafe_steps(rows, scenario.zones) == 0, f"seed {seed}"
+            halts += metrics.halts
+        assert halts > 0
 
 
 class TestHumanAgent:
