@@ -22,17 +22,20 @@ the winner's, and `handguard pose` builds none: it prints the floats.
 
 Each fit driver has one path, and both give every frame the same bits.
 `fit_corners` fits one frame (the simulation, `estimate_pose` and
-`calibrate`) on floats: the scalar `_starts`, then `_refine` on each
-start.  `fit_corners_many`, behind `handguard pose`, fits a file on
-float64 arrays ("lanes", two per frame), at every file size.
-`_starts_lockstep` takes all frames' IPPE starts at once: the homography,
-IPPE and Gram-Schmidt run with the scalar functions' float operations in
-the same order, hypot, atan2, sine and cosine are taken per frame through
-math and sums through the builtin, and the scalar branches and checks are
-masks.  The scalar and array checks reject the same frames, so a flagged
-frame's lanes never enter the arrays, and `_starts` only names its
-PoseError.  Then all lanes are refined in lockstep, one Gauss-Newton
-iteration at a time.  Each lane gets the float operations `_refine` gives
+`calibrate`) on floats: `_starts`, then `_refine` on each start.
+`fit_corners_many`, behind `handguard pose`, fits a file on float64
+arrays ("lanes", two per frame), at every file size.  The IPPE starts are
+one implementation, `_starts` (`_require_area`, `_square_homography`,
+`_ippe_candidates`), which takes what is not plain arithmetic from an
+`ops` namespace: on one frame's floats, math functions, conditional
+expressions and checks that raise DegenerateCorners; on every frame's
+lanes at once (`_starts_lockstep`), numpy's elementwise operations with
+hypot, atan2, sine and cosine per frame through math, and checks that
+mark the frame failed.  A failed frame's lanes never enter the
+refinement, and `_starts` on its floats names its PoseError.  Each sum is
+written out left to right from 0.0, so the fit's bits do not depend on
+the Python version.  Then all lanes are refined in lockstep, one
+Gauss-Newton iteration at a time.  Each lane gets the float operations `_refine` gives
 it, in the same order: `_rotated_corners`, `_normal_equations` and
 `product_entries` run unchanged on the arrays, `_damped_step` takes an
 inverse root that records failed pivots, and sine and cosine are taken
@@ -59,6 +62,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -166,14 +170,6 @@ def check_corners(pixels: list) -> None:
     _require_area(pixels)
 
 
-def _require_area(c: list) -> None:
-    """Raise DegenerateCorners unless every corner-triple triangle has area."""
-    # not min(...) < 1e-9: min skips a nan area (products that overflowed) unless it is first
-    if not all(abs((bu - au) * (dv - av) - (du - au) * (bv - av)) / 2 >= 1e-9
-               for (au, av), (bu, bv), (du, dv) in zip(c, c[1:] + c[:1], c[2:] + c[:2])):
-        raise DegenerateCorners("corners are collinear or enclose no area")
-
-
 def project_corners(r, t, half: float, k: CameraIntrinsics) -> list:
     """The camera model on Python floats: the four corners' (u, v) pixels.
 
@@ -229,27 +225,64 @@ def _rotated_corners(r, half: float) -> tuple:
             (-a - b, -c - d, -e - f))
 
 
-def _square_homography(normalized: list, half: float) -> tuple:
+def _rotate(w0: float, w1: float, w2: float, r) -> tuple:
+    """Entries of rotation_from_axis_angle(w, |w|) @ R, R given row by row."""
+    n = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
+    if n < 1e-15:
+        return r
+    return product_entries(axis_angle_entries(w0 / n, w1 / n, w2 / n, math.sin(n), math.cos(n)), r)
+
+
+_NO_AREA = "corners are collinear or enclose no area"
+_NO_CANDIDATE = "corners give no finite pose candidate"
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise DegenerateCorners(message)
+
+
+def _orthonormalized_start(r) -> tuple:
+    try:
+        return orthonormalized(r)
+    except InvalidRotation:
+        raise DegenerateCorners(_NO_CANDIDATE) from None
+
+
+# The operations of the IPPE starts on one frame's Python floats; a failed
+# check raises.  _starts_lockstep builds the same namespace for lane arrays.
+_FLOATS = SimpleNamespace(
+    sqrt=math.sqrt, hypot=math.hypot, atan2=math.atan2, copysign=math.copysign,
+    isfinite=math.isfinite, where=lambda c, a, b: a if c else b, rotate=_rotate,
+    orthonormalized=_orthonormalized_start, require=_require)
+
+
+def _require_area(c: list, ops=_FLOATS) -> None:
+    """Require that every corner-triple triangle has area."""
+    # >= rather than not <: a nan area (products that overflowed) fails
+    for (au, av), (bu, bv), (du, dv) in zip(c, c[1:] + c[:1], c[2:] + c[:2]):
+        ops.require(abs((bu - au) * (dv - av) - (du - au) * (bv - av)) / 2 >= 1e-9, _NO_AREA)
+
+
+def _square_homography(normalized: list, half: float, ops=_FLOATS) -> tuple:
     """The nine entries, row by row, of the homography from marker-plane
     (X, Y, 1) to normalized image coords: corners 0, 1 and 3 as homogeneous
     columns, scaled by s to sum to corner 2 (Cramer's rule, each determinant
     twice a signed triangle area), combined so that (±half, ±half) land on them."""
     (u0, v0), (u1, v1), (u2, v2), (u3, v3) = normalized
     det = (u1 - u0) * (v3 - v0) - (u3 - u0) * (v1 - v0)
-    if det == 0.0 or not math.isfinite(det):
-        raise DegenerateCorners("corners are collinear or enclose no area")
+    ops.require((det != 0.0) & ops.isfinite(det), _NO_AREA)
     s0 = ((u1 - u2) * (v3 - v2) - (u3 - u2) * (v1 - v2)) / det
     s1 = ((u2 - u0) * (v3 - v0) - (u3 - u0) * (v2 - v0)) / det
     s3 = ((u1 - u0) * (v2 - v0) - (u2 - u0) * (v1 - v0)) / det
-    if s1 + s3 == 0.0:
-        # a self-intersecting quad: the centre's homogeneous weight h22 is 0
-        raise DegenerateCorners("corners map the marker centre to infinity")
+    # a self-intersecting quad: the centre's homogeneous weight h22 is 0
+    ops.require(s1 + s3 != 0.0, "corners map the marker centre to infinity")
     return ((s0 * u0 + s1 * u1) / half, -(s0 * u0 + s3 * u3) / half, s1 * u1 + s3 * u3,
             (s0 * v0 + s1 * v1) / half, -(s0 * v0 + s3 * v3) / half, s1 * v1 + s3 * v3,
             (s0 + s1) / half, -(s0 + s3) / half, s1 + s3)
 
 
-def _ippe_candidates(h, normalized: list, half: float) -> tuple:
+def _ippe_candidates(h, normalized: list, half: float, ops=_FLOATS) -> tuple:
     """Both planar-ambiguity poses of the centred marker, in closed form (IPPE).
 
     Collins & Bartoli, "Infinitesimal Plane-based Pose Estimation", IJCV
@@ -268,68 +301,70 @@ def _ippe_candidates(h, normalized: list, half: float) -> tuple:
     j00, j01 = (h00 - h20 * p) / h22, (h01 - h21 * p) / h22
     j10, j11 = (h10 - h20 * q) / h22, (h11 - h21 * q) / h22
     # rv turns z onto the centre's ray (p, q, 1)/s: atan2(t, 1) about
-    # (-q, p, 0), the identity when p = q = 0
-    t = math.hypot(p, q)
-    w = math.atan2(t, 1.0) / t if t >= 1e-15 else 0.0
+    # (-q, p, 0), the identity when p = q = 0.  ops.where takes both of its
+    # values, so t is divided only where it is not replaced by 1.0
+    t = ops.hypot(p, q)
+    off_axis = t >= 1e-15
+    w = ops.where(off_axis, ops.atan2(t, 1.0), 0.0) / ops.where(off_axis, t, 1.0)
     w0, w1 = -q * w, p * w
-    v00, v01, _, v10, v11, _, v20, v21, _ = _rotate(
+    v00, v01, _, v10, v11, _, v20, v21, _ = ops.rotate(
         w0, w1, 0.0, (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
     # A = B^-1 J with B = [[1, 0, -p], [0, 1, -q]] @ rv[:, :2]
     b00, b01, b10, b11 = v00 - p * v20, v01 - p * v21, v10 - q * v20, v11 - q * v21
     det = b00 * b11 - b01 * b10
     # this check and the gamma, spread and finiteness ones below stop a
-    # division by zero or a non-finite start, as _starts_lockstep's masks
-    # do: on corners far outside any image, det rounds to 0 from about 1e17
-    # px and entries overflow from about 1e150 px
-    if det == 0.0:
-        raise DegenerateCorners("corners give no finite pose candidate")
+    # division by zero or a non-finite start: on corners far outside any
+    # image, det rounds to 0 from about 1e17 px and entries overflow from
+    # about 1e150 px
+    ops.require(det != 0.0, _NO_CANDIDATE)
     a00, a01 = (b11 * j00 - b01 * j10) / det, (b11 * j01 - b01 * j11) / det
     a10, a11 = (b00 * j10 - b10 * j00) / det, (b00 * j11 - b10 * j01) / det
-    # largest singular value of the 2x2 A
+    # largest singular value of the 2x2 A; each where(0.0 > x, 0.0, x) is
+    # max(x, 0.0), which keeps a nan
     f = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
     d = a00 * a11 - a01 * a10
-    gamma = math.sqrt((f + math.sqrt(max(f * f - 4.0 * d * d, 0.0))) / 2.0)
-    if gamma == 0.0:
-        raise DegenerateCorners("corners give no finite pose candidate")
+    disc = f * f - 4.0 * d * d
+    gamma = ops.sqrt((f + ops.sqrt(ops.where(0.0 > disc, 0.0, disc))) / 2.0)
+    ops.require(gamma != 0.0, _NO_CANDIDATE)
     r00, r01, r10, r11 = a00 / gamma, a01 / gamma, a10 / gamma, a11 / gamma
     # third row b of the two orthonormal columns: b b^T = I - R~^T R~
     m00 = 1.0 - r00 * r00 - r10 * r10
     m01 = -r00 * r01 - r10 * r11
     m11 = 1.0 - r01 * r01 - r11 * r11
-    b0 = math.sqrt(max(m00, 0.0))
-    b1 = math.copysign(math.sqrt(max(m11, 0.0)), m01)
+    b0 = ops.sqrt(ops.where(0.0 > m00, 0.0, m00))
+    b1 = ops.copysign(ops.sqrt(ops.where(0.0 > m11, 0.0, m11)), m01)
     c0, c1, c2 = r10 * b1 - b0 * r11, b0 * r01 - r00 * b1, r00 * r11 - r10 * r01
     # the projection equations tx - u tz = bu, ty - v tz = bv: centring
-    # them on the corners' mean removes tx and ty and leaves tz
-    u_mean, v_mean = sum(u for u, _ in normalized) / 4.0, sum(v for _, v in normalized) / 4.0
+    # them on the corners' mean removes tx and ty and leaves tz.  Sums are
+    # added left to right from 0.0 on every Python, so the bits of a fit do
+    # not depend on the builtin sum's algorithm
+    (u0, v0), (u1, v1), (u2, v2), (u3, v3) = normalized
+    u_mean, v_mean = (0.0 + u0 + u1 + u2 + u3) / 4.0, (0.0 + v0 + v1 + v2 + v3) / 4.0
     duv = [(u - u_mean, v - v_mean) for u, v in normalized]
-    spread = sum(du * du + dv * dv for du, dv in duv)
-    if spread == 0.0:
-        raise DegenerateCorners("corners give no finite pose candidate")
+    e0, e1, e2, e3 = (du * du + dv * dv for du, dv in duv)
+    spread = 0.0 + e0 + e1 + e2 + e3
+    ops.require(spread != 0.0, _NO_CANDIDATE)
     candidates = []
     for s in (1.0, -1.0):
         # rv @ [[r00, r01, s c0], [r10, r11, s c1], [s b0, s b1, c2]]
-        r = _rotate(w0, w1, 0.0, (r00, r01, s * c0, r10, r11, s * c1, s * b0, s * b1, c2))
+        r = ops.rotate(w0, w1, 0.0, (r00, r01, s * c0, r10, r11, s * c1, s * b0, s * b1, c2))
         buv = [(u * mz - mx, v * mz - my)
                for (u, v), (mx, my, mz) in zip(normalized, _rotated_corners(r, half))]
-        tz = -sum(du * bu + dv * bv for (du, dv), (bu, bv) in zip(duv, buv)) / spread
-        translation = (
-            sum(bu for bu, _ in buv) / 4.0 + u_mean * tz,
-            sum(bv for _, bv in buv) / 4.0 + v_mean * tz,
-            tz,
-        )
-        if tz < 0:
-            # a homography that no pose explains exactly (an edge-on marker
-            # under noise) can put the fit behind the camera; mirroring the
-            # corners through the camera centre keeps every projection
-            r = tuple(-x if j % 3 < 2 else x for j, x in enumerate(r))  # columns 0, 1
-            translation = tuple(-x for x in translation)
-        if not all(map(math.isfinite, translation)):
-            raise DegenerateCorners("corners give no finite pose candidate")
-        try:
-            candidates.append((orthonormalized(r), translation))
-        except InvalidRotation:
-            raise DegenerateCorners("corners give no finite pose candidate") from None
+        (bu0, bv0), (bu1, bv1), (bu2, bv2), (bu3, bv3) = buv
+        d0, d1, d2, d3 = (du * bu + dv * bv for (du, dv), (bu, bv) in zip(duv, buv))
+        tz = -(0.0 + d0 + d1 + d2 + d3) / spread
+        tx = (0.0 + bu0 + bu1 + bu2 + bu3) / 4.0 + u_mean * tz
+        ty = (0.0 + bv0 + bv1 + bv2 + bv3) / 4.0 + v_mean * tz
+        ops.require(ops.isfinite(tx) & ops.isfinite(ty) & ops.isfinite(tz), _NO_CANDIDATE)
+        # a homography that no pose explains exactly (an edge-on marker
+        # under noise) can put the fit behind the camera; mirroring the
+        # corners through the camera centre keeps every projection.  The
+        # sign flips of columns 0 and 1 and of t are exact: x * -1.0 is -x
+        flip = ops.where(tz < 0, -1.0, 1.0)
+        x00, x01, x02, x10, x11, x12, x20, x21, x22 = r
+        r = (x00 * flip, x01 * flip, x02, x10 * flip, x11 * flip, x12, x20 * flip, x21 * flip, x22)
+        translation = (tx * flip, ty * flip, tz * flip)
+        candidates.append((ops.orthonormalized(r), translation))
     return tuple(candidates)
 
 
@@ -457,14 +492,6 @@ def _damped_step(h, g, lam, inverse_root=_inverse_root) -> tuple:
     return s0, s1, s2, s3, s4, s5
 
 
-def _rotate(w0: float, w1: float, w2: float, r) -> tuple:
-    """Entries of rotation_from_axis_angle(w, |w|) @ R, R given row by row."""
-    n = math.sqrt(w0 * w0 + w1 * w1 + w2 * w2)
-    if n < 1e-15:
-        return r
-    return product_entries(axis_angle_entries(w0 / n, w1 / n, w2 / n, math.sin(n), math.cos(n)), r)
-
-
 def _refine(r, t, half: float, observed: list, k: CameraIntrinsics,
             lam: float = GN_DAMPING_INIT, iterations: int = GN_MAX_ITERATIONS) -> tuple:
     """Damped Gauss-Newton on the 6-DoF reprojection objective.
@@ -546,10 +573,6 @@ def _normal_equation_lanes(rows, k: CameraIntrinsics) -> tuple:
     return (*sums[:16], 0.0, *sums[16:20]), sums[20:]
 
 
-# the identity's entries as one (9, 1) lane array, which broadcasts to any lanes
-_IDENTITY_LANE = np.eye(3).reshape(9, 1)
-
-
 def _rotate_lanes(w0, w1, w2, r, solved):
     """_rotate on lane arrays.  Sine and cosine are taken per lane through
     math, so the bits do not depend on numpy's vectorized libm; lanes not
@@ -624,25 +647,19 @@ def _refine_lockstep(r, t, observed, half: float, k: CameraIntrinsics) -> list:
     return fits
 
 
-def _starts(pixels: list, half: float, k: CameraIntrinsics) -> tuple:
-    """The two IPPE starts (r, t) of one frame's corner pixels.  Raises a
-    PoseError on exactly the frames that _starts_lockstep flags."""
-    _require_area(pixels)
+def _starts(pixels: list, half: float, k: CameraIntrinsics, ops=_FLOATS) -> tuple:
+    """The two IPPE starts (r, t) of one frame's corner pixels, or of every
+    frame's as lanes when ops is _starts_lockstep's."""
+    _require_area(pixels, ops)
     normalized = _normalized_corners(pixels, k)
-    return _ippe_candidates(_square_homography(normalized, half), normalized, half)
+    return _ippe_candidates(_square_homography(normalized, half, ops), normalized, half, ops)
 
 
-def _sum_lanes(*terms) -> np.ndarray:
-    """sum(terms) per lane, taken through the builtin: from Python 3.12 on
-    it does not add floats left to right."""
-    shape = np.shape(terms[0])
-    return np.fromiter(map(sum, zip(*(np.ravel(term).tolist() for term in terms))), float,
-                       np.prod(shape)).reshape(shape)
-
-
-def _at_least_zero(x):
-    """max(x, 0.0) on lane arrays, nan and -0.0 included: x unless 0.0 > x."""
-    return np.where(0.0 > x, 0.0, x)
+def _per_lane(f):
+    """The math function f on each lane, so the bits do not depend on
+    numpy's vectorized libm."""
+    each = np.frompyfunc(f, 2, 1)
+    return lambda a, b: each(a, b).astype(float)
 
 
 def _orthonormalized_lanes(r) -> tuple:
@@ -665,75 +682,32 @@ def _orthonormalized_lanes(r) -> tuple:
 def _starts_lockstep(pixels, half: float, k: CameraIntrinsics) -> tuple:
     """_starts on each frame, with the same bits, all frames at once.
 
-    pixels is (corner, u/v, frame).  _require_area, _normalized_corners,
-    _square_homography, _ippe_candidates and orthonormalized run on float64
-    arrays, one element per frame (per candidate and frame once the two
-    candidates split), each with the scalar functions' float operations in
-    the same order.  hypot, atan2, sine and cosine are taken per frame
-    through math and sums through the builtin; the scalar branches (t <
-    1e-15 in IPPE, n < 1e-15 in _rotate, tz < 0) are masks, and so are the
-    scalar checks.  Returns r (9, 2, frames), t (3, 2, frames) and the mask of
-    frames on which _starts raises, whose entries are meaningless.
+    pixels is (corner, u/v, frame).  _starts runs on float64 arrays, one
+    element per frame: numpy's elementwise operations, which round as
+    Python's do, hypot, atan2, sine and cosine per frame through math, and
+    a mask for each of its checks.  Returns r (9, 2, frames), t (3, 2,
+    frames) and the mask of frames on which _starts raises, whose entries
+    are meaningless.
     """
+    rejected = []
+
+    def rotate(w0, w1, w2, r):
+        # the view ray's rotation turns the identity's floats, one per lane
+        return _rotate_lanes(w0, w1, w2, np.broadcast_arrays(w0, *r)[1:], True)
+
+    def orthonormalized(r):
+        entries, raises = _orthonormalized_lanes(np.array(r))
+        rejected.append(raises)
+        return entries
+
+    lanes = SimpleNamespace(
+        sqrt=np.sqrt, hypot=_per_lane(math.hypot), atan2=_per_lane(math.atan2),
+        copysign=np.copysign, isfinite=np.isfinite, where=np.where, rotate=rotate,
+        orthonormalized=orthonormalized, require=lambda ok, _message: rejected.append(~ok))
     with np.errstate(all="ignore"):  # a frame that fails a check computes garbage
-        corners = list(pixels)
-        failed = np.logical_or.reduce([
-            ~(abs((bu - au) * (dv - av) - (du - au) * (bv - av)) / 2 >= 1e-9)
-            for (au, av), (bu, bv), (du, dv) in zip(corners, corners[1:] + corners[:1],
-                                                    corners[2:] + corners[:2])])
-        normalized = (pixels - np.array([[k.cx], [k.cy]])) / np.array([[k.fx], [k.fy]])
-        (u0, v0), (u1, v1), (u2, v2), (u3, v3) = normalized
-        # _square_homography
-        det = (u1 - u0) * (v3 - v0) - (u3 - u0) * (v1 - v0)
-        s0 = ((u1 - u2) * (v3 - v2) - (u3 - u2) * (v1 - v2)) / det
-        s1 = ((u2 - u0) * (v3 - v0) - (u3 - u0) * (v2 - v0)) / det
-        s3 = ((u1 - u0) * (v2 - v0) - (u2 - u0) * (v1 - v0)) / det
-        h00, h01, h02 = (s0 * u0 + s1 * u1) / half, -(s0 * u0 + s3 * u3) / half, s1 * u1 + s3 * u3
-        h10, h11, h12 = (s0 * v0 + s1 * v1) / half, -(s0 * v0 + s3 * v3) / half, s1 * v1 + s3 * v3
-        h20, h21, h22 = (s0 + s1) / half, -(s0 + s3) / half, s1 + s3
-        # _ippe_candidates
-        p, q = h02 / h22, h12 / h22
-        j00, j01 = (h00 - h20 * p) / h22, (h01 - h21 * p) / h22
-        j10, j11 = (h10 - h20 * q) / h22, (h11 - h21 * q) / h22
-        t = np.array(list(map(math.hypot, p.tolist(), q.tolist())))
-        w = np.where(t >= 1e-15, np.array(list(map(math.atan2, t.tolist(), [1.0] * len(t)))) / t,
-                     0.0)
-        w0, w1 = -q * w, p * w
-        v00, v01, _, v10, v11, _, v20, v21, _ = _rotate_lanes(w0, w1, 0.0, _IDENTITY_LANE, True)
-        b00, b01, b10, b11 = v00 - p * v20, v01 - p * v21, v10 - q * v20, v11 - q * v21
-        det_b = b00 * b11 - b01 * b10
-        a00, a01 = (b11 * j00 - b01 * j10) / det_b, (b11 * j01 - b01 * j11) / det_b
-        a10, a11 = (b00 * j10 - b10 * j00) / det_b, (b00 * j11 - b10 * j01) / det_b
-        f = a00 * a00 + a01 * a01 + a10 * a10 + a11 * a11
-        d = a00 * a11 - a01 * a10
-        gamma = np.sqrt((f + np.sqrt(_at_least_zero(f * f - 4.0 * d * d))) / 2.0)
-        r00, r01, r10, r11 = a00 / gamma, a01 / gamma, a10 / gamma, a11 / gamma
-        m00 = 1.0 - r00 * r00 - r10 * r10
-        m01 = -r00 * r01 - r10 * r11
-        m11 = 1.0 - r01 * r01 - r11 * r11
-        b0 = np.sqrt(_at_least_zero(m00))
-        b1 = np.copysign(np.sqrt(_at_least_zero(m11)), m01)
-        c0, c1, c2 = r10 * b1 - b0 * r11, b0 * r01 - r00 * b1, r00 * r11 - r10 * r01
-        u_mean, v_mean = _sum_lanes(u0, u1, u2, u3) / 4.0, _sum_lanes(v0, v1, v2, v3) / 4.0
-        duv = [(u - u_mean, v - v_mean) for u, v in normalized]
-        spread = _sum_lanes(*(du * du + dv * dv for du, dv in duv))
-        # both candidates as (2, frames) arrays, s = 1.0 then -1.0
-        s = np.array([[1.0], [-1.0]])
-        r = _rotate_lanes(w0, w1, 0.0, np.broadcast_arrays(
-            r00, r01, s * c0, r10, r11, s * c1, s * b0, s * b1, c2), True)
-        buv = [(u * mz - mx, v * mz - my)
-               for (u, v), (mx, my, mz) in zip(normalized, _rotated_corners(r, half))]
-        tz = -_sum_lanes(*(du * bu + dv * bv for (du, dv), (bu, bv) in zip(duv, buv))) / spread
-        translation = (_sum_lanes(*(bu for bu, _ in buv)) / 4.0 + u_mean * tz,
-                       _sum_lanes(*(bv for _, bv in buv)) / 4.0 + v_mean * tz, tz)
-        behind = tz < 0
-        r = [np.where(behind, -x, x) if j % 3 < 2 else x for j, x in enumerate(r)]
-        translation = [np.where(behind, -x, x) for x in translation]
-        r, raises = _orthonormalized_lanes(np.array(r))
-        failed |= ((det == 0.0) | ~np.isfinite(det) | (h22 == 0.0) | (det_b == 0.0)
-                   | (gamma == 0.0) | (spread == 0.0)
-                   | (raises | ~np.isfinite(translation).all(axis=0)).any(axis=0))
-    return np.array(r), np.array(translation), failed
+        starts = _starts(list(pixels), half, k, lanes)
+    return (np.stack([r for r, _ in starts], axis=1), np.stack([t for _, t in starts], axis=1),
+            np.logical_or.reduce(rejected))
 
 
 def _kept_fit(fits: list, pixel_sigma: float) -> tuple:

@@ -17,6 +17,10 @@ from handguard.marker_pose import CameraIntrinsics, project, synthesize_observat
 
 # a self-intersecting corner quad: its homography sends the marker centre to infinity
 BOWTIE_LINE = "0,600,300,610,300,600,310,610,310"
+# a marker seen nearly edge-on at 0.5 px noise: one IPPE start, fitted
+# behind the camera, is mirrored through the camera centre
+MIRRORED_LINE = ("0,519.7211372172835,414.9055105940249,541.29204155723,411.70620662167926,"
+                 "540.5179141736531,412.6642370380099,516.4402255649517,414.6882912931304")
 # finite corners far outside any image: IPPE's 2x2 determinant of B is 0,
 # its entries overflow, and the triangle areas overflow to nan
 HUGE_CORNER_ROWS = [
@@ -444,6 +448,35 @@ class TestPose:
         assert len(docs) == n_good + 1
         assert docs.pop(n_good // 4) == {"line": n_good // 4 + 1, "error": error}
         assert all("t" in doc for doc in docs)
+
+    def test_generated_batch_golden_stdout(self, capsys, tmp_path, intrinsics_file):
+        # SHA-256 of pose stdout on 44 tilted markers at 0.5 px and four bad
+        # or edge rows, recorded before the float and lane IPPE starts became
+        # one implementation: whole, and cut to 10 rows, which go from the
+        # array starts straight to the scalar refinement
+        rng = np.random.default_rng(2025)
+        lines = []
+        for i in range(44):
+            rotation = rotation_from_axis_angle(rng.normal(size=3), rng.uniform(-0.6, 0.6))
+            pose = RigidTransform(rotation, [rng.uniform(-0.2, 0.2), rng.uniform(-0.15, 0.15),
+                                             rng.uniform(0.6, 1.4)])
+            obs = synthesize_observation(pose, 0.04, CameraIntrinsics(), 0.5, seed=i)
+            lines.append(f"{i}," + ",".join(repr(v) for v in obs.corners.ravel().tolist()))
+        lines[1:1] = ["1,0,0,1,1,2,2,3,3"]
+        lines[3:3] = [BOWTIE_LINE]
+        lines[5:5] = [MIRRORED_LINE]
+        lines[7:7] = [HUGE_CORNER_ROWS[0].values[0]]
+        digests = []
+        for rows in (lines, lines[:10]):
+            obs_file = tmp_path / "obs.csv"
+            obs_file.write_text("\n".join(rows) + "\n")
+            code, out, _ = run_cli(capsys, "pose", str(obs_file), "--intrinsics", intrinsics_file)
+            assert code == 0 and out.count("\n") == len(rows)
+            digests.append(hashlib.sha256(out.encode()).hexdigest())
+        assert digests == [
+            "4d900178bbbc3d5ef8cca483c78871395ea7fd52cac2ae37b293a2253f56607f",
+            "7d0373bf2f025d0d9320551124bb5e05123fd80950e9f2fc6e1fb2d03235581c",
+        ]
 
     def test_all_rows_bad_exit_1(self, capsys, tmp_path, intrinsics_file):
         obs_file = tmp_path / "obs.csv"

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import pathlib
@@ -51,6 +52,7 @@ K = CameraIntrinsics()
 SIDE = 0.04
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "handguard"
 
 
 def random_pose(rng, max_tilt=0.6):
@@ -528,6 +530,15 @@ class TestIppeCandidates:
                 assert np.abs(np.subtract(r, r_ref)).max() <= 1e-9
                 assert np.abs(np.subtract(t, t_ref)).max() <= 1e-9
 
+    def test_sums_are_written_out(self):
+        # from Python 3.12 the builtin sum compensates its float rounding, so
+        # the fit adds left to right itself and gets one set of bits on
+        # every Python: marker_pose neither calls the builtin sum nor passes it on
+        tree = ast.parse((SRC / "marker_pose.py").read_text())
+        uses = [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == "sum"]
+        assert uses == []
+
 
 def front_end_frames():
     # the 200 IPPE truths without noise and at 0.5 px, and the edge-on quad
@@ -919,20 +930,18 @@ class TestLockstep:
         # square centred on the principal point (p = q = 0, so the view-ray
         # rotation is the identity), a start mirrored through the camera
         # centre (tz < 0), and a degenerate and a bow-tie quad, which fail
-        # their checks and are named by _starts
+        # their checks and are named by _starts on their floats
         centred = project(RigidTransform(np.eye(3), [0.0, 0.0, 1.0]), SIDE, K).tolist()
         degenerate = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
         frames = pose_frames(46, LOCKSTEP_MIN_LANES // 2 - 4, 0.5)
         frames[3:3] = [centred, MIRRORED_CORNERS, degenerate, BOWTIE_CORNERS]
         assert len(frames) == LOCKSTEP_MIN_LANES // 2
-        unturned, rotated, orthonormalized_in = [], [], []
+        rotated, orthonormalized_in = [], []
         rotate, orthonormalize = marker_pose._rotate_lanes, marker_pose._orthonormalized_lanes
 
         def rotate_lanes(w0, w1, w2, r, solved):
-            if r is marker_pose._IDENTITY_LANE:
-                unturned.append(np.flatnonzero((w0 == 0.0) & (w1 == 0.0)).tolist())
-            rotated.append(rotate(w0, w1, w2, r, solved))
-            return rotated[-1]
+            rotated.append((w0, w1, rotate(w0, w1, w2, r, solved)))
+            return rotated[-1][2]
 
         monkeypatch.setattr(marker_pose, "_rotate_lanes", rotate_lanes)
         monkeypatch.setattr(marker_pose, "_orthonormalized_lanes",
@@ -940,9 +949,14 @@ class TestLockstep:
         r, t, failed = marker_pose._starts_lockstep(np.array(frames).transpose(1, 2, 0),
                                                     SIDE / 2.0, K)
         monkeypatch.undo()
-        assert unturned == [[3]]
+        # the pass's first rotation is the view ray's, then one per candidate
+        (w0, w1, view_ray), *candidates = rotated
+        assert len(candidates) == len(orthonormalized_in) == 2
+        assert np.flatnonzero((w0 == 0.0) & (w1 == 0.0)).tolist() == [3]
+        assert view_ray[:, 3].tolist() == np.eye(3).ravel().tolist()
         # r00 of each (candidate, frame) before and after the tz < 0 branch
-        before, after = rotated[1][0], orthonormalized_in[0][0]
+        before = np.array([turned[0] for _, _, turned in candidates])
+        after = np.array([entries[0] for entries in orthonormalized_in])
         assert np.flatnonzero(((after == -before) & (before != 0.0)).any(axis=0)).tolist() == [4]
         assert np.flatnonzero(failed).tolist() == [5, 6]
         # frame by frame, the arrays hold the floats of _starts on that frame alone
