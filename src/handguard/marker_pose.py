@@ -243,6 +243,7 @@ def _require(ok: bool, message: str) -> None:
 
 
 def _orthonormalized_start(r) -> tuple:
+    """orthonormalized on a start's rotation, whose failure is the frame's."""
     try:
         return orthonormalized(r)
     except InvalidRotation:
