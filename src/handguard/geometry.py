@@ -8,9 +8,12 @@ Validation contract: the ``RigidTransform`` constructor checks external
 input (a 3x3 rotation with finite entries, orthonormal within
 ``ORTHONORMALITY_TOL``, determinant +1; a finite translation) and rejects
 anything else.  ``orthonormalized`` is the one re-orthonormalizing
-boundary, a scalar Gram-Schmidt on a rotation's nine entries: it accepts a
+boundary, a Gram-Schmidt on a rotation's nine entries: it accepts a
 slightly non-orthonormal matrix (finite, columns not dependent) and returns
 a proper rotation built in closed form, so its result is not checked again.
+Its one body, ``_gram_schmidt``, runs on Python floats and on float64 lane
+arrays (the pose estimator's starts for a whole file), taking its square
+root, finiteness test and rejection from the caller.
 ``RigidTransform.from_orthonormalized`` is the same boundary for arrays, and
 ``compose`` goes through it, so products of rotations at the tolerance edge
 never raise.  The simulation step and the pose estimator's start points call
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import NamedTuple
 
 import numpy as np
@@ -110,36 +114,51 @@ def _check_rotation(r: np.ndarray) -> None:
         raise InvalidRotation(f"rotation determinant is {det}, expected +1")
 
 
-def orthonormalized(entries) -> tuple:
+def _gram_schmidt(entries, ops) -> tuple:
     """Gram-Schmidt on the nine entries of a near-rotation, row by row.
 
-    The one re-orthonormalization boundary, on Python floats: columns 0 and
-    1 are orthonormalized in turn and column 2 is their cross product, so the
-    nine entries returned form a proper rotation.  Raises InvalidRotation on
-    non-finite entries or (nearly) dependent columns.
+    Columns 0 and 1 are orthonormalized in turn and column 2 is their cross
+    product, so the nine entries returned form a proper rotation.  ops gives
+    sqrt, nonfinite (of the nine entries) and reject(bad, message), called
+    on each check in order: on Python floats, math's and a reject that
+    raises; on float64 arrays, one element per lane, numpy's and a reject
+    that records the lanes failing it, whose entries are then meaningless.
     """
     a, b, c, d, e, f, g, h, i = entries
-    if not all(map(math.isfinite, entries)):
-        raise InvalidRotation("rotation entries must be finite")
-    n = math.sqrt(a * a + d * d + g * g)
-    if n < 1e-12:
-        raise InvalidRotation("rotation columns are linearly dependent")
+    ops.reject(ops.nonfinite(entries), "rotation entries must be finite")
+    n = ops.sqrt(a * a + d * d + g * g)
+    ops.reject(n < 1e-12, "rotation columns are linearly dependent")
     x0, y0, z0 = a / n, d / n, g / n
     p = x0 * b + y0 * e + z0 * h
     vx, vy, vz = b - p * x0, e - p * y0, h - p * z0
-    n = math.sqrt(vx * vx + vy * vy + vz * vz)
-    if n < 1e-12:
-        raise InvalidRotation("rotation columns are linearly dependent")
+    n = ops.sqrt(vx * vx + vy * vy + vz * vz)
+    ops.reject(n < 1e-12, "rotation columns are linearly dependent")
     x1, y1, z1 = vx / n, vy / n, vz / n
-    if abs(x0 * x1 + y0 * y1 + z0 * z1) > ORTHONORMALITY_TOL:
-        # cancellation left column 1 off-orthogonal: the columns are
-        # too close to dependent for Gram-Schmidt in double precision
-        raise InvalidRotation("rotation columns are nearly dependent")
+    # cancellation left column 1 off-orthogonal: the columns are too close
+    # to dependent for Gram-Schmidt in double precision
+    ops.reject(abs(x0 * x1 + y0 * y1 + z0 * z1) > ORTHONORMALITY_TOL,
+               "rotation columns are nearly dependent")
     x2, y2, z2 = y0 * z1 - z0 * y1, z0 * x1 - x0 * z1, x0 * y1 - y0 * x1
     # column 2's part off the plane of columns 0 and 1, whatever its sign
-    if abs(x2 * c + y2 * f + z2 * i) < 1e-12:
-        raise InvalidRotation("rotation columns are linearly dependent")
+    ops.reject(abs(x2 * c + y2 * f + z2 * i) < 1e-12, "rotation columns are linearly dependent")
     return x0, x1, x2, y0, y1, y2, z0, z1, z2
+
+
+def _reject(bad: bool, message: str) -> None:
+    if bad:
+        raise InvalidRotation(message)
+
+
+_FLOATS = SimpleNamespace(
+    sqrt=math.sqrt, nonfinite=lambda entries: not all(map(math.isfinite, entries)),
+    reject=_reject)
+
+
+def orthonormalized(entries) -> tuple:
+    """The one re-orthonormalization boundary, on Python floats: _gram_schmidt
+    on a near-rotation's nine entries, row by row.  Raises InvalidRotation on
+    non-finite entries or (nearly) dependent columns."""
+    return _gram_schmidt(entries, _FLOATS)
 
 
 def axis_angle_entries(x, y, z, s, c) -> tuple:

@@ -27,22 +27,23 @@ Each fit driver has one path, and both give every frame the same bits.
 arrays ("lanes", two per frame), at every file size.  The IPPE starts are
 one implementation, `_starts` (`_require_area`, `_square_homography`,
 `_ippe_candidates`), which takes what is not plain arithmetic from an
-`ops` namespace: on one frame's floats, math functions, conditional
-expressions and checks that raise DegenerateCorners; on every frame's
-lanes at once (`_starts_lockstep`), numpy's elementwise operations with
-hypot, atan2, sine and cosine per frame through math, and checks that
-mark the frame failed.  A failed frame's lanes never enter the
-refinement, and `_starts` on its floats names its PoseError.  Each sum is
-written out left to right from 0.0, so the fit's bits do not depend on
-the Python version.  Then all lanes are refined in lockstep, one
-Gauss-Newton iteration at a time.  Each lane gets the float operations `_refine` gives
-it, in the same order: `_rotated_corners`, `_normal_equations` and
-`product_entries` run unchanged on the arrays, `_damped_step` takes an
-inverse root that records failed pivots, and sine and cosine are taken
-per lane through math.  Lanes stop unevenly: on a pose_batch file of 100
-frames, 200 lanes are down to 32-51 after 5 iterations, while a file's
-slowest lane runs 28-50 (seeds 0-15), and a lockstep iteration costs
-about as much as 50 lanes' scalar ones.  So once fewer than
+`ops` namespace, as does geometry's Gram-Schmidt on each start's
+rotation: on one frame's floats, math functions, conditional expressions
+and checks that raise DegenerateCorners; on every frame's lanes at once
+(`_starts_lockstep`), numpy's elementwise operations with hypot, atan2,
+sine and cosine per frame through math, and checks that record the frames
+failing them.  A failed frame's lanes never enter the refinement, and its
+DegenerateCorners carries the message of the first check it failed.  Each
+sum is written out left to right from 0.0, so the fit's bits do not depend
+on the Python version.  Then all lanes are refined in lockstep, one
+Gauss-Newton iteration at a time.  Each lane gets the float operations
+`_refine` gives it, in the same order: `_rotated_corners`,
+`_normal_equations` and `product_entries` run unchanged on the arrays,
+`_damped_step` takes an inverse root that records failed pivots, and sine
+and cosine are taken per lane through math.  Lanes stop unevenly: on a
+pose_batch file of 100 frames, 200 lanes are down to 32-51 after 5
+iterations, while a file's slowest lane runs 28-50 (seeds 0-15), and a
+lockstep iteration costs about as much as 50 lanes' scalar ones.  So once fewer than
 LOCKSTEP_MIN_LANES lanes are active, each resumes on `_refine` from its
 own (r, t), damping and iterations left, which is exact because the
 loop's other state is a function of (r, t); a file of fewer than 16
@@ -67,8 +68,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .geometry import (
-    ORTHONORMALITY_TOL, InvalidRotation, RigidTransform, axis_angle_entries, compose, invert,
-    orthonormalized, product_entries,
+    RigidTransform, _gram_schmidt, axis_angle_entries, compose, invert, product_entries,
 )
 
 MIN_DEPTH_M = 1e-6
@@ -242,20 +242,15 @@ def _require(ok: bool, message: str) -> None:
         raise DegenerateCorners(message)
 
 
-def _orthonormalized_start(r) -> tuple:
-    """orthonormalized on a start's rotation, whose failure is the frame's."""
-    try:
-        return orthonormalized(r)
-    except InvalidRotation:
-        raise DegenerateCorners(_NO_CANDIDATE) from None
-
-
 # The operations of the IPPE starts on one frame's Python floats; a failed
-# check raises.  _starts_lockstep builds the same namespace for lane arrays.
+# check raises, and a start's rotation that fails geometry's Gram-Schmidt
+# (reject) fails its frame.  _starts_lockstep builds the same namespace for
+# lane arrays.
 _FLOATS = SimpleNamespace(
     sqrt=math.sqrt, hypot=math.hypot, atan2=math.atan2, copysign=math.copysign,
     isfinite=math.isfinite, where=lambda c, a, b: a if c else b, rotate=_rotate,
-    orthonormalized=_orthonormalized_start, require=_require)
+    nonfinite=lambda entries: not all(map(math.isfinite, entries)),
+    reject=lambda bad, _message: _require(not bad, _NO_CANDIDATE), require=_require)
 
 
 def _require_area(c: list, ops=_FLOATS) -> None:
@@ -365,7 +360,7 @@ def _ippe_candidates(h, normalized: list, half: float, ops=_FLOATS) -> tuple:
         x00, x01, x02, x10, x11, x12, x20, x21, x22 = r
         r = (x00 * flip, x01 * flip, x02, x10 * flip, x11 * flip, x12, x20 * flip, x21 * flip, x22)
         translation = (tx * flip, ty * flip, tz * flip)
-        candidates.append((ops.orthonormalized(r), translation))
+        candidates.append((_gram_schmidt(r, ops), translation))
     return tuple(candidates)
 
 
@@ -663,52 +658,38 @@ def _per_lane(f):
     return lambda a, b: each(a, b).astype(float)
 
 
-def _orthonormalized_lanes(r) -> tuple:
-    """geometry.orthonormalized on lane arrays, with its float operations in
-    order: the nine entries and a mask of the lanes on which it raises."""
-    a, b, c, d, e, f, g, h, i = r
-    n0 = np.sqrt(a * a + d * d + g * g)
-    x0, y0, z0 = a / n0, d / n0, g / n0
-    p = x0 * b + y0 * e + z0 * h
-    vx, vy, vz = b - p * x0, e - p * y0, h - p * z0
-    n1 = np.sqrt(vx * vx + vy * vy + vz * vz)
-    x1, y1, z1 = vx / n1, vy / n1, vz / n1
-    x2, y2, z2 = y0 * z1 - z0 * y1, z0 * x1 - x0 * z1, x0 * y1 - y0 * x1
-    raises = (~np.isfinite(r).all(axis=0) | (n0 < 1e-12) | (n1 < 1e-12)
-              | (abs(x0 * x1 + y0 * y1 + z0 * z1) > ORTHONORMALITY_TOL)
-              | (abs(x2 * c + y2 * f + z2 * i) < 1e-12))
-    return (x0, x1, x2, y0, y1, y2, z0, z1, z2), raises
-
-
 def _starts_lockstep(pixels, half: float, k: CameraIntrinsics) -> tuple:
     """_starts on each frame, with the same bits, all frames at once.
 
     pixels is (corner, u/v, frame).  _starts runs on float64 arrays, one
     element per frame: numpy's elementwise operations, which round as
     Python's do, hypot, atan2, sine and cosine per frame through math, and
-    a mask for each of its checks.  Returns r (9, 2, frames), t (3, 2,
-    frames) and the mask of frames on which _starts raises, whose entries
-    are meaningless.
+    a record of each of its checks: the frames failing it and its message.
+    Returns r (9, 2, frames), t (3, 2, frames) and per frame the message of
+    the first check it fails, which is that of the PoseError _starts raises
+    on it, or None for a frame that passes them all; a failed frame's
+    entries are meaningless.
     """
-    rejected = []
+    checks = []
 
     def rotate(w0, w1, w2, r):
         # the view ray's rotation turns the identity's floats, one per lane
         return _rotate_lanes(w0, w1, w2, np.broadcast_arrays(w0, *r)[1:], True)
 
-    def orthonormalized(r):
-        entries, raises = _orthonormalized_lanes(np.array(r))
-        rejected.append(raises)
-        return entries
-
     lanes = SimpleNamespace(
         sqrt=np.sqrt, hypot=_per_lane(math.hypot), atan2=_per_lane(math.atan2),
         copysign=np.copysign, isfinite=np.isfinite, where=np.where, rotate=rotate,
-        orthonormalized=orthonormalized, require=lambda ok, _message: rejected.append(~ok))
+        nonfinite=lambda entries: ~np.isfinite(entries).all(axis=0),
+        reject=lambda bad, _message: checks.append((bad, _NO_CANDIDATE)),
+        require=lambda ok, message: checks.append((~ok, message)))
     with np.errstate(all="ignore"):  # a frame that fails a check computes garbage
         starts = _starts(list(pixels), half, k, lanes)
+    messages = [None] * pixels.shape[2]
+    for bad, message in reversed(checks):
+        for frame in np.flatnonzero(bad).tolist():
+            messages[frame] = message
     return (np.stack([r for r, _ in starts], axis=1), np.stack([t for _, t in starts], axis=1),
-            np.logical_or.reduce(rejected))
+            messages)
 
 
 def _kept_fit(fits: list, pixel_sigma: float) -> tuple:
@@ -758,22 +739,21 @@ def fit_corners_many(pixel_rows: list, marker_side: float, k: CameraIntrinsics,
     per frame the kept fit, or the PoseError that fit_corners raises on it.
     _starts_lockstep takes every frame's two starts at once, and
     _refine_lockstep refines the starts of all frames that pass the checks
-    together, each frame's two side by side; _starts names the PoseError of
-    a frame that fails them."""
+    together, each frame's two side by side.  A frame that fails them gets
+    the DegenerateCorners of the first check it fails."""
     half = marker_side / 2.0
     pixels = np.array(pixel_rows, dtype=float).reshape(-1, 4, 2).transpose(1, 2, 0)
-    r, t, failed = _starts_lockstep(pixels, half, k)
-    kept = ~failed
+    r, t, messages = _starts_lockstep(pixels, half, k)
+    kept = np.array([message is None for message in messages], dtype=bool)
     fits = iter(_refine_lockstep(r[..., kept].transpose(0, 2, 1).reshape(9, -1),
                                  t[..., kept].transpose(0, 2, 1).reshape(3, -1),
                                  np.repeat(pixels[..., kept], 2, axis=2).transpose(1, 0, 2),
                                  half, k))
     frames = []
-    for flagged, row in zip(failed.tolist(), pixel_rows):
+    for message in messages:
         try:
-            if flagged:
-                _starts(row, half, k)
-                raise AssertionError(f"the array checks flag corners that _starts accepts: {row}")
+            if message is not None:
+                raise DegenerateCorners(message)
             frames.append(_kept_fit([next(fits), next(fits)], pixel_sigma))
         except PoseError as exc:
             frames.append(exc)

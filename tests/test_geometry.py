@@ -1,5 +1,6 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from handguard.geometry import (
     compose,
     hand_in_robot_base,
     invert,
+    _gram_schmidt,
     orthonormalized,
     rotation_from_axis_angle,
 )
@@ -334,6 +336,64 @@ class TestNonFinite:
             RigidTransform(np.eye(3), [0.0, float("nan"), 0.0])
         with pytest.raises(ValueError, match="translation"):
             RigidTransform.from_orthonormalized(np.eye(3), [float("inf"), 0.0, 0.0])
+
+
+def gram_schmidt_lanes(rows):
+    """_gram_schmidt on float64 lanes, one per row of nine entries: the
+    entries and, per lane, the message of the first check it fails or None."""
+    checks = []
+    lanes = SimpleNamespace(
+        sqrt=np.sqrt, nonfinite=lambda entries: ~np.isfinite(entries).all(axis=0),
+        reject=lambda bad, message: checks.append((bad, message)))
+    with np.errstate(all="ignore"):
+        entries = _gram_schmidt(tuple(np.array(rows, dtype=float).T), lanes)
+    messages = [None] * len(rows)
+    for bad, message in reversed(checks):
+        for lane in np.flatnonzero(bad).tolist():
+            messages[lane] = message
+    return np.array(entries).T.tolist(), messages
+
+
+def near_rotations(rng):
+    """Rows of nine entries: seeded near-rotations, near-dependent columns,
+    entries near overflow and subnormal, and nan and inf entries."""
+    rows = []
+    for _ in range(200):
+        r = rotation_from_axis_angle(rng.normal(size=3), rng.uniform(-np.pi, np.pi))
+        rows.append((r + rng.normal(0.0, 10.0 ** rng.uniform(-16, -2), size=(3, 3))).ravel())
+        c0, across = rng.normal(size=3), rng.normal(size=3)
+        c1 = c0 + 10.0 ** rng.uniform(-17, -4) * across
+        rows.append(np.column_stack([c0, c1, np.cross(c0, across)]).ravel())
+        rows.append(r.ravel() * 10.0 ** rng.uniform(150, 156))
+        rows.append(r.ravel() * 10.0 ** rng.uniform(-320, -300))
+        rows.append((np.eye(3)[rng.permutation(3)] + 1e-310 * rng.normal(size=(3, 3))).ravel())
+        bad = r.ravel().copy()
+        bad[rng.integers(9)] = rng.choice([math.nan, math.inf, -math.inf])
+        rows.append(bad)
+    return [tuple(row.tolist()) for row in rows]
+
+
+class TestGramSchmidtLanes:
+    def test_lanes_give_the_bits_and_errors_of_orthonormalized(self):
+        # the pose estimator's lanes run this body on arrays: each lane
+        # gets the bits of orthonormalized on its floats, and is rejected,
+        # by its first failed check, exactly where orthonormalized raises
+        rows = near_rotations(np.random.default_rng(26))
+        entries, messages = gram_schmidt_lanes(rows)
+        outcomes = set()
+        for row, lane_entries, message in zip(rows, entries, messages):
+            try:
+                expected = orthonormalized(row)
+            except InvalidRotation as exc:
+                assert message == str(exc)
+                outcomes.add(message)
+                continue
+            assert message is None
+            assert repr(tuple(lane_entries)) == repr(expected)
+            outcomes.add(None)
+        assert outcomes == {None, "rotation entries must be finite",
+                            "rotation columns are linearly dependent",
+                            "rotation columns are nearly dependent"}
 
 
 def reference_axis_angle(axis, angle):

@@ -930,24 +930,24 @@ class TestLockstep:
         # square centred on the principal point (p = q = 0, so the view-ray
         # rotation is the identity), a start mirrored through the camera
         # centre (tz < 0), and a degenerate and a bow-tie quad, which fail
-        # their checks and are named by _starts on their floats
+        # their checks and are named by the first check each fails
         centred = project(RigidTransform(np.eye(3), [0.0, 0.0, 1.0]), SIDE, K).tolist()
         degenerate = [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]
         frames = pose_frames(46, LOCKSTEP_MIN_LANES // 2 - 4, 0.5)
         frames[3:3] = [centred, MIRRORED_CORNERS, degenerate, BOWTIE_CORNERS]
         assert len(frames) == LOCKSTEP_MIN_LANES // 2
         rotated, orthonormalized_in = [], []
-        rotate, orthonormalize = marker_pose._rotate_lanes, marker_pose._orthonormalized_lanes
+        rotate, gram_schmidt = marker_pose._rotate_lanes, marker_pose._gram_schmidt
 
         def rotate_lanes(w0, w1, w2, r, solved):
             rotated.append((w0, w1, rotate(w0, w1, w2, r, solved)))
             return rotated[-1][2]
 
         monkeypatch.setattr(marker_pose, "_rotate_lanes", rotate_lanes)
-        monkeypatch.setattr(marker_pose, "_orthonormalized_lanes",
-                            lambda r: orthonormalized_in.append(r) or orthonormalize(r))
-        r, t, failed = marker_pose._starts_lockstep(np.array(frames).transpose(1, 2, 0),
-                                                    SIDE / 2.0, K)
+        monkeypatch.setattr(marker_pose, "_gram_schmidt",
+                            lambda r, ops: orthonormalized_in.append(r) or gram_schmidt(r, ops))
+        r, t, messages = marker_pose._starts_lockstep(np.array(frames).transpose(1, 2, 0),
+                                                      SIDE / 2.0, K)
         monkeypatch.undo()
         # the pass's first rotation is the view ray's, then one per candidate
         (w0, w1, view_ray), *candidates = rotated
@@ -958,12 +958,14 @@ class TestLockstep:
         before = np.array([turned[0] for _, _, turned in candidates])
         after = np.array([entries[0] for entries in orthonormalized_in])
         assert np.flatnonzero(((after == -before) & (before != 0.0)).any(axis=0)).tolist() == [4]
-        assert np.flatnonzero(failed).tolist() == [5, 6]
-        # frame by frame, the arrays hold the floats of _starts on that frame alone
+        assert [frame for frame, message in enumerate(messages) if message] == [5, 6]
+        # frame by frame, the arrays hold the floats of _starts on that frame
+        # alone, and a failed frame's message is that of its PoseError
         for frame, pixels in enumerate(frames):
-            if failed[frame]:
-                with pytest.raises(PoseError):
+            if messages[frame] is not None:
+                with pytest.raises(PoseError) as info:
                     marker_pose._starts(pixels, SIDE / 2.0, K)
+                assert str(info.value) == messages[frame]
                 continue
             starts = tuple((tuple(r[:, c, frame].tolist()), tuple(t[:, c, frame].tolist()))
                            for c in range(2))
@@ -985,16 +987,16 @@ class TestLockstep:
         scale = 10.0 ** rng.uniform(-12.0, 308.0, size=(n, 1, 1))
         centre = np.where(rng.random((n, 1, 1)) < 0.5, 0.0, np.array([K.cx, K.cy]))
         frames = (centre + rng.uniform(-1.0, 1.0, size=(n, 4, 2)) * scale).tolist()
-        _, _, failed = marker_pose._starts_lockstep(np.array(frames).transpose(1, 2, 0),
-                                                    SIDE / 2.0, K)
-        raises = []
+        _, _, messages = marker_pose._starts_lockstep(np.array(frames).transpose(1, 2, 0),
+                                                      SIDE / 2.0, K)
+        raised = []
         for pixels in frames:
             try:
                 marker_pose._starts(pixels, SIDE / 2.0, K)
-                raises.append(False)
-            except PoseError:
-                raises.append(True)
-        assert failed.tolist() == raises
+                raised.append(None)
+            except PoseError as exc:
+                raised.append(str(exc))
+        assert messages == raised
         # neither driver raises anything but a PoseError, and they agree
         expected = per_frame(frames)
         assert together(frames) == expected
@@ -1025,10 +1027,10 @@ class TestLockstep:
         # huge corners reach with real intrinsics, and the gamma and spread
         # checks, which they do not
         k = CameraIntrinsics(fx=fx, fy=fy, cx=0.0, cy=0.0)
-        _, _, failed = marker_pose._starts_lockstep(np.array([pixels]).transpose(1, 2, 0),
-                                                    SIDE / 2.0, k)
-        assert failed.tolist() == [True]
-        error = repr(DegenerateCorners("corners give no finite pose candidate"))
+        _, _, messages = marker_pose._starts_lockstep(np.array([pixels]).transpose(1, 2, 0),
+                                                      SIDE / 2.0, k)
+        assert messages == ["corners give no finite pose candidate"]
+        error = repr(DegenerateCorners(messages[0]))
         with pytest.raises(DegenerateCorners) as info:
             fit_corners(pixels, SIDE, k, 0.0)
         assert repr(info.value) == error

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from handguard import data_path
+from handguard.analysis import PATTERN_ORDER, ConfusionMatrix, recognition_rates
 from handguard.geometry import Point3
 from handguard.haptics import PatternId, pattern_duration
 from handguard.safety import (
@@ -20,6 +22,7 @@ from handguard.safety import (
     select_direction,
     step,
 )
+from handguard.sim import HumanModel
 
 ORIGIN = Point3(0, 0, 0)
 ZONES = SafetyZones()
@@ -131,6 +134,21 @@ class TestDirectionMapping:
         m = DirectionMapping()
         for p, _ in m.pattern_to_direction:
             assert m.pattern_for(m.direction_for(p)) == p
+
+    def test_default_patterns_are_the_best_recognized(self):
+        # the paper picked its four guidance patterns for their recognition
+        # rates in the first study: they are the four highest diagonals of
+        # the volar matrix, and the human model has a time for each
+        rates, _ = recognition_rates(ConfusionMatrix.from_csv(data_path("confusion_volar.csv")))
+        ranked = sorted(zip(rates.tolist(), PATTERN_ORDER), key=lambda rate: -rate[0])
+        chosen = {str(p) for p, _ in DirectionMapping().pattern_to_direction}
+        assert {pattern for _, pattern in ranked[:4]} == chosen == {"2L", "1L", "5H", "3L"}
+        assert set(HumanModel().response_mean) == chosen
+        (fourth, _), (fifth, runner_up) = ranked[3:5]
+        assert (runner_up, fifth) == ("1H", 0.80)
+        assert fourth - fifth == pytest.approx(0.02)
+        print(f"default patterns: the volar top four; margin {fourth - fifth:.2f} "
+              f"to the fifth, {runner_up} at {fifth:.2f}")
 
     def test_rejects_duplicate_direction(self):
         with pytest.raises(ValueError):
