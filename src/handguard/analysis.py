@@ -69,6 +69,8 @@ class ConfusionMatrix:
             label = row[0].strip() if row else ""
             if len(values) == len(PATTERN_ORDER) or label != PATTERN_ORDER[len(values)]:
                 raise ValueError(f"row {i}: unexpected pattern label {label!r}")
+            if len(row) != len(PATTERN_ORDER) + 1:
+                raise ValueError(f"row {i}: expected {len(PATTERN_ORDER)} values")
             values.append([float(c) for c in row[1:]])
         return cls(np.array(values))
 

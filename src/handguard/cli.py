@@ -75,10 +75,8 @@ def _marker_side(text: str) -> float:
 
 def _read_observations(path: str) -> list:
     """Parse `marker_id,u0,v0,...,u3,v3` lines.  Per data line returns
-    (line_no, marker_id, corners, None), the corners as four (u, v) floats
-    that pass MarkerObservation's checks, or (line_no, None, None, message)."""
-    from .marker_pose import check_corners
-
+    (line_no, marker_id, corners, None), the corners as four finite (u, v)
+    floats, or (line_no, None, None, message)."""
     rows = []
     with open(_require_file(path)) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -91,12 +89,25 @@ def _read_observations(path: str) -> list:
                     raise ValueError("expected 9 comma-separated values")
                 if not parts[0].is_integer():  # also inf and nan
                     raise ValueError("marker_id must be an integer")
-                corners = list(zip(parts[1::2], parts[2::2]))
-                check_corners(corners)
-                rows.append((line_no, int(parts[0]), corners, None))
+                if not all(map(math.isfinite, parts)):
+                    raise ValueError("corners must be finite")
+                rows.append((line_no, int(parts[0]), list(zip(parts[1::2], parts[2::2])), None))
             except ValueError as exc:
                 rows.append((line_no, None, None, str(exc)))
     return rows
+
+
+def _fit_observations(rows: list, marker_side: float,
+                      intrinsics: marker_pose.CameraIntrinsics) -> list:
+    """(line_no, marker_id, kept fit or error) per row of _read_observations:
+    the reader's message, or what fit_corners_many gives the row, which fits
+    every readable row in one call."""
+    from .marker_pose import fit_corners_many
+
+    fits = iter(fit_corners_many([corners for _, _, corners, error in rows if error is None],
+                                 marker_side, intrinsics, 0.0))
+    return [(line_no, marker_id, next(fits) if error is None else error)
+            for line_no, marker_id, _, error in rows]
 
 
 def cmd_simulate(args) -> int:
@@ -128,6 +139,8 @@ def cmd_simulate(args) -> int:
     for flag, out in (("--trace", args.trace), ("--metrics", args.metrics)):
         if message := _output_error(flag, out, suffixes):
             return _fail(message, EXIT_USAGE)
+    if Path(args.trace).resolve() == Path(args.metrics).resolve():
+        return _fail(f"--metrics {args.metrics}: is the --trace file", EXIT_USAGE)
 
     for seed, suffix in zip(seeds, suffixes):
         doc["seed"] = seed
@@ -169,7 +182,6 @@ def cmd_pattern(args) -> int:
 
 
 def cmd_pose(args) -> int:
-    from . import marker_pose
     from .geometry import orthonormalized
 
     try:
@@ -181,12 +193,8 @@ def cmd_pose(args) -> int:
         return _fail(str(exc), EXIT_USAGE)
     if not rows:
         return _fail("no observations in file", EXIT_DATA_ERROR)
-    fits = iter(marker_pose.fit_corners_many(
-        [corners for _, _, corners, error in rows if error is None], args.marker_side,
-        intrinsics, 0.0))
     failures = 0
-    for line_no, marker_id, _, error in rows:
-        fit = next(fits) if error is None else error
+    for line_no, marker_id, fit in _fit_observations(rows, args.marker_side, intrinsics):
         if not isinstance(fit, tuple):
             print(json.dumps({"line": line_no, "error": str(fit)}))
             failures += 1
@@ -204,8 +212,8 @@ def cmd_pose(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    from . import marker_pose
-    from .geometry import RigidTransform
+    from .geometry import RigidTransform, compose, invert
+    from .marker_pose import PoseError
 
     try:
         intrinsics = _read_intrinsics(args.intrinsics)
@@ -221,16 +229,18 @@ def cmd_calibrate(args) -> int:
         return _fail(str(exc), EXIT_USAGE)
     if args.out and (message := _output_error("--out", args.out)):
         return _fail(message, EXIT_USAGE)
-    usable = [(marker_id, corners) for _, marker_id, corners, error in rows if error is None]
-    if not usable:
-        return _fail("no usable base-marker observation", EXIT_DATA_ERROR)
-    try:
-        base_in_camera = marker_pose.calibrate_base(
-            marker_pose.MarkerObservation(*usable[0]), args.marker_side, intrinsics,
-            base_marker_to_robot_base,
-        )
-    except marker_pose.PoseError as exc:
-        return _fail(f"calibration failed: {exc}", EXIT_DATA_ERROR)
+    # the first row that fits calibrates; a reader's message is a str, a
+    # readable row's failed fit a PoseError
+    fits = [fit for _, _, fit in _fit_observations(rows, args.marker_side, intrinsics)]
+    kept = [fit for fit in fits if isinstance(fit, tuple)]
+    if not kept:
+        errors = [fit for fit in fits if isinstance(fit, PoseError)]
+        return _fail(f"calibration failed: {errors[0]}" if errors
+                     else "no usable base-marker observation", EXIT_DATA_ERROR)
+    r, t, _, _ = kept[0]
+    # base-marker-in-camera composed with robot-base-in-base-marker
+    base_in_camera = compose(RigidTransform.from_orthonormalized((r[:3], r[3:6], r[6:]), t),
+                             invert(base_marker_to_robot_base))
     payload = json.dumps(base_in_camera.to_json_dict())
     if args.out:
         Path(args.out).write_text(payload + "\n")

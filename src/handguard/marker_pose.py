@@ -12,18 +12,19 @@ IPPE (Collins & Bartoli, "Infinitesimal Plane-based Pose Estimation", IJCV
 with damped Gauss-Newton on the 6-DoF reprojection objective and keeps the
 candidate with the smaller residual together with the ambiguity ratio.
 For one frame the whole path runs on Python floats, and no numpy call
-runs between the corner pixels and the kept fit: the observation's checks,
+runs between the corner pixels and the kept fit: the triangle-area check,
 a closed-form 3x3 solve for the homography, IPPE with its matrix products
 unrolled, and the Gauss-Newton loop, which builds the normal equations
 JᵀJ and Jᵀr directly, never the 8x6 J, and solves the damped 6x6 system
 with an unrolled Cholesky factorization.  `fit_corners` returns the kept
 fit as floats; `estimate_pose` builds the one RigidTransform of a frame,
-the winner's, and `handguard pose` builds none: it prints the floats.
+the winner's, `handguard pose` builds none: it prints the floats, and
+`handguard calibrate` builds one from a file's first kept fit.
 
 Each fit driver has one path, and both give every frame the same bits.
-`fit_corners` fits one frame (the simulation, `estimate_pose` and
-`calibrate`) on floats: `_starts`, then `_refine` on each start.
-`fit_corners_many`, behind `handguard pose`, fits a file on float64
+`fit_corners` fits one frame (the simulation and `estimate_pose`) on
+floats: `_starts`, then `_refine` on each start.  `fit_corners_many`,
+behind `handguard pose` and `handguard calibrate`, fits a file on float64
 arrays ("lanes", two per frame), at every file size.  The IPPE starts are
 one implementation, `_starts` (`_require_area`, `_square_homography`,
 `_ippe_candidates`), which takes what is not plain arithmetic from an
@@ -67,9 +68,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .geometry import (
-    RigidTransform, _gram_schmidt, axis_angle_entries, compose, invert, product_entries,
-)
+from .geometry import RigidTransform, _gram_schmidt, axis_angle_entries, product_entries
 
 MIN_DEPTH_M = 1e-6
 
@@ -130,7 +129,8 @@ class CameraIntrinsics:
 
 @dataclass(frozen=True)
 class MarkerObservation:
-    """Four corner pixels of one detected marker.
+    """Four corner pixels of one detected marker: finite, and every
+    corner-triple triangle has area (DegenerateCorners otherwise).
 
     Corner order is fixed: top-left, top-right, bottom-right, bottom-left
     in the marker frame.
@@ -143,7 +143,9 @@ class MarkerObservation:
         c = np.array(self.corners, dtype=float)
         if c.shape != (4, 2):
             raise ValueError("corners must be a 4x2 array")
-        check_corners(c.tolist())
+        if not np.isfinite(c).all():
+            raise ValueError("corners must be finite")
+        _require_area(c.tolist())
         c.setflags(write=False)
         object.__setattr__(self, "corners", c)
 
@@ -159,15 +161,6 @@ class PoseEstimate:
             raise ValueError("rms error must be >= 0")
         if self.ambiguity_ratio < 1.0:
             raise ValueError("ambiguity ratio must be >= 1")
-
-
-def check_corners(pixels: list) -> None:
-    """The checks on one observation's four corner pixels (u, v), as floats:
-    ValueError unless they are finite, DegenerateCorners unless every
-    corner-triple triangle has area."""
-    if not all(math.isfinite(x) for corner in pixels for x in corner):
-        raise ValueError("corners must be finite")
-    _require_area(pixels)
 
 
 def project_corners(r, t, half: float, k: CameraIntrinsics) -> list:
@@ -759,18 +752,3 @@ def fit_corners_many(pixel_rows: list, marker_side: float, k: CameraIntrinsics,
             frames.append(exc)
     return frames
 
-
-def calibrate_base(
-    obs: MarkerObservation,
-    marker_side: float,
-    intrinsics: CameraIntrinsics,
-    base_marker_to_robot_base: RigidTransform,
-) -> RigidTransform:
-    """Robot base pose in the camera frame from one base-marker observation.
-
-    Done once per camera placement; the result is persisted by the CLI for
-    the session.
-    """
-    est = estimate_pose(obs, marker_side, intrinsics)
-    # base-marker-in-camera composed with robot-base-in-base-marker
-    return compose(est.pose, invert(base_marker_to_robot_base))

@@ -450,6 +450,15 @@ class TestBundledMatrices:
 
 
 class TestConfusionMatrix:
+    @pytest.mark.parametrize("edit", ["short", "long"])
+    def test_from_csv_names_a_row_of_the_wrong_length(self, tmp_path, edit):
+        lines = data_path("confusion_volar.csv").read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] if edit == "short" else lines[3] + ",0.00"
+        path = tmp_path / "m.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError, match=r"^row 4: expected 10 values$"):
+            ConfusionMatrix.from_csv(path)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.01, 1.01])
     def test_rejects_entries_outside_the_unit_interval(self, bad):
         values = np.eye(10)

@@ -19,6 +19,7 @@ ALLOWED = {
     "as_matrix": "acceptance gate C5 compares 4x4 matrices through it",
     "synthesize_observation": "acceptance gate C6 builds its observations with it",
     "rotation_from_axis_angle": "acceptance gates C5 and C6 draw their rotations with it",
+    "estimate_pose": "acceptance gate C6 estimates poses through it",
 }
 
 

@@ -12,7 +12,7 @@ import pytest
 import handguard
 from handguard import marker_pose, scenario_path
 from handguard.cli import main
-from handguard.geometry import RigidTransform, rotation_from_axis_angle
+from handguard.geometry import RigidTransform, compose, rotation_from_axis_angle
 from handguard.marker_pose import CameraIntrinsics, project, synthesize_observation
 
 # a self-intersecting corner quad: its homography sends the marker centre to infinity
@@ -228,6 +228,23 @@ class TestSimulate:
         assert (code, out, err) == (2, "", f"error: {flag} {taken}: is a directory\n")
         assert list(tmp_path.iterdir()) == [taken]
         assert list(taken.iterdir()) == []
+
+    @pytest.mark.parametrize("spelling", ["{}/out", "{}/./out"], ids=["same", "dot"])
+    @pytest.mark.parametrize("seeds", [[], ["--seeds", "2..3"]], ids=["one seed", "sweep"])
+    def test_trace_and_metrics_on_one_file_exit_2_before_running(self, capsys, tmp_path,
+                                                                 monkeypatch, spelling, seeds):
+        from handguard import sim
+
+        def no_run(scenario):
+            raise AssertionError("simulation ran")
+
+        monkeypatch.setattr(sim, "run", no_run)
+        # the metrics JSON would overwrite the trace CSV, in a sweep once per seed
+        metrics = spelling.format(tmp_path)
+        code, out, err = run_cli(capsys, "simulate", "--trace", str(tmp_path / "out"),
+                                 "--metrics", metrics, *seeds)
+        assert (code, out, err) == (2, "", f"error: --metrics {metrics}: is the --trace file\n")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("mapping, message", [
         ([], "mapping: expected a JSON object"),
@@ -574,6 +591,22 @@ class TestCalibrate:
         got = RigidTransform.from_json_dict(json.loads(out_file.read_text()))
         assert np.abs(got.as_matrix() - truth.as_matrix()).max() < 1e-6
 
+    def test_round_trip_with_base_transform(self, capsys, tmp_path, intrinsics_file):
+        base_in_camera = RigidTransform(rotation_from_axis_angle((1, 2, 0), 0.3),
+                                        [0.05, -0.1, 1.1])
+        marker_to_base = RigidTransform(rotation_from_axis_angle((0, 0, 1), 0.5),
+                                        [0.01, 0.02, 0.0])
+        # the marker is seen at base-in-camera composed with marker-in-base;
+        # composing in the other order, or without the inverse, fails here
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text(observation_line(compose(base_in_camera, marker_to_base)) + "\n")
+        base_file = tmp_path / "base.json"
+        base_file.write_text(json.dumps(marker_to_base.to_json_dict()))
+        code, out, err = run_cli(capsys, "calibrate", str(obs_file), "--intrinsics",
+                                 intrinsics_file, "--base-transform", str(base_file))
+        assert (code, err) == (0, "")
+        got = RigidTransform.from_json_dict(json.loads(out))
+        assert np.abs(got.as_matrix() - base_in_camera.as_matrix()).max() < 1e-6
 
     def test_uses_the_first_row_that_passes_the_checks(self, capsys, tmp_path, intrinsics_file):
         truth = RigidTransform(rotation_from_axis_angle((0, 1, 0), 0.3), [-0.05, 0.02, 0.9])
@@ -584,6 +617,18 @@ class TestCalibrate:
         ]) + "\n")
         code, out, _ = run_cli(capsys, "calibrate", str(obs_file), "--intrinsics", intrinsics_file)
         assert code == 0
+        got = RigidTransform.from_json_dict(json.loads(out))
+        assert np.abs(got.as_matrix() - truth.as_matrix()).max() < 1e-6
+
+    def test_rows_that_admit_no_pose_are_passed_over(self, capsys, tmp_path, intrinsics_file):
+        # readable rows whose fit fails, then the row that calibrates
+        truth = RigidTransform(rotation_from_axis_angle((0, 1, 1), 0.25), [0.02, 0.03, 1.0])
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text("\n".join([BOWTIE_LINE, HUGE_CORNER_ROWS[0].values[0],
+                                       observation_line(truth)]) + "\n")
+        code, out, err = run_cli(capsys, "calibrate", str(obs_file),
+                                 "--intrinsics", intrinsics_file)
+        assert (code, err) == (0, "")
         got = RigidTransform.from_json_dict(json.loads(out))
         assert np.abs(got.as_matrix() - truth.as_matrix()).max() < 1e-6
 
@@ -601,21 +646,24 @@ class TestCalibrate:
     @pytest.mark.parametrize("bad, error", HUGE_CORNER_ROWS)
     def test_huge_finite_corners_exit_1(self, capsys, tmp_path, intrinsics_file, bad, error,
                                         n_good):
-        # a message, not a traceback, alone and as the first of many rows;
-        # the reader drops a row whose triangle areas are nan, so then the
+        # a message, not a traceback, alone; as the first of many rows, the
         # next row calibrates
         good = observation_line(RigidTransform(np.eye(3), [0, 0, 1.0]))
         obs_file = tmp_path / "obs.csv"
         obs_file.write_text("\n".join([bad] + [good] * n_good) + "\n")
         code, out, err = run_cli(capsys, "calibrate", str(obs_file),
                                  "--intrinsics", intrinsics_file)
-        read_error = error == "corners are collinear or enclose no area"
-        if read_error and n_good:
+        if n_good:
             assert code == 0 and err == "" and "r" in json.loads(out)
         else:
-            message = ("no usable base-marker observation" if read_error
-                       else f"calibration failed: {error}")
-            assert (code, out, err) == (1, "", f"error: {message}\n")
+            assert (code, out, err) == (1, "", f"error: calibration failed: {error}\n")
+
+    def test_no_readable_row_exit_1(self, capsys, tmp_path, intrinsics_file):
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text("2,inf,0,1,0,1,1,0,1\n3,1,2,3\n")
+        code, out, err = run_cli(capsys, "calibrate", str(obs_file),
+                                 "--intrinsics", intrinsics_file)
+        assert (code, out, err) == (1, "", "error: no usable base-marker observation\n")
 
     @pytest.mark.parametrize("missing", ["r", "t"])
     def test_base_transform_without_key_exit_2(self, capsys, tmp_path, intrinsics_file,
@@ -635,12 +683,10 @@ class TestCalibrate:
 
     def test_out_in_missing_directory_exit_2_before_calibrating(self, capsys, tmp_path,
                                                                  monkeypatch, intrinsics_file):
-        from handguard import marker_pose
-
         def no_calibration(*args):
             raise AssertionError("calibration ran")
 
-        monkeypatch.setattr(marker_pose, "calibrate_base", no_calibration)
+        monkeypatch.setattr(marker_pose, "fit_corners_many", no_calibration)
         obs_file = tmp_path / "obs.csv"
         obs_file.write_text(observation_line(RigidTransform(np.eye(3), [0, 0, 1.0])) + "\n")
         out_file = tmp_path / "nodir" / "cal.json"
@@ -655,7 +701,7 @@ class TestCalibrate:
         def no_calibration(*args):
             raise AssertionError("calibration ran")
 
-        monkeypatch.setattr(marker_pose, "calibrate_base", no_calibration)
+        monkeypatch.setattr(marker_pose, "fit_corners_many", no_calibration)
         obs_file = tmp_path / "obs.csv"
         obs_file.write_text(observation_line(RigidTransform(np.eye(3), [0, 0, 1.0])) + "\n")
         out_dir = tmp_path / "cal"

@@ -9,8 +9,6 @@ import pytest
 from handguard import marker_pose
 from handguard.geometry import (
     RigidTransform,
-    compose,
-    invert,
     orthonormalized,
     rotation_from_axis_angle,
 )
@@ -39,7 +37,6 @@ from handguard.marker_pose import (
     _residuals,
     _rotated_corners,
     _square_homography,
-    calibrate_base,
     estimate_pose,
     fit_corners,
     fit_corners_many,
@@ -1074,21 +1071,3 @@ class TestLockstep:
         assert together(frames, 0.5) == expected
         assert "fit" in outcome_kinds(expected)
 
-
-class TestCalibrateBase:
-    def test_round_trip(self):
-        rng = np.random.default_rng(13)
-        base_in_camera = random_pose(rng)
-        marker_to_base = RigidTransform(rotation_from_axis_angle((1, 0, 0), 0.2), [0.01, 0.02, 0.0])
-        # marker pose in camera = base-in-camera composed with marker-in-base
-        marker_in_camera = compose(base_in_camera, marker_to_base)
-        obs = synthesize_observation(marker_in_camera, SIDE, K)
-        got = calibrate_base(obs, SIDE, K, marker_to_base)
-        assert np.abs(got.as_matrix() - base_in_camera.as_matrix()).max() < 1e-6
-
-    def test_identity_marker_frame(self):
-        rng = np.random.default_rng(14)
-        base_in_camera = random_pose(rng)
-        obs = synthesize_observation(base_in_camera, SIDE, K)
-        got = calibrate_base(obs, SIDE, K, RigidTransform.identity())
-        assert np.abs(got.as_matrix() - base_in_camera.as_matrix()).max() < 1e-6
