@@ -71,7 +71,10 @@ class ConfusionMatrix:
                 raise ValueError(f"row {i}: unexpected pattern label {label!r}")
             if len(row) != len(PATTERN_ORDER) + 1:
                 raise ValueError(f"row {i}: expected {len(PATTERN_ORDER)} values")
-            values.append([float(c) for c in row[1:]])
+            try:
+                values.append([float(c) for c in row[1:]])
+            except ValueError as exc:
+                raise ValueError(f"row {i}: {exc}") from None
         return cls(np.array(values))
 
 

@@ -182,8 +182,6 @@ def cmd_pattern(args) -> int:
 
 
 def cmd_pose(args) -> int:
-    from .geometry import orthonormalized
-
     try:
         intrinsics = _read_intrinsics(args.intrinsics)
         rows = _read_observations(args.observations)
@@ -199,13 +197,7 @@ def cmd_pose(args) -> int:
             print(json.dumps({"line": line_no, "error": str(fit)}))
             failures += 1
             continue
-        # orthonormalized rejects a rotation that is not finite and the
-        # translation is checked here; rms is a square root, never negative,
-        # and _kept_fit's ratio is at least 1, so neither needs a check
         r, t, rms, ratio = fit
-        r = orthonormalized(r)
-        if not all(map(math.isfinite, t)):
-            raise ValueError("translation must be finite")
         print(json.dumps({"r": r, "t": t, "line": line_no, "marker_id": marker_id,
                           "rms_px": rms, "ambiguity_ratio": ratio}))
     return EXIT_DATA_ERROR if failures == len(rows) else EXIT_OK
@@ -239,7 +231,7 @@ def cmd_calibrate(args) -> int:
                      else "no usable base-marker observation", EXIT_DATA_ERROR)
     r, t, _, _ = kept[0]
     # base-marker-in-camera composed with robot-base-in-base-marker
-    base_in_camera = compose(RigidTransform.from_orthonormalized((r[:3], r[3:6], r[6:]), t),
+    base_in_camera = compose(RigidTransform((r[:3], r[3:6], r[6:]), t),
                              invert(base_marker_to_robot_base))
     payload = json.dumps(base_in_camera.to_json_dict())
     if args.out:

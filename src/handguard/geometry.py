@@ -16,8 +16,8 @@ arrays (the pose estimator's starts for a whole file), taking its square
 root, finiteness test and rejection from the caller.
 ``RigidTransform.from_orthonormalized`` is the same boundary for arrays, and
 ``compose`` goes through it, so products of rotations at the tolerance edge
-never raise.  The simulation step and the pose estimator's start points call
-``orthonormalized`` on Python floats directly, as they do the one Rodrigues
+never raise.  The simulation step and the pose estimator's starts and kept
+fit run Gram-Schmidt on Python floats directly, as they do the one Rodrigues
 formula (``axis_angle_entries``) and the one 3x3 product (``product_entries``).
 ``Point3`` checks its coordinates finite whenever one is built; being a
 tuple, it costs little enough that the simulation builds one each time a

@@ -16,10 +16,10 @@ runs between the corner pixels and the kept fit: the triangle-area check,
 a closed-form 3x3 solve for the homography, IPPE with its matrix products
 unrolled, and the Gauss-Newton loop, which builds the normal equations
 JᵀJ and Jᵀr directly, never the 8x6 J, and solves the damped 6x6 system
-with an unrolled Cholesky factorization.  `fit_corners` returns the kept
-fit as floats; `estimate_pose` builds the one RigidTransform of a frame,
-the winner's, `handguard pose` builds none: it prints the floats, and
-`handguard calibrate` builds one from a file's first kept fit.
+with an unrolled Cholesky factorization.  `_kept_fit` finishes the kept
+fit once, its rotation through geometry's Gram-Schmidt and its translation
+required finite; `estimate_pose` builds a RigidTransform from it, `handguard
+pose` prints its floats as they come, and `calibrate` uses a file's first.
 
 Each fit driver has one path, and both give every frame the same bits.
 `fit_corners` fits one frame (the simulation and `estimate_pose`) on
@@ -235,10 +235,10 @@ def _require(ok: bool, message: str) -> None:
         raise DegenerateCorners(message)
 
 
-# The operations of the IPPE starts on one frame's Python floats; a failed
-# check raises, and a start's rotation that fails geometry's Gram-Schmidt
-# (reject) fails its frame.  _starts_lockstep builds the same namespace for
-# lane arrays.
+# The operations of the IPPE starts and of _kept_fit's Gram-Schmidt on one
+# frame's Python floats; a failed check raises, and a rotation that fails
+# geometry's Gram-Schmidt (reject) fails its frame.  _starts_lockstep builds
+# the same namespace for lane arrays.
 _FLOATS = SimpleNamespace(
     sqrt=math.sqrt, hypot=math.hypot, atan2=math.atan2, copysign=math.copysign,
     isfinite=math.isfinite, where=lambda c, a, b: a if c else b, rotate=_rotate,
@@ -481,19 +481,18 @@ def _damped_step(h, g, lam, inverse_root=_inverse_root) -> tuple:
     return s0, s1, s2, s3, s4, s5
 
 
-def _refine(r, t, half: float, observed: list, k: CameraIntrinsics,
+def _refine(r, t, cost: float, rows: list, half: float, observed: list, k: CameraIntrinsics,
             lam: float = GN_DAMPING_INIT, iterations: int = GN_MAX_ITERATIONS) -> tuple:
     """Damped Gauss-Newton on the 6-DoF reprojection objective.
 
-    Starts from rotation entries r (row by row) and translation t, and
-    returns the refined (r, t, rms_pixels); r is not re-orthonormalized.
-    half is the marker's half-side and observed the four corners' pixels
-    (u, v).  The loop runs on Python floats: at 8 residuals and 6 unknowns
-    numpy's per-call cost is most of the work.  lam and iterations let a
-    lane of the lockstep fit resume here where it left off: the loop's
-    other state is a function of (r, t).
+    Starts from rotation entries r (row by row) and translation t, with
+    the cost and rows _residuals gives there, and returns the refined (r,
+    t, rms_pixels); r is not re-orthonormalized.  half is the marker's
+    half-side and observed the four corners' pixels (u, v).  The loop runs
+    on Python floats: at 8 residuals and 6 unknowns numpy's per-call cost
+    is most of the work.  lam and iterations let a lockstep lane resume
+    here where it left off: the loop's other state is a function of (r, t).
     """
-    cost, rows = _residuals(r, t, half, observed, k)
     h, g = _normal_equations(rows, k)
     for _ in range(iterations):
         try:
@@ -583,7 +582,7 @@ def _refine_lockstep(r, t, observed, half: float, k: CameraIntrinsics) -> list:
     t), cost, residual rows and damping; its normal equations are
     recomputed from the rows each iteration, as they are a function of (r,
     t).  Once fewer than LOCKSTEP_MIN_LANES lanes are active, each resumes
-    on the scalar _refine with its own damping and iterations left.
+    on the scalar _refine with its cost, rows, damping and iterations left.
     """
     fits = [None] * r.shape[1]
     solved_pivots = []
@@ -628,11 +627,11 @@ def _refine_lockstep(r, t, observed, half: float, k: CameraIntrinsics) -> list:
                 ids, r, t, cost, rows, lam, observed = (
                     ids[live], r[:, live], t[:, live], cost[live], rows[..., live], lam[live],
                     observed[..., live])
-    for lane, r_lane, t_lane, lam_lane, observed_lane in zip(
-            ids.tolist(), r.T.tolist(), t.T.tolist(), lam.tolist(),
-            observed.transpose(2, 1, 0).tolist()):
-        fits[lane] = _refine(tuple(r_lane), tuple(t_lane), half, observed_lane, k, lam_lane,
-                             iterations_left)
+    for lane, r_lane, t_lane, cost_lane, rows_lane, lam_lane, observed_lane in zip(
+            ids.tolist(), r.T.tolist(), t.T.tolist(), cost.tolist(),
+            rows.transpose(2, 1, 0).tolist(), lam.tolist(), observed.transpose(2, 1, 0).tolist()):
+        fits[lane] = _refine(tuple(r_lane), tuple(t_lane), cost_lane, rows_lane, half,
+                             observed_lane, k, lam_lane, iterations_left)
     return fits
 
 
@@ -687,15 +686,17 @@ def _starts_lockstep(pixels, half: float, k: CameraIntrinsics) -> tuple:
 
 def _kept_fit(fits: list, pixel_sigma: float) -> tuple:
     """The fit with the smaller rms among a frame's refined candidates (None
-    for a dropped one) and the ambiguity ratio, at least 1; NoConvergence
-    when it fails the gate."""
+    for a dropped one), its rotation Gram-Schmidt'd, and the ambiguity ratio,
+    at least 1.  NoConvergence when it fails the gate, DegenerateCorners when
+    it is not finite or Gram-Schmidt rejects it."""
     gate = max(MAX_RMS_PX, _RMS_GATE_PER_SIGMA * pixel_sigma)
     fits = sorted((fit for fit in fits if fit is not None), key=lambda fit: fit[2])
     if not fits or fits[0][2] > gate:
         raise NoConvergence(f"no pose candidate fits within {gate} px")
     (best_r, best_t, best_rms), *rest = fits
+    _require(all(map(math.isfinite, best_t)), _NO_CANDIDATE)
     ratio = (rest[0][2] + 1e-15) / (best_rms + 1e-15) if rest else float("inf")
-    return best_r, best_t, best_rms, max(1.0, ratio)
+    return _gram_schmidt(best_r, _FLOATS), best_t, best_rms, max(1.0, ratio)
 
 
 def estimate_pose(
@@ -709,18 +710,18 @@ def estimate_pose(
     if not 0 <= pixel_sigma < math.inf:
         raise ValueError("pixel_sigma must be a finite number >= 0")
     r, t, rms, ratio = fit_corners(obs.corners.tolist(), marker_side, intrinsics, pixel_sigma)
-    return PoseEstimate(RigidTransform.from_orthonormalized(np.reshape(r, (3, 3)), t), rms, ratio)
+    return PoseEstimate(RigidTransform(np.reshape(r, (3, 3)), t), rms, ratio)
 
 
 def fit_corners(pixels: list, marker_side: float, k: CameraIntrinsics, pixel_sigma: float):
     """estimate_pose's fit on floats, for checked arguments: the four corners'
-    (u, v) to the kept fit's (r, t, rms, ratio), where r holds the rotation
-    entries row by row, not re-orthonormalized."""
+    (u, v) to the kept fit's (r, t, rms, ratio), where r holds a proper
+    rotation's entries row by row and t is finite."""
     half = marker_side / 2.0
     fits = []
     for r, t in _starts(pixels, half, k):
         try:
-            fits.append(_refine(r, t, half, pixels, k))
+            fits.append(_refine(r, t, *_residuals(r, t, half, pixels, k), half, pixels, k))
         except NonPositiveDepth:  # a start corner behind the camera
             fits.append(None)
     return _kept_fit(fits, pixel_sigma)
@@ -729,11 +730,11 @@ def fit_corners(pixels: list, marker_side: float, k: CameraIntrinsics, pixel_sig
 def fit_corners_many(pixel_rows: list, marker_side: float, k: CameraIntrinsics,
                      pixel_sigma: float) -> list:
     """fit_corners on each frame's four corner pixels, with the same bits:
-    per frame the kept fit, or the PoseError that fit_corners raises on it.
-    _starts_lockstep takes every frame's two starts at once, and
-    _refine_lockstep refines the starts of all frames that pass the checks
-    together, each frame's two side by side.  A frame that fails them gets
-    the DegenerateCorners of the first check it fails."""
+    per frame the kept fit, with its proper rotation, or the PoseError that
+    fit_corners raises on it.  _starts_lockstep takes every frame's two
+    starts at once, and _refine_lockstep refines the starts of all frames
+    that pass the checks together, each frame's two side by side.  A frame
+    that fails them gets the DegenerateCorners of the first check it fails."""
     half = marker_side / 2.0
     pixels = np.array(pixel_rows, dtype=float).reshape(-1, 4, 2).transpose(1, 2, 0)
     r, t, messages = _starts_lockstep(pixels, half, k)

@@ -462,7 +462,7 @@ def _perceive(scenario: Scenario, uv: list, rng: np.random.Generator):
         r, t, _, _ = marker_pose.fit_corners(pixels, scenario.marker_side, scenario.camera, sigma)
     except marker_pose.PoseError:
         return None
-    return _hand_in_base(orthonormalized(r), t, scenario.hand_offset.offset)
+    return _hand_in_base(r, t, scenario.hand_offset.offset)
 
 
 def run(scenario: Scenario) -> tuple:

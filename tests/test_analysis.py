@@ -459,6 +459,16 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError, match=r"^row 4: expected 10 values$"):
             ConfusionMatrix.from_csv(path)
 
+    def test_from_csv_names_the_row_of_an_entry_that_is_not_a_number(self, tmp_path):
+        lines = data_path("confusion_volar.csv").read_text().splitlines()
+        assert lines[4].startswith("2L,")
+        lines[4] = "2L,abc," + lines[4].split(",", 2)[2]
+        path = tmp_path / "m.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError,
+                           match=r"^row 5: could not convert string to float: 'abc'$"):
+            ConfusionMatrix.from_csv(path)
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.01, 1.01])
     def test_rejects_entries_outside_the_unit_interval(self, bad):
         values = np.eye(10)

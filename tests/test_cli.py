@@ -503,6 +503,26 @@ class TestPose:
         )
         assert code == 1
 
+    def test_kept_fit_with_a_translation_that_is_not_finite_is_a_row_error(
+            self, capsys, tmp_path, intrinsics_file, monkeypatch):
+        # every refined translation made infinite: each row is a per-line
+        # error and the file exits 1, with no traceback
+        refine = marker_pose._refine
+
+        def infinite(*args, **kwargs):
+            r, t, rms = refine(*args, **kwargs)
+            return r, (t[0], t[1], float("inf")), rms
+
+        monkeypatch.setattr(marker_pose, "_refine", infinite)
+        poses = [RigidTransform(np.eye(3), [0.0, 0.0, 1.0]),
+                 RigidTransform(rotation_from_axis_angle((1, 0, 0), 0.3), [0.05, -0.02, 0.8])]
+        obs_file = tmp_path / "obs.csv"
+        obs_file.write_text("".join(observation_line(pose) + "\n" for pose in poses))
+        code, out, err = run_cli(capsys, "pose", str(obs_file), "--intrinsics", intrinsics_file)
+        assert (code, err) == (1, "")
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"line": line, "error": "corners give no finite pose candidate"} for line in (1, 2)]
+
     @pytest.mark.parametrize("marker_id", ["inf", "nan", "1.5", "-inf"])
     def test_non_integral_marker_id_is_a_row_error(self, capsys, tmp_path, intrinsics_file,
                                                    marker_id):

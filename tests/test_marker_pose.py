@@ -77,7 +77,9 @@ def entries(pose):
 
 def refine_pose(start, marker_side, observed, k):
     # _refine from and to a RigidTransform, the way estimate_pose builds its winner
-    r, t, rms = _refine(*entries(start), marker_side / 2.0, observed.tolist(), k)
+    r, t = entries(start)
+    half, observed = marker_side / 2.0, observed.tolist()
+    r, t, rms = _refine(r, t, *_residuals(r, t, half, observed, k), half, observed, k)
     return RigidTransform.from_orthonormalized(np.reshape(r, (3, 3)), t), rms
 
 
@@ -231,7 +233,10 @@ class TestEstimatePose:
                 truth, SIDE, K, pixel_noise_sigma=0.5, seed=2000 + i
             )
             est = estimate_pose(obs, SIDE, K)
-            *_, rms_from_truth = _refine(*entries(truth), SIDE / 2.0, obs.corners.tolist(), K)
+            r, t = entries(truth)
+            observed = obs.corners.tolist()
+            *_, rms_from_truth = _refine(
+                r, t, *_residuals(r, t, SIDE / 2.0, observed, K), SIDE / 2.0, observed, K)
             assert est.rms_reprojection_error <= rms_from_truth + 1e-9
 
     def test_ambiguity_ratio_reported(self):
@@ -776,9 +781,11 @@ class TestDampedStep:
         truth = random_pose(np.random.default_rng(4))
         obs = synthesize_observation(truth, SIDE, K, pixel_noise_sigma=0.5, seed=4)
         observed = obs.corners.tolist()
-        *_, rms = _refine(*entries(truth), SIDE / 2.0, observed, K)
+        r, t = entries(truth)
+        start = *_residuals(r, t, SIDE / 2.0, observed, K), SIDE / 2.0, observed, K
+        *_, rms = _refine(r, t, *start)
         monkeypatch.setattr(marker_pose, "_damped_step", fails_once)
-        *_, rms_after_failure = _refine(*entries(truth), SIDE / 2.0, observed, K)
+        *_, rms_after_failure = _refine(r, t, *start)
         assert lams[:2] == [GN_DAMPING_INIT, GN_DAMPING_INIT * GN_DAMPING_UP]
         assert abs(rms_after_failure - rms) <= 1e-9
 
@@ -1071,3 +1078,53 @@ class TestLockstep:
         assert together(frames, 0.5) == expected
         assert "fit" in outcome_kinds(expected)
 
+
+
+def refine_then(monkeypatch, change):
+    """Patch _refine so that change(r, t) edits each refined (r, t); returns
+    the list of the edited fits, in call order."""
+    refine, refined = marker_pose._refine, []
+
+    def changed(*args, **kwargs):
+        r, t, rms = refine(*args, **kwargs)
+        refined.append((*change(r, t), rms))
+        return refined[-1]
+
+    monkeypatch.setattr(marker_pose, "_refine", changed)
+    return refined
+
+
+class TestKeptFit:
+    # _kept_fit finishes the kept fit once for both drivers: its rotation
+    # through Gram-Schmidt, its translation required finite
+
+    def test_kept_rotation_is_orthonormalized(self, monkeypatch):
+        # a refined rotation 1e-7 off orthonormal comes back as exactly its
+        # Gram-Schmidt; a file of fewer than 16 frames goes through _refine
+        refined = refine_then(monkeypatch, lambda r, t: (tuple(x * (1 + 1e-7) for x in r), t))
+        frames = pose_frames(48, 5, 0.5)
+        fits = [fit_corners(pixels, SIDE, K, 0.5) for pixels in frames]
+        fits_many = fit_corners_many(frames, SIDE, K, 0.5)
+        assert len(refined) == 4 * len(frames)
+        for lanes in (refined[:2 * len(frames)], refined[2 * len(frames):]):
+            for frame, fit in enumerate(fits):
+                best_r, best_t, best_rms = min(lanes[2 * frame:2 * frame + 2],
+                                               key=lambda lane: lane[2])
+                assert fit[:3] == (orthonormalized(best_r), best_t, best_rms)
+        assert repr(fits_many) == repr(fits)
+
+    @pytest.mark.parametrize("part", ["translation", "rotation"])
+    def test_kept_fit_that_is_not_finite_is_degenerate(self, monkeypatch, part):
+        def change(r, t):
+            if part == "translation":
+                return r, (t[0], t[1], math.inf)
+            return (math.nan, *r[1:]), t
+
+        refine_then(monkeypatch, change)
+        frames = pose_frames(49, 3, 0.5)
+        error = repr(DegenerateCorners("corners give no finite pose candidate"))
+        for pixels in frames:
+            with pytest.raises(DegenerateCorners) as info:
+                fit_corners(pixels, SIDE, K, 0.5)
+            assert repr(info.value) == error
+        assert together(frames, 0.5) == [error] * len(frames)

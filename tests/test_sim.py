@@ -430,6 +430,22 @@ class TestRun:
         trace, _ = run(s)
         assert all(rec.marker_visible for rec in trace)
 
+    def test_fits_that_are_not_finite_lose_the_marker(self, monkeypatch):
+        # every refined translation made infinite: each fitted step is a
+        # lost frame, and the run completes
+        refine, fit, fitted = marker_pose._refine, marker_pose.fit_corners, []
+
+        def infinite(*args, **kwargs):
+            r, t, rms = refine(*args, **kwargs)
+            return r, (t[0], t[1], float("inf")), rms
+
+        monkeypatch.setattr(marker_pose, "_refine", infinite)
+        monkeypatch.setattr(marker_pose, "fit_corners",
+                            lambda *args: fitted.append(args) or fit(*args))
+        rows, _ = run(default_scenario(duration=1.0, pixel_noise_sigma=0.5))
+        assert len(fitted) == len(rows) == 100
+        assert not any(row.marker_visible for row in rows)
+
     def test_zero_jitter_measured_response_exact(self):
         s = default_scenario(
             duration=40.0,
