@@ -1079,7 +1079,6 @@ class TestLockstep:
         assert "fit" in outcome_kinds(expected)
 
 
-
 def refine_then(monkeypatch, change):
     """Patch _refine so that change(r, t) edits each refined (r, t); returns
     the list of the edited fits, in call order."""
