@@ -240,68 +240,39 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
-def _rates(path: Path, side: haptics.WristSide) -> dict:
+# `analyze` modes, in the order the parser lists them
+_ANALYSES = ("confusion", "rates", "anova", "rmanova", "pairwise")
+
+
+def _analyze(mode: str, path: Path, side: haptics.WristSide):
+    """The JSON payload of one `analyze` mode.  `rates` reads a one-side
+    matrix CSV; the others read one side of a trials CSV into counts, where
+    `confusion` stops, and the three tests go on to the participant x
+    pattern rate table."""
     from . import analysis
 
-    diag, mean = analysis.recognition_rates(analysis.ConfusionMatrix.from_csv(path))
-    return {"per_pattern": dict(zip(analysis.PATTERN_ORDER, diag.tolist())), "mean": mean}
-
-
-def _confusion(path: Path, side: haptics.WristSide) -> dict:
-    from . import analysis
-
-    matrix = analysis.confusion_from_trials(analysis.read_trials_csv(path, side)[1])
-    return {"patterns": list(analysis.PATTERN_ORDER), "matrix": matrix.values.tolist()}
-
-
-def _rate_table(path: Path, side: haptics.WristSide) -> np.ndarray:
-    from . import analysis
-
-    return analysis.per_participant_rates(*analysis.read_trials_csv(path, side))
-
-
-def _anova_fields(result: analysis.AnovaResult) -> dict:
+    if mode == "rates":
+        diag, mean = analysis.recognition_rates(analysis.ConfusionMatrix.from_csv(path))
+        return {"per_pattern": dict(zip(analysis.PATTERN_ORDER, diag.tolist())), "mean": mean}
+    participants, counts = analysis.read_trials_csv(path, side)
+    if mode == "confusion":
+        return {"patterns": list(analysis.PATTERN_ORDER),
+                "matrix": analysis.confusion_from_trials(counts).values.tolist()}
+    table = analysis.per_participant_rates(participants, counts)
+    if mode == "pairwise":
+        samples = dict(zip(analysis.PATTERN_ORDER, (column.tolist() for column in table.T)))
+        pairs = itertools.combinations(analysis.PATTERN_ORDER, 2)
+        return [{"pair": list(r.pair), "t": r.t_statistic, "raw_p": r.raw_p,
+                 "corrected_p": r.corrected_p, "significant": r.significant}
+                for r in analysis.paired_t_bonferroni(samples, pairs)]
+    result = analysis.one_way_anova(list(table.T)) if mode == "anova" else analysis.rm_anova(table)
     return {"f": result.f_statistic, "df_between": result.df_between,
             "df_within": result.df_within, "p": result.p_value, "degenerate": result.degenerate}
 
 
-def _anova(path: Path, side: haptics.WristSide) -> dict:
-    from . import analysis
-
-    return _anova_fields(analysis.one_way_anova(list(_rate_table(path, side).T)))
-
-
-def _rmanova(path: Path, side: haptics.WristSide) -> dict:
-    from . import analysis
-
-    return _anova_fields(analysis.rm_anova(_rate_table(path, side)))
-
-
-def _pairwise(path: Path, side: haptics.WristSide) -> list:
-    from . import analysis
-
-    table = _rate_table(path, side)
-    samples = dict(zip(analysis.PATTERN_ORDER, (column.tolist() for column in table.T)))
-    pairs = itertools.combinations(analysis.PATTERN_ORDER, 2)
-    return [{"pair": list(r.pair), "t": r.t_statistic, "raw_p": r.raw_p,
-             "corrected_p": r.corrected_p, "significant": r.significant}
-            for r in analysis.paired_t_bonferroni(samples, pairs)]
-
-
-# `analyze` mode, in the order the parser lists them -> its JSON payload
-# from the input file and the wrist side
-_ANALYSES = {
-    "confusion": _confusion,
-    "rates": _rates,
-    "anova": _anova,
-    "rmanova": _rmanova,
-    "pairwise": _pairwise,
-}
-
-
 def cmd_analyze(args) -> int:
     try:
-        payload = _ANALYSES[args.mode](_require_file(args.input), haptics.WristSide(args.side))
+        payload = _analyze(args.mode, _require_file(args.input), haptics.WristSide(args.side))
     except FileNotFoundError as exc:
         return _fail(f"file not found: {exc}", EXIT_USAGE)
     except ValueError as exc:
@@ -367,10 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("analyze", help="confusion-matrix and recognition statistics")
-    p.add_argument("mode", choices=list(_ANALYSES))
+    p.add_argument("mode", choices=_ANALYSES)
     p.add_argument("input", help="matrix CSV (rates) or trials CSV (other modes)")
     p.add_argument("--side", default=haptics.WristSide.VOLAR.value,
-                   choices=[side.value for side in haptics.WristSide])
+                   choices=[side.value for side in haptics.WristSide],
+                   help="wrist side of the trials CSV to read; rates reads a one-side "
+                        "matrix and ignores it")
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("speed-bound", help="robot speed upper bound from zone geometry")

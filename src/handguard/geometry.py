@@ -10,15 +10,16 @@ input (a 3x3 rotation with finite entries, orthonormal within
 anything else.  ``orthonormalized`` is the one re-orthonormalizing
 boundary, a Gram-Schmidt on a rotation's nine entries: it accepts a
 slightly non-orthonormal matrix (finite, columns not dependent) and returns
-a proper rotation built in closed form, so its result is not checked again.
+a proper rotation built in closed form, which always passes the check.
 Its one body, ``_gram_schmidt``, runs on Python floats and on float64 lane
 arrays (the pose estimator's starts for a whole file), taking its square
 root, finiteness test and rejection from the caller.
-``RigidTransform.from_orthonormalized`` is the same boundary for arrays, and
-``compose`` goes through it, so products of rotations at the tolerance edge
-never raise.  The simulation step and the pose estimator's starts and kept
-fit run Gram-Schmidt on Python floats directly, as they do the one Rodrigues
-formula (``axis_angle_entries``) and the one 3x3 product (``product_entries``).
+``RigidTransform.from_orthonormalized`` is the same boundary for arrays,
+building through the plain constructor, and ``compose`` goes through it, so
+products of rotations at the tolerance edge never raise.  The simulation
+step and the pose estimator's starts and kept fit run Gram-Schmidt on Python
+floats directly, as they do the one Rodrigues formula
+(``axis_angle_entries``) and the one 3x3 product (``product_entries``).
 ``Point3`` checks its coordinates finite whenever one is built; being a
 tuple, it costs little enough that the simulation builds one each time a
 hand estimate or the TCP changes, and passes it on without another check.
@@ -195,11 +196,7 @@ class RigidTransform:
     def __post_init__(self):
         r = np.array(self.rotation, dtype=float)
         _check_rotation(r)
-        self._freeze(r, self.translation)
-
-    def _freeze(self, r: np.ndarray, translation) -> None:
-        """Store a checked rotation and a finite translation, read-only."""
-        t = np.array(translation, dtype=float).reshape(3)
+        t = np.array(self.translation, dtype=float).reshape(3)
         if not all(map(math.isfinite, t.tolist())):
             raise ValueError("translation must be finite")
         r.setflags(write=False)
@@ -218,12 +215,10 @@ class RigidTransform:
         This is the only sanctioned way to construct from a slightly
         non-orthonormal matrix; the plain constructor rejects such input.
         The rotation goes through `orthonormalized`, whose result is a
-        proper rotation by construction and skips the constructor's re-check.
+        proper rotation by construction, so the constructor's check passes.
         """
         entries = orthonormalized(_rotation_entries(np.asarray(rotation, dtype=float)))
-        out = object.__new__(cls)
-        out._freeze(np.reshape(entries, (3, 3)), translation)
-        return out
+        return cls(np.reshape(entries, (3, 3)), translation)
 
     def as_matrix(self) -> np.ndarray:
         m = np.eye(4)

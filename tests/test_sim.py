@@ -481,6 +481,42 @@ class TestSafetyInvariants:
             halts += metrics.halts
         assert halts > 0
 
+    @staticmethod
+    def generated_scenarios(n=40):
+        """n seeded noiseless 10 s scenarios: the hand somewhere in view, and
+        a robot loop at 0.05-0.5 m/s that passes the hand, starting 0.5 m to
+        its left or right; mis-responses off in even runs, 0.03 in odd."""
+        rng = np.random.default_rng(8)
+        for k in range(n):
+            hand = [rng.uniform(-0.3, 0.3), rng.uniform(0.45, 0.75), rng.uniform(0.1, 0.35)]
+            side = rng.choice((-0.5, 0.5))
+            dy, dz, speed = rng.uniform(-0.2, 0.2), rng.uniform(-0.1, 0.1), rng.uniform(0.05, 0.5)
+            ends = ([hand[0] + x, hand[1] + dy, hand[2] + dz] for x in (side, -side))
+            yield default_scenario(
+                duration=10.0, seed=k, hand_home=hand,
+                robot_waypoints=[{"point": point, "speed": speed} for point in ends],
+                human={"mis_response_probability": 0.03 * (k % 2)},
+            )
+
+    def test_no_unsafe_step_on_generated_scenarios(self):
+        # I1 on each generated run; how many runs halt, end halted and how
+        # long the marker stays out of view are printed, not yet asserted
+        counts = {0.0: [0, 0, 0], 0.03: [0, 0, 0]}
+        for k, scenario in enumerate(self.generated_scenarios()):
+            rows, metrics = run(scenario)
+            assert unsafe_steps(rows, scenario.zones) == 0, f"generated run {k}"
+            runs = counts[scenario.human.mis_response_probability]
+            lost = longest = 0
+            for row in rows:
+                lost = 0 if row.marker_visible else lost + 1
+                longest = max(longest, lost)
+            runs[0] += metrics.halts > 0
+            runs[1] += rows[-1].robot_halted
+            runs[2] = max(runs[2], longest * scenario.dt)
+        for mis_response, (halting, ended_halted, longest) in counts.items():
+            print(f"mis-responses {mis_response}: {halting} of 20 runs halt, "
+                  f"{ended_halted} end halted, longest marker loss {longest:.2f} s")
+
 
 class TestHumanAgent:
     def agent(self, **human):
