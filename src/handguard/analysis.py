@@ -8,7 +8,18 @@ one tail, `f_sf`: the two-sided t tail with df dof is the F(1, df) tail at
 t**2.  Both ANOVAs end in one F test, `_f_test`, which holds the rule for
 a table with no error variance (F = inf, p = 0 and `degenerate` when there
 is an effect; F = 0, p = 1 when there is none); each passes its own error
-floor.
+floor.  The paired t-tests stack their differences into one (pairs x n)
+array and take every mean and sd along its rows; only the t tail is
+evaluated pair by pair.
+
+`read_trials_csv` counts a trials file's identical lines, splits the
+distinct ones into fields in one csv pass, checks each distinct
+participant, side and pattern token once, and builds the counts from the
+token tables with array operations.  When a check fails, the distinct lines
+are checked again row by row, by the same per-field checks, to name the
+first bad row.
+The three tests reject non-finite observations, and the incomplete beta
+rejects a nan argument.
 """
 
 from __future__ import annotations
@@ -144,9 +155,10 @@ def _betacf(a: float, b: float, x: float) -> float:
 
 def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
     """I_x(a, b) for a, b > 0 and x in [0, 1]."""
-    if a <= 0 or b <= 0:
+    # written so that nan fails them
+    if not (a > 0 and b > 0):
         raise ValueError("a and b must be positive")
-    if x < 0 or x > 1:
+    if not 0 <= x <= 1:
         raise ValueError("x must be in [0, 1]")
     if x == 0.0:
         return 0.0
@@ -206,6 +218,24 @@ def recognition_rates(m: ConfusionMatrix) -> tuple:
     return diag, float(diag.mean())
 
 
+def recognition_ranking(m: ConfusionMatrix) -> list:
+    """(pattern, rate) pairs, highest recognition rate first; ties keep
+    PATTERN_ORDER."""
+    return sorted(zip(PATTERN_ORDER, np.diag(m.values).tolist()), key=lambda pr: -pr[1])
+
+
+def _participant(token: str) -> int:
+    pid = token.strip()
+    # int() alone would also take signs, underscores and non-ASCII digits
+    if not (pid.isascii() and pid.isdigit()):
+        raise ValueError("participant id must be ASCII digits")
+    return int(pid)
+
+
+def _side(token: str) -> WristSide:
+    return _SIDES.get(token) or WristSide(token.strip().lower())
+
+
 def _pattern_index(token: str) -> int:
     # exact tokens come from the lookup table; anything else takes the
     # tolerant parse, which also raises the error for a bad token
@@ -213,16 +243,34 @@ def _pattern_index(token: str) -> int:
     return _PATTERN_INDEX[str(PatternId.parse(token))] if i is None else i
 
 
+# the checks of a row's four fields, in the order a bad row reports them
+_FIELDS = (_participant, _side, _pattern_index, _pattern_index)
+
+
 def _parse_trial(row: list) -> tuple:
     """(participant id, wrist side, actual index, perceived index) of one row."""
     if len(row) < 4:
         raise ValueError("expected 4 fields participant,side,actual,perceived")
-    pid = row[0].strip()
-    # int() alone would also take signs, underscores and non-ASCII digits
-    if not (pid.isascii() and pid.isdigit()):
-        raise ValueError("participant id must be ASCII digits")
-    return (int(pid), _SIDES.get(row[1]) or WristSide(row[1].strip().lower()),
-            _pattern_index(row[2]), _pattern_index(row[3]))
+    return tuple(check(token) for check, token in zip(_FIELDS, row))
+
+
+def _fields(lines) -> list | None:
+    """Per field of the distinct lines, (the checked value of each distinct
+    token, each row's index into those values); None when some row is bad."""
+    try:
+        rows = list(csv.reader(lines))
+        # as many columns as the shortest row has fields
+        columns = list(zip(*rows)) if rows else [()] * 4
+        if len(rows) != len(lines) or len(columns) < 4:
+            return None
+        fields = []
+        for check, column in zip(_FIELDS, columns):
+            index = {token: i for i, token in enumerate(dict.fromkeys(column))}
+            fields.append(([check(token) for token in index],
+                           np.fromiter(map(index.__getitem__, column), np.intp, len(column))))
+        return fields
+    except (ValueError, csv.Error):
+        return None
 
 
 def _first_row(fh, line: str) -> int:
@@ -232,37 +280,48 @@ def _first_row(fh, line: str) -> int:
     return next(i for i, text in enumerate(fh, start=2) if text == line)
 
 
+def _raise_first_bad_row(fh, lines) -> None:
+    """Raise `row i: ...` for the first bad row among the distinct lines."""
+    records = csv.reader(lines)
+    # keys keep first-occurrence order, so the first bad key holds the
+    # first bad row; a record must not run on into the next key
+    for k, (line, row) in enumerate(zip(lines, records), start=1):
+        try:
+            if records.line_num != k:
+                raise ValueError("quoted field runs past the end of the line")
+            _parse_trial(row)
+        except ValueError as exc:
+            raise ValueError(f"row {_first_row(fh, line)}: {exc}") from exc
+
+
 def read_trials_csv(path, side: WristSide) -> tuple:
     """(sorted participant ids, participant x actual x perceived counts) for
     one side of a `participant,side,actual,perceived` trials file.
 
-    Identical lines are counted, and each distinct line is parsed once, so a
-    study's many repeated trials cost one count each.  Rows of both sides
-    are checked; a bad row raises `row i: ...` for the first one in the file.
+    Identical lines are counted and split into fields once, and each
+    distinct token of a field is checked once, so a study's many repeated
+    trials cost one count each.  Rows of both sides are checked; a bad row
+    raises `row i: ...` for the first one in the file.
     """
     with open(path, newline="") as fh:
         header = next(csv.reader([fh.readline()]), [])
         if [c.strip().lower() for c in header] != ["participant", "side", "actual", "perceived"]:
             raise ValueError("expected header participant,side,actual,perceived")
         lines = collections.Counter(fh)
-        records = csv.reader(lines)
-        mine = []
-        # keys keep first-occurrence order, so the first bad key holds the
-        # first bad row; a record must not run on into the next key
-        for k, ((line, n), row) in enumerate(zip(lines.items(), records), start=1):
-            try:
-                if records.line_num != k:
-                    raise ValueError("quoted field runs past the end of the line")
-                pid, row_side, actual, perceived = _parse_trial(row)
-            except ValueError as exc:
-                raise ValueError(f"row {_first_row(fh, line)}: {exc}") from exc
-            if row_side is side:
-                mine.append((pid, 10 * actual + perceived, n))
-    participants = sorted({pid for pid, _, _ in mine})
-    index = {pid: 100 * i for i, pid in enumerate(participants)}
+        fields = _fields(lines)
+        if fields is None:
+            _raise_first_bad_row(fh, lines)
+    (ids, pid_of), (sides, side_of), (actuals, actual_of), (perceived, perceived_of) = fields
+    mine = np.array([s is side for s in sides], dtype=bool)[side_of]
+    # ids stay Python ints: a token's row is its id's rank among this side's ids
+    participants = sorted({ids[i] for i in np.unique(pid_of[mine]).tolist()})
+    rank = {pid: i for i, pid in enumerate(participants)}
+    row_of = np.array([rank.get(pid, 0) for pid in ids], dtype=np.intp)  # 0: not on this side
+    cells = (100 * row_of[pid_of] + 10 * np.array(actuals, dtype=np.intp)[actual_of]
+             + np.array(perceived, dtype=np.intp)[perceived_of])[mine]
     counts = np.bincount(
-        np.array([index[pid] + cell for pid, cell, _ in mine], dtype=np.intp),
-        weights=np.array([n for _, _, n in mine], dtype=float),
+        cells,
+        weights=np.fromiter(lines.values(), float, len(lines))[mine],
         minlength=100 * len(participants),
     ).astype(float, copy=False)  # bincount of no rows is an int array
     return participants, counts.reshape(len(participants), 10, 10)
@@ -287,6 +346,8 @@ def one_way_anova(groups) -> AnovaResult:
     groups = [np.asarray(g, dtype=float) for g in groups]
     if len(groups) < 2 or any(len(g) < 2 for g in groups):
         raise ValueError("need >= 2 groups with >= 2 observations each")
+    if not all(np.isfinite(g).all() for g in groups):
+        raise ValueError("observations must be finite")
     k = len(groups)
     n_total = sum(len(g) for g in groups)
     grand = sum(g.sum() for g in groups) / n_total
@@ -300,6 +361,8 @@ def rm_anova(table) -> AnovaResult:
     data = np.asarray(table, dtype=float)
     if data.ndim != 2 or data.shape[0] < 2 or data.shape[1] < 2:
         raise ValueError("need a complete table with >= 2 participants and conditions")
+    if not np.isfinite(data).all():
+        raise ValueError("observations must be finite")
     n, k = data.shape
     grand = data.mean()
     condition_means = data.mean(axis=0)
@@ -312,19 +375,35 @@ def rm_anova(table) -> AnovaResult:
 
 
 def paired_t_bonferroni(samples: dict, pairs) -> list:
-    """Two-sided paired t-tests with one-step Bonferroni over all requested pairs."""
+    """Two-sided paired t-tests with one-step Bonferroni over all requested pairs.
+
+    The pairs' differences are stacked, one (pairs x n) array per sample
+    length n, and each mean and sd is taken along its row; only the t tail
+    is evaluated pair by pair."""
     pairs = list(pairs)
     m = len(pairs)
-    results = []
-    for first, second in pairs:
-        a = np.asarray(samples[first], dtype=float)
-        b = np.asarray(samples[second], dtype=float)
-        if len(a) != len(b) or len(a) < 2:
+    by_length = {}
+    for i, (first, second) in enumerate(pairs):
+        n = len(samples[first])
+        if len(samples[second]) != n or n < 2:
             raise ValueError(f"pair ({first}, {second}): need equal-length lists >= 2")
-        diff = a - b
-        n = len(diff)
-        mean = diff.mean()
-        sd = diff.std(ddof=1)
+        by_length.setdefault(n, []).append(i)
+    stats = [None] * m
+    for n, members in by_length.items():
+        row = {}  # each sample once, as a row of `values`
+        for i in members:
+            for name in pairs[i]:
+                row.setdefault(name, len(row))
+        values = np.array([samples[name] for name in row], dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError("observations must be finite")
+        first, second = zip(*(pairs[i] for i in members))
+        diff = values[[row[name] for name in first]] - values[[row[name] for name in second]]
+        for i, mean, sd in zip(members, diff.mean(axis=1).tolist(),
+                               diff.std(axis=1, ddof=1).tolist()):
+            stats[i] = (n, mean, sd)
+    results = []
+    for (first, second), (n, mean, sd) in zip(pairs, stats):
         degenerate = False
         if sd == 0:
             if mean == 0:

@@ -320,7 +320,11 @@ def _leg_table(waypoints) -> _Loop:
             continue
         legs.append((tuple(start.tolist()), tuple((delta / length).tolist()),
                      length, length / speed))
-    return _Loop(tuple(legs), sum(leg[3] for leg in legs))
+    # left to right: the builtin sum compensates from Python 3.12 on
+    cycle = 0.0
+    for leg in legs:
+        cycle += leg[3]
+    return _Loop(tuple(legs), cycle)
 
 
 def _position_on_loop(loop: _Loop, time_in_motion: float) -> Point3:

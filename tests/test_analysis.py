@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -22,6 +23,7 @@ from handguard.analysis import (
     per_participant_rates,
     paired_t_bonferroni,
     read_trials_csv,
+    recognition_ranking,
     recognition_rates,
     regularized_incomplete_beta,
     rm_anova,
@@ -82,6 +84,14 @@ class TestIncompleteBeta:
             regularized_incomplete_beta(-1.0, 1.0, 0.5)
         with pytest.raises(ValueError):
             regularized_incomplete_beta(1.0, 1.0, 1.5)
+
+    @pytest.mark.parametrize("a,b,x", [(1.0, 1.0, math.nan), (math.nan, 1.0, 0.5),
+                                       (1.0, math.nan, 0.5)])
+    def test_nan_fails_the_domain_checks(self, a, b, x):
+        # nan used to pass both checks and run the continued fraction to its
+        # iteration limit, then raise ArithmeticError
+        with pytest.raises(ValueError, match="must be"):
+            regularized_incomplete_beta(a, b, x)
 
 
 class TestDistributions:
@@ -215,6 +225,21 @@ def test_zero_error_variance(anova, table, want):
     assert anova(table) == want
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("test", ["one_way_anova", "rm_anova", "paired_t_bonferroni"])
+def test_non_finite_observation_is_rejected(test, bad):
+    table = np.arange(12.0).reshape(4, 3) ** 1.5
+    table[2, 1] = bad
+    run = {
+        "one_way_anova": lambda: one_way_anova(list(table.T)),
+        "rm_anova": lambda: rm_anova(table),
+        "paired_t_bonferroni": lambda: paired_t_bonferroni(
+            dict(enumerate(table.T.tolist())), [(0, 2), (1, 2)]),
+    }[test]
+    with pytest.raises(ValueError, match="^observations must be finite$"):
+        run()
+
+
 class TestPairedT:
     def test_sum_formula_oracle(self):
         # diffs 1,2,3: mean 2, sd 1, t = 2*sqrt(3), df 2
@@ -245,6 +270,76 @@ class TestPairedT:
     def test_rejects_unequal_lengths(self):
         with pytest.raises(ValueError):
             paired_t_bonferroni({"x": [1.0, 2.0], "y": [1.0]}, [("x", "y")])
+
+
+def reference_paired_t_bonferroni(samples, pairs):
+    """The per-pair loop that the stacked paired_t_bonferroni replaced."""
+    pairs = list(pairs)
+    m = len(pairs)
+    results = []
+    for first, second in pairs:
+        a = np.asarray(samples[first], dtype=float)
+        b = np.asarray(samples[second], dtype=float)
+        if len(a) != len(b) or len(a) < 2:
+            raise ValueError(f"pair ({first}, {second}): need equal-length lists >= 2")
+        diff = a - b
+        n = len(diff)
+        mean = diff.mean()
+        sd = diff.std(ddof=1)
+        degenerate = False
+        if sd == 0:
+            if mean == 0:
+                t_stat, raw_p = 0.0, 1.0
+            else:
+                t_stat = math.inf if mean > 0 else -math.inf
+                raw_p = 0.0
+                degenerate = True
+        else:
+            t_stat = mean / (sd / math.sqrt(n))
+            raw_p = t_two_sided_p(t_stat, n - 1)
+        corrected = min(1.0, raw_p * m)
+        results.append((first, second, t_stat, raw_p, corrected, bool(corrected < 0.05),
+                        degenerate))
+    return results
+
+
+def assert_same_t_tests(samples, pairs):
+    got = [(*r.pair, r.t_statistic, r.raw_p, r.corrected_p, r.significant, r.degenerate)
+           for r in paired_t_bonferroni(samples, pairs)]
+    assert got == reference_paired_t_bonferroni(samples, pairs)
+
+
+class TestStackedPairedT:
+    """paired_t_bonferroni against the per-pair reference, compared with ==."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_generated_studies(self, seed, tmp_path):
+        path = write_trials(tmp_path / "trials.csv", study_lines(seed))
+        pairs = list(itertools.combinations(PATTERN_ORDER, 2))
+        assert len(pairs) == 45
+        for side in WristSide:
+            table = per_participant_rates(*read_trials_csv(path, side))
+            assert_same_t_tests(dict(zip(PATTERN_ORDER, table.T.tolist())), pairs)
+
+    def test_zero_sd_pairs(self):
+        # dyadic rates, so that a - c is exactly 0.25 in every row
+        samples = {"a": [0.5, 0.75, 1.0], "b": [0.5, 0.75, 1.0], "c": [0.25, 0.5, 0.75],
+                   "d": [0.125, 0.25, 0.625]}
+        pairs = [("a", "b"), ("a", "c"), ("c", "a"), ("a", "d")]
+        assert_same_t_tests(samples, pairs)
+        results = paired_t_bonferroni(samples, pairs)
+        assert [r.degenerate for r in results] == [False, True, True, False]
+        assert [r.t_statistic for r in results[:3]] == [0.0, math.inf, -math.inf]
+
+    def test_pairs_of_different_lengths_in_one_call(self):
+        rng = np.random.default_rng(11)
+        samples = {f"s{n}{k}": rng.uniform(size=n).tolist() for n in (2, 5, 9) for k in "xyz"}
+        pairs = [(f"s{n}{a}", f"s{n}{b}") for a, b in ("xy", "zx", "yz") for n in (9, 2, 5)]
+        assert_same_t_tests(samples, pairs)
+
+    def test_no_pairs(self):
+        assert paired_t_bonferroni({"x": [1.0, 2.0]}, []) == []
+        assert_same_t_tests({}, [])
 
 
 @dataclass(frozen=True)
@@ -428,6 +523,16 @@ class TestBundledMatrices:
         _, mean = recognition_rates(m)
         assert mean == pytest.approx(expected_mean, abs=0.005)
 
+    def test_ranking_is_by_rate_then_pattern_order(self):
+        m = ConfusionMatrix.from_csv(data_path("confusion_volar.csv"))
+        ranked = recognition_ranking(m)
+        rates, _ = recognition_rates(m)
+        assert sorted(ranked) == sorted(zip(PATTERN_ORDER, rates.tolist()))
+        order = [(-rate, PATTERN_ORDER.index(pattern)) for pattern, rate in ranked]
+        assert order == sorted(order)
+        tied = ConfusionMatrix(np.full((10, 10), 0.1))
+        assert recognition_ranking(tied) == [(p, 0.1) for p in PATTERN_ORDER]
+
     def test_rows_are_stochastic_within_rounding(self):
         for name in self.CHECKSUMS:
             m = ConfusionMatrix.from_csv(data_path(name))
@@ -581,6 +686,19 @@ class TestCountedReader:
         participants, counts = read_trials_csv(path, WristSide.VOLAR)
         assert participants == [1]
         assert counts[0, 0, 0] == 2 and counts.sum() == 3
+
+    def test_ids_an_array_could_mangle(self, tmp_path):
+        # past 2**63 an id no longer fits an intp; 007, 7 and " 7" are one id
+        big = "1234567890123456789012345"
+        path = write_trials(tmp_path / "trials.csv", [
+            f"{big},volar,1H,1H\n", "007,volar,1H,2L\n", "7,volar,2L,2L\n",
+            " 7,volar,1H,1H\n", f"{big},dorsal,3L,3L\n", f"{big},volar,1H,1H\n",
+        ])
+        for side in WristSide:
+            assert_same_counts(path, side)
+        participants, counts = read_trials_csv(path, WristSide.VOLAR)
+        assert participants == [7, int(big)] and type(participants[1]) is int
+        assert counts[1, 0, 0] == 2 and counts[0].sum() == 3
 
     @pytest.mark.parametrize("pid", ["1_0", "+3", "-3", "\u0663", "1.5", "3e0", "", " "])
     def test_participant_id_must_be_ascii_digits(self, pid, tmp_path):

@@ -20,6 +20,7 @@ ALLOWED = {
     "synthesize_observation": "acceptance gate C6 builds its observations with it",
     "rotation_from_axis_angle": "acceptance gates C5 and C6 draw their rotations with it",
     "estimate_pose": "acceptance gate C6 estimates poses through it",
+    "recognition_ranking": "the default-pattern test ranks the volar matrix through it",
 }
 
 

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import handguard
 from handguard import data_path
-from handguard.analysis import PATTERN_ORDER, ConfusionMatrix, recognition_rates
+from handguard.analysis import ConfusionMatrix, recognition_ranking
 from handguard.geometry import Point3
 from handguard.haptics import PatternId, pattern_duration
 from handguard.safety import (
@@ -139,16 +144,24 @@ class TestDirectionMapping:
         # the paper picked its four guidance patterns for their recognition
         # rates in the first study: they are the four highest diagonals of
         # the volar matrix, and the human model has a time for each
-        rates, _ = recognition_rates(ConfusionMatrix.from_csv(data_path("confusion_volar.csv")))
-        ranked = sorted(zip(rates.tolist(), PATTERN_ORDER), key=lambda rate: -rate[0])
+        ranked = recognition_ranking(ConfusionMatrix.from_csv(data_path("confusion_volar.csv")))
         chosen = {str(p) for p, _ in DirectionMapping().pattern_to_direction}
-        assert {pattern for _, pattern in ranked[:4]} == chosen == {"2L", "1L", "5H", "3L"}
+        assert {pattern for pattern, _ in ranked[:4]} == chosen == {"2L", "1L", "5H", "3L"}
         assert set(HumanModel().response_mean) == chosen
-        (fourth, _), (fifth, runner_up) = ranked[3:5]
+        (_, fourth), (runner_up, fifth) = ranked[3:5]
         assert (runner_up, fifth) == ("1H", 0.80)
         assert fourth - fifth == pytest.approx(0.02)
         print(f"default patterns: the volar top four; margin {fourth - fifth:.2f} "
               f"to the fifth, {runner_up} at {fifth:.2f}")
+
+    def test_import_reads_no_study_data(self):
+        # the default mapping is written out (the test above ranks it), so
+        # importing the controller loads neither analysis nor a matrix CSV
+        code = "import sys, handguard.safety; print('handguard.analysis' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(handguard.__file__).parent.parent)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
     def test_rejects_duplicate_direction(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import re
 import sys
 
@@ -78,6 +79,14 @@ class TestRobotTcpPosition:
         wp = ((Point3(0, 0, 0), 0.1), (Point3(0, 0, 0), 0.1))
         with pytest.raises(ScenarioError, match="robot_waypoints: all waypoints coincide"):
             Scenario(robot_waypoints=wp)
+
+    def test_cycle_adds_the_leg_times_left_to_right(self):
+        # Python 3.12's builtin sum compensates: on this loop it gives the
+        # exactly rounded cycle, one ulp below the left-to-right sum
+        loop = _leg_table(((Point3(0, 0, 0), 0.1), (Point3(1, 0, 0), 0.7),
+                           (Point3(0, 1, 0), 0.3)))
+        times = [leg[3] for leg in loop.legs]
+        assert loop.cycle == (times[0] + times[1]) + times[2] != math.fsum(times)
 
 
 MAGNITUDE = st.floats(min_value=1e-150, max_value=1e150)
