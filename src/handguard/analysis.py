@@ -341,6 +341,13 @@ def _f_test(ss_effect, df_effect: int, ss_error, df_error: int, error_floor: flo
     return AnovaResult(f, df_effect, df_error, f_sf(f, df_effect, df_error))
 
 
+def _require_finite_sums(*sums) -> None:
+    """Finite observations can still overflow float64 in their differences
+    and squares; the p-value is not taken from an inf or nan."""
+    if not all(map(math.isfinite, sums)):
+        raise ValueError("observations overflow float64: sums of squares are not finite")
+
+
 def one_way_anova(groups) -> AnovaResult:
     """Between/within decomposition over independent groups."""
     groups = [np.asarray(g, dtype=float) for g in groups]
@@ -350,9 +357,11 @@ def one_way_anova(groups) -> AnovaResult:
         raise ValueError("observations must be finite")
     k = len(groups)
     n_total = sum(len(g) for g in groups)
-    grand = sum(g.sum() for g in groups) / n_total
-    ss_between = sum(len(g) * (g.mean() - grand) ** 2 for g in groups)
-    ss_within = sum(((g - g.mean()) ** 2).sum() for g in groups)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grand = sum(g.sum() for g in groups) / n_total
+        ss_between = sum(len(g) * (g.mean() - grand) ** 2 for g in groups)
+        ss_within = sum(((g - g.mean()) ** 2).sum() for g in groups)
+    _require_finite_sums(ss_between, ss_within)
     return _f_test(ss_between, k - 1, ss_within, n_total - k, error_floor=0.0)
 
 
@@ -364,12 +373,14 @@ def rm_anova(table) -> AnovaResult:
     if not np.isfinite(data).all():
         raise ValueError("observations must be finite")
     n, k = data.shape
-    grand = data.mean()
-    condition_means = data.mean(axis=0)
-    subject_means = data.mean(axis=1)
-    ss_condition = n * ((condition_means - grand) ** 2).sum()
-    ss_within = ((data - condition_means) ** 2).sum()
-    ss_subject = k * ((subject_means - grand) ** 2).sum()
+    with np.errstate(over="ignore", invalid="ignore"):
+        grand = data.mean()
+        condition_means = data.mean(axis=0)
+        subject_means = data.mean(axis=1)
+        ss_condition = n * ((condition_means - grand) ** 2).sum()
+        ss_within = ((data - condition_means) ** 2).sum()
+        ss_subject = k * ((subject_means - grand) ** 2).sum()
+    _require_finite_sums(ss_condition, ss_within, ss_subject)
     ss_error = ss_within - ss_subject
     return _f_test(ss_condition, k - 1, ss_error, (n - 1) * (k - 1), error_floor=1e-300)
 
@@ -398,9 +409,11 @@ def paired_t_bonferroni(samples: dict, pairs) -> list:
         if not np.isfinite(values).all():
             raise ValueError("observations must be finite")
         first, second = zip(*(pairs[i] for i in members))
-        diff = values[[row[name] for name in first]] - values[[row[name] for name in second]]
-        for i, mean, sd in zip(members, diff.mean(axis=1).tolist(),
-                               diff.std(axis=1, ddof=1).tolist()):
+        with np.errstate(over="ignore", invalid="ignore"):
+            diff = values[[row[name] for name in first]] - values[[row[name] for name in second]]
+            means, sds = diff.mean(axis=1).tolist(), diff.std(axis=1, ddof=1).tolist()
+        _require_finite_sums(*means, *sds)
+        for i, mean, sd in zip(members, means, sds):
             stats[i] = (n, mean, sd)
     results = []
     for (first, second), (n, mean, sd) in zip(pairs, stats):

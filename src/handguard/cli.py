@@ -148,11 +148,20 @@ def cmd_simulate(args) -> int:
             scenario = sim.Scenario.from_json_dict(doc)
         except sim.ScenarioError as exc:
             return _fail(str(exc), EXIT_USAGE)
-        trace, metrics = sim.run(scenario)
         trace_path = _with_suffix(args.trace, suffix)
-        metrics_path = _with_suffix(args.metrics, suffix)
-        sim.write_trace_csv(trace, trace_path)
-        sim.write_metrics_json(metrics, metrics_path)
+        # each row is written as it is made; a run that raises leaves no
+        # partial trace and no metrics
+        with open(trace_path, "w") as fh:
+            try:
+                _, metrics = sim.run(scenario, sim.TraceCsv(fh))
+            except BaseException:
+                fh.close()
+                # a device or a link (--trace /dev/stdout) is not the run's to delete
+                written = Path(trace_path)
+                if written.is_file() and not written.is_symlink():
+                    written.unlink()
+                raise
+        sim.write_metrics_json(metrics, _with_suffix(args.metrics, suffix))
         print(
             f"seed {seed}: min_distance {metrics.min_distance:.4f} m, "
             f"critical_violations {metrics.critical_violations}"

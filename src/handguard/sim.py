@@ -39,13 +39,17 @@ the steps where it changes:
   does nothing.  The noise and the human draw from the scenario's one
   generator in step order.
 The true distance and the human model stay on numpy, so the logged
-distances keep their bits.  `run` records one `TraceRow` of plain values
-per step, whose fields are the trace CSV's columns (a new column is one
-field plus its format in `_CSV_ROW`); its text columns come from dicts built
-once per run (zone and mode to their values, each mapped pattern to its id
-and its direction's value).  `run` folds the rows into
-`min_distance`, `critical_violations` and `halts`; a row does not show a
-pattern restarted with the same id, so the human stage counts those.
+distances keep their bits.  `run` makes one `TraceRow` of plain values per
+step, whose fields are the trace CSV's columns (a new column is one field
+plus its format in `_CSV_ROW`); its text columns come from dicts built once
+per run (zone and mode to their values, each mapped pattern to its id and
+its direction's value).  Each row goes to the caller's sink as soon as it
+is made: a list keeps it, `TraceCsv` writes it as one CSV line and drops
+it, so a streamed run's memory does not grow with its duration.  `run`
+folds `min_distance`, `critical_violations` and `halts` step by step from
+the true distance and the halted flag before and after the step; a row does
+not show a pattern restarted with the same id, so the human stage counts
+those.
 """
 
 from __future__ import annotations
@@ -469,8 +473,9 @@ def _perceive(scenario: Scenario, uv: list, rng: np.random.Generator):
     return _hand_in_base(r, t, scenario.hand_offset.offset)
 
 
-def run(scenario: Scenario) -> tuple:
-    """Execute one simulation; returns (list of TraceRows, metrics)."""
+def run(scenario: Scenario, rows=None) -> tuple:
+    """Execute one simulation, handing each step's TraceRow to `rows.append`
+    as it is made (`rows` defaults to a new list); returns (rows, metrics)."""
     rng = np.random.default_rng(scenario.seed)
     dt = scenario.dt
     steps = int(round(scenario.duration / dt))
@@ -485,7 +490,12 @@ def run(scenario: Scenario) -> tuple:
     tcp_array = tcp.as_array()
     px, py, pz = tcp
     hand_est = Point3(*human.position.tolist())
-    rows = []
+    if rows is None:
+        rows = []
+    append = rows.append
+    critical = scenario.zones.critical_distance
+    min_distance = math.inf
+    critical_violations = halts = 0
     view_inputs = view = hand_true = distance_true = None
     # the trace's text columns, looked up per step
     zone_text = {zone: zone.value for zone in safety.Zone}
@@ -547,36 +557,43 @@ def run(scenario: Scenario) -> tuple:
             if command.kind is safety.CommandKind.START_PATTERN:
                 human.on_pattern(command.pattern, t)
 
-        halted = state.robot_halted
+        # a step violates when it enters the critical zone while the robot
+        # was not already halted; a halt is a step that halts a robot that
+        # was not halted before (safety.step cannot resume and halt in one step)
+        was_halted, halted = halted, state.robot_halted
+        if not was_halted:
+            critical_violations += distance_true < critical
+            halts += halted
+        if distance_true < min_distance:
+            min_distance = distance_true
         pattern, direction = pattern_text[state.active_pattern]
-        rows.append(TraceRow(
+        append(TraceRow(
             t, hx, hy, hz, px, py, pz, distance_true,
             zone_text[state.zone], mode_text[state.mode], pattern, halted, direction,
             marker_visible,
         ))
         human.step(k, distance_true)
 
-    # a step violates when it enters the critical zone while the robot was
-    # not already halted; a halt is a step that halts a robot that was not
-    # halted before (safety.step cannot resume and halt in one step)
-    halted_before = [False] + [row.robot_halted for row in rows[:-1]]
     metrics = SimMetrics(
-        min_distance=min(row.distance for row in rows),
-        critical_violations=sum(
-            row.distance < scenario.zones.critical_distance and not before
-            for row, before in zip(rows, halted_before)
-        ),
+        min_distance=min_distance,
+        critical_violations=critical_violations,
         pattern_activations=human.pattern_activations,
         measured_response_times=human.response_times,
-        halts=sum(row.robot_halted and not before for row, before in zip(rows, halted_before)),
+        halts=halts,
     )
     return rows, metrics
 
 
-def write_trace_csv(rows, path) -> None:
-    with open(path, "w") as fh:
+class TraceCsv:
+    """The trace CSV as a sink for `run`: the header is written when it is
+    built, and each appended row as one line, so no row is kept."""
+
+    def __init__(self, fh):
         fh.write(TRACE_CSV_HEADER + "\n")
-        fh.writelines(_CSV_ROW % row + "\n" for row in rows)
+        self._write = fh.write
+
+    def append(self, row: TraceRow) -> None:
+        self._write(_CSV_ROW % row + "\n")
 
 
 def write_metrics_json(metrics: SimMetrics, path) -> None:

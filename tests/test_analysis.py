@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import re
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -238,6 +239,24 @@ def test_non_finite_observation_is_rejected(test, bad):
     }[test]
     with pytest.raises(ValueError, match="^observations must be finite$"):
         run()
+
+
+@pytest.mark.parametrize("run", [
+    lambda: one_way_anova([[1e308, -1e308], [1e308, 1e308]]),
+    lambda: rm_anova([[1e308, -1e308], [-1e308, 1e308], [1e308, 1e308]]),
+    # only the within sum of squares overflows: F would read 0 and p 1
+    lambda: rm_anova([[1e308, -1e308], [-1e308, 1e308]]),
+    lambda: paired_t_bonferroni({"a": [1e308, -1e308, 1e308], "b": [-1e308, 1e308, 0.0]},
+                                [("a", "b")]),
+], ids=["one_way_anova", "rm_anova", "rm_anova within", "paired_t_bonferroni"])
+def test_overflowing_observations_are_rejected(run):
+    # finite observations whose differences or squares overflow float64
+    # raise before any p-value, and without an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^observations overflow float64: sums of squares "
+                                             "are not finite$"):
+            run()
 
 
 class TestPairedT:

@@ -157,6 +157,73 @@ class TestSimulate:
             assert (tmp_path / f"t.{seed}.csv").exists()
             assert (tmp_path / f"m.{seed}.json").exists()
 
+    @pytest.mark.parametrize("sigma, duration", [(0.0, 120.0), (0.5, 20.0)])
+    @pytest.mark.parametrize("seeds", [[], ["--seeds", "0..2"]], ids=["one seed", "sweep"])
+    def test_streamed_trace_is_the_written_list(self, capsys, tmp_path, sigma, duration, seeds):
+        # the trace streamed row by row has the bytes of the kept rows
+        # written at once, as a header and one format string per line
+        from handguard import sim
+
+        scen = json.loads(scenario_path("default.json").read_text())
+        scen.update(pixel_noise_sigma=sigma, duration=duration)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scen))
+        code, _, _ = run_cli(
+            capsys, "simulate", "--scenario", str(path),
+            "--trace", str(tmp_path / "t.csv"), "--metrics", str(tmp_path / "m.json"), *seeds,
+        )
+        assert code == 0
+        written = [(0, ".0"), (1, ".1"), (2, ".2")] if seeds else [(scen["seed"], "")]
+        for seed, suffix in written:
+            rows, metrics = sim.run(sim.Scenario.from_json_dict({**scen, "seed": seed}))
+            with open(tmp_path / "ref.csv", "w") as fh:
+                fh.write(sim.TRACE_CSV_HEADER + "\n")
+                fh.writelines(sim._CSV_ROW % row + "\n" for row in rows)
+            sim.write_metrics_json(metrics, tmp_path / "ref.json")
+            # digests: a failing == on a megabyte of text takes pytest minutes to diff
+            for out, ref in ((f"t{suffix}.csv", "ref.csv"), (f"m{suffix}.json", "ref.json")):
+                assert hashlib.sha256((tmp_path / out).read_bytes()).hexdigest() == \
+                    hashlib.sha256((tmp_path / ref).read_bytes()).hexdigest(), out
+
+    @pytest.mark.parametrize("seeds", [[], ["--seeds", "2..3"]], ids=["one seed", "sweep"])
+    def test_failed_run_leaves_no_trace(self, capsys, tmp_path, monkeypatch, seeds):
+        from handguard import sim
+
+        step, calls = sim.safety.step, [0]
+
+        def failing_step(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] == 100:
+                raise RuntimeError("step 100 failed")
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(sim.safety, "step", failing_step)
+        scen = json.loads(scenario_path("default.json").read_text())
+        scen["duration"] = 5.0
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scen))
+        trace, metrics = tmp_path / "t.csv", tmp_path / "m.json"
+        with pytest.raises(RuntimeError, match="step 100 failed"):
+            main(["simulate", "--scenario", str(path), "--trace", str(trace),
+                  "--metrics", str(metrics), *seeds])
+        assert calls[0] == 100
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+    def test_failed_run_keeps_a_trace_link(self, capsys, tmp_path, monkeypatch):
+        # as with --trace /dev/stdout, the link is not the run's own file
+        from handguard import sim
+
+        def failing_step(*args, **kwargs):
+            raise RuntimeError("step failed")
+
+        monkeypatch.setattr(sim.safety, "step", failing_step)
+        link = tmp_path / "t.csv"
+        link.symlink_to(os.devnull)
+        with pytest.raises(RuntimeError, match="step failed"):
+            main(["simulate", "--trace", str(link), "--metrics", str(tmp_path / "m.json")])
+        assert link.is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.csv"]
+
     def test_descending_seed_sweep_exit_2(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys, "simulate",

@@ -1,8 +1,10 @@
+import collections
 import hashlib
 import json
 import math
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from handguard.sim import (
     Scenario,
     ScenarioError,
     TRACE_CSV_HEADER,
+    TraceCsv,
     TraceRow,
     UnknownPattern,
     _leg_table,
@@ -25,7 +28,6 @@ from handguard.sim import (
     run,
     sample_response_time,
     write_metrics_json,
-    write_trace_csv,
 )
 from handguard import scenario_path
 
@@ -53,6 +55,41 @@ def halting_scenario():
                "response_jitter_sigma": 0.0,
                "mis_response_probability": 0.0},
     )
+
+
+def near_path_scenario():
+    """1.5 s at 0.5 px with the robot loop moved near the hand: estimate_pose
+    drives every step, and the run holds a pattern and halts."""
+    return default_scenario(
+        seed=0, duration=1.5, pixel_noise_sigma=0.5,
+        robot_waypoints=[
+            {"point": [0.0, 0.35, 0.2], "speed": 0.1},
+            {"point": [0.0, 0.62, 0.2], "speed": 0.1},
+        ],
+    )
+
+
+def reference_metrics(rows, zones) -> tuple:
+    """(min_distance, critical_violations, halts) folded over the rows after
+    the run: a step violates when it enters the critical zone while the robot
+    was not already halted, and a halt halts a robot that was not halted."""
+    halted_before = [False] + [row.robot_halted for row in rows[:-1]]
+    return (
+        min(row.distance for row in rows),
+        sum(row.distance < zones.critical_distance and not before
+            for row, before in zip(rows, halted_before)),
+        sum(row.robot_halted and not before for row, before in zip(rows, halted_before)),
+    )
+
+
+def folded_metrics(metrics) -> tuple:
+    return metrics.min_distance, metrics.critical_violations, metrics.halts
+
+
+def write_trace(scenario, path):
+    """Stream one run's trace to `path`; returns (rows sink, metrics)."""
+    with open(path, "w") as fh:
+        return run(scenario, TraceCsv(fh))
 
 
 def unsafe_steps(rows, zones) -> int:
@@ -309,7 +346,7 @@ class TestRun:
         s = default_scenario(duration=20.0)
         paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
         for path in paths:
-            write_trace_csv(run(s)[0], path)
+            write_trace(s, path)
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_seed_changes_noisy_run(self, tmp_path):
@@ -317,8 +354,7 @@ class TestRun:
         # draw and pixel noise can influence hand motion
         paths = [tmp_path / "1.csv", tmp_path / "2.csv"]
         for seed, path in zip((1, 2), paths):
-            write_trace_csv(run(default_scenario(duration=20.0, pixel_noise_sigma=0.5,
-                                                 seed=seed))[0], path)
+            write_trace(default_scenario(duration=20.0, pixel_noise_sigma=0.5, seed=seed), path)
         assert paths[0].read_bytes() != paths[1].read_bytes()
 
     def test_halt_freezes_tcp(self):
@@ -408,6 +444,7 @@ class TestRun:
     def test_halted_never_inside_critical_minus_step(self):
         s = halting_scenario()
         trace, metrics = run(s)
+        assert folded_metrics(metrics) == reference_metrics(trace, s.zones)
         # robot halts before penetrating more than one step beyond the line
         v_max = max(speed for _, speed in s.robot_waypoints)
         floor = s.zones.critical_distance - v_max * s.dt - 1e-9
@@ -468,13 +505,19 @@ class TestRun:
 
     def test_trace_csv_format(self, tmp_path):
         s = default_scenario(duration=1.0)
-        trace, _ = run(s)
         out = tmp_path / "trace.csv"
-        write_trace_csv(trace, out)
+        sink, _ = write_trace(s, out)
+        assert type(sink) is TraceCsv
         lines = out.read_text().splitlines()
         assert lines[0] == TRACE_CSV_HEADER
-        assert len(lines) == 1 + len(trace)
+        assert len(lines) == 1 + 100
         assert all(len(line.split(",")) == 14 for line in lines[1:])
+
+    def test_near_path_metrics_match_the_reference_fold(self):
+        s = near_path_scenario()
+        rows, metrics = run(s)
+        assert metrics.halts > 0
+        assert folded_metrics(metrics) == reference_metrics(rows, s.zones)
 
 
 class TestSafetyInvariants:
@@ -487,6 +530,7 @@ class TestSafetyInvariants:
             rows, metrics = run(scenario)
             assert len(rows) == 12000
             assert unsafe_steps(rows, scenario.zones) == 0, f"seed {seed}"
+            assert folded_metrics(metrics) == reference_metrics(rows, scenario.zones), seed
             halts += metrics.halts
         assert halts > 0
 
@@ -514,6 +558,7 @@ class TestSafetyInvariants:
         for k, scenario in enumerate(self.generated_scenarios()):
             rows, metrics = run(scenario)
             assert unsafe_steps(rows, scenario.zones) == 0, f"generated run {k}"
+            assert folded_metrics(metrics) == reference_metrics(rows, scenario.zones), k
             runs = counts[scenario.human.mis_response_probability]
             lost = longest = 0
             for row in rows:
@@ -618,6 +663,22 @@ class TestTrace:
         assert len(trace) == 100
         assert all(type(row) is TraceRow for row in trace)
 
+    def test_streamed_run_keeps_no_rows(self):
+        # the rows of a 60 s run take about 1.8 MB when kept; streamed into a
+        # sink that drops them, the run's own allocations stay a few kB
+        s = default_scenario(duration=60.0)
+        peaks = []
+        for rows in (collections.deque(maxlen=0), None):
+            tracemalloc.start()
+            try:
+                kept, _ = run(s, rows)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert len(kept) == 6000
+        assert peaks[0] < 0.5e6
+        assert peaks[1] > 1.5e6
+
 
 def run_digest(monkeypatch, tmp_path, scenario) -> str:
     """SHA-256 of a run's trace and metrics bytes and of what perception
@@ -630,8 +691,7 @@ def run_digest(monkeypatch, tmp_path, scenario) -> str:
         return step(state, distance, hand, *args, **kwargs)
 
     monkeypatch.setattr(safety, "step", spy)
-    rows, metrics = run(scenario)
-    write_trace_csv(rows, tmp_path / "t.csv")
+    _, metrics = write_trace(scenario, tmp_path / "t.csv")
     write_metrics_json(metrics, tmp_path / "m.json")
     return hashlib.sha256(
         (tmp_path / "t.csv").read_bytes() + (tmp_path / "m.json").read_bytes()
