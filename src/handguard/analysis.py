@@ -15,9 +15,9 @@ evaluated pair by pair.
 `read_trials_csv` counts a trials file's identical lines, splits the
 distinct ones into fields in one csv pass, checks each distinct
 participant, side and pattern token once, and builds the counts from the
-token tables with array operations.  When a check fails, the distinct lines
-are checked again row by row, by the same per-field checks, to name the
-first bad row.
+token tables with array operations.  When a check fails, the file is read
+again record by record, by the same per-field checks, to name the first bad
+row.
 The three tests reject non-finite observations, and the incomplete beta
 rejects a nan argument.
 """
@@ -70,8 +70,12 @@ class ConfusionMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "ConfusionMatrix":
+        rows = []
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            try:
+                rows.extend(csv.reader(fh))
+            except csv.Error as exc:  # rows holds the records before the bad one
+                raise ValueError(f"row {len(rows) + 1}: {exc}") from None
         header = [c.strip() for c in rows[0][1:]] if rows else []
         if tuple(header) != PATTERN_ORDER:
             raise ValueError(f"header must list patterns in order {PATTERN_ORDER}")
@@ -273,25 +277,22 @@ def _fields(lines) -> list | None:
         return None
 
 
-def _first_row(fh, line: str) -> int:
-    """Row number (header = 1) of the first data line equal to `line`."""
+def _raise_first_bad_row(fh) -> None:
+    """Raise `row i: ...` for the first bad record of the file, where i is
+    the line (header = 1) on which the record starts."""
     fh.seek(0)
     fh.readline()
-    return next(i for i, text in enumerate(fh, start=2) if text == line)
-
-
-def _raise_first_bad_row(fh, lines) -> None:
-    """Raise `row i: ...` for the first bad row among the distinct lines."""
-    records = csv.reader(lines)
-    # keys keep first-occurrence order, so the first bad key holds the
-    # first bad row; a record must not run on into the next key
-    for k, (line, row) in enumerate(zip(lines, records), start=1):
-        try:
-            if records.line_num != k:
+    records = csv.reader(fh)
+    row_no = 2
+    try:
+        for row in records:
+            # a record must not run on into the next line
+            if records.line_num != row_no - 1:
                 raise ValueError("quoted field runs past the end of the line")
             _parse_trial(row)
-        except ValueError as exc:
-            raise ValueError(f"row {_first_row(fh, line)}: {exc}") from exc
+            row_no += 1
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"row {row_no}: {exc}") from exc
 
 
 def read_trials_csv(path, side: WristSide) -> tuple:
@@ -304,13 +305,16 @@ def read_trials_csv(path, side: WristSide) -> tuple:
     raises `row i: ...` for the first one in the file.
     """
     with open(path, newline="") as fh:
-        header = next(csv.reader([fh.readline()]), [])
+        try:
+            header = next(csv.reader([fh.readline()]), [])
+        except csv.Error as exc:
+            raise ValueError(f"row 1: {exc}") from exc
         if [c.strip().lower() for c in header] != ["participant", "side", "actual", "perceived"]:
             raise ValueError("expected header participant,side,actual,perceived")
         lines = collections.Counter(fh)
         fields = _fields(lines)
         if fields is None:
-            _raise_first_bad_row(fh, lines)
+            _raise_first_bad_row(fh)
     (ids, pid_of), (sides, side_of), (actuals, actual_of), (perceived, perceived_of) = fields
     mine = np.array([s is side for s in sides], dtype=bool)[side_of]
     # ids stay Python ints: a token's row is its id's rank among this side's ids

@@ -40,9 +40,15 @@ def check_object(doc, allowed: set, path: str, all_required: bool = False) -> No
 def build_section(cls, doc, path: str):
     """A section dataclass built from its JSON object.  Its fields are the
     keys, and each numeric field must be a finite number; ScenarioError names
-    the offending key or field."""
+    the offending key or field, or the section when the dataclass's own
+    range check fails."""
     check_object(doc, {f.name for f in dataclasses.fields(cls)}, path)
     for f in dataclasses.fields(cls):
         if f.name in doc and isinstance(f.default, numbers.Real):
             require_finite(f"{path}.{f.name}", doc[f.name])
-    return cls(**doc)
+    try:
+        return cls(**doc)
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc

@@ -136,7 +136,10 @@ class HumanModel:
     def __post_init__(self):
         if not isinstance(self.response_mean, dict):
             raise ScenarioError("human.response_mean: expected a JSON object")
-        means = {str(haptics.PatternId.parse(k)): v for k, v in self.response_mean.items()}
+        try:
+            means = {str(haptics.PatternId.parse(k)): v for k, v in self.response_mean.items()}
+        except ValueError as exc:
+            raise ScenarioError(f"human.response_mean: {exc}") from exc
         for pattern, mean in means.items():
             require_finite(f"human.response_mean.{pattern}", mean)
         if any(v < 0 for v in means.values()):

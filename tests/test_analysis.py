@@ -573,6 +573,9 @@ class TestBundledMatrices:
         assert np.allclose(again.values, m.values, atol=5e-3)
 
 
+FIELD_LIMIT_MESSAGE = f"field larger than field limit ({csv.field_size_limit()})"
+
+
 class TestConfusionMatrix:
     @pytest.mark.parametrize("edit", ["short", "long"])
     def test_from_csv_names_a_row_of_the_wrong_length(self, tmp_path, edit):
@@ -591,6 +594,14 @@ class TestConfusionMatrix:
         path.write_text("".join(line + "\n" for line in lines))
         with pytest.raises(ValueError,
                            match=r"^row 5: could not convert string to float: 'abc'$"):
+            ConfusionMatrix.from_csv(path)
+
+    def test_from_csv_names_the_row_of_an_oversized_field(self, tmp_path):
+        lines = data_path("confusion_volar.csv").read_text().splitlines()
+        lines[4] = "2L," + "0" * (csv.field_size_limit() + 1)
+        path = tmp_path / "m.csv"
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(ValueError, match=f"^row 5: {re.escape(FIELD_LIMIT_MESSAGE)}$"):
             ConfusionMatrix.from_csv(path)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.01, 1.01])
@@ -784,4 +795,20 @@ class TestCountedReader:
                             ["1,volar,1H,1H\n", '1,volar,"1H\n', '",1H\n', "1,volar,1H,1H\n"])
         message = "row 3: quoted field runs past the end of the line"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            read_trials_csv(path, WristSide.VOLAR)
+
+    def test_oversized_field_is_a_bad_row(self, tmp_path):
+        # the row is the file's line, past the repeats of an earlier line
+        big = "1" * (csv.field_size_limit() + 1)
+        path = write_trials(tmp_path / "trials.csv",
+                            ["1,volar,1H,1H\n", "1,volar,1H,1H\n", f"{big},volar,1H,1H\n"])
+        for side in WristSide:
+            with pytest.raises(ValueError, match=f"^row 4: {re.escape(FIELD_LIMIT_MESSAGE)}$"):
+                read_trials_csv(path, side)
+
+    def test_oversized_header_field_is_row_1(self, tmp_path):
+        path = tmp_path / "trials.csv"
+        path.write_text("participant,side,actual," + "p" * (csv.field_size_limit() + 1)
+                        + "\n1,volar,1H,1H\n")
+        with pytest.raises(ValueError, match=f"^row 1: {re.escape(FIELD_LIMIT_MESSAGE)}$"):
             read_trials_csv(path, WristSide.VOLAR)

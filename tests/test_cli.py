@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import hashlib
 import json
@@ -346,7 +347,13 @@ class TestSimulate:
         ("robot_waypoints", [{"speed": 0.1}, {"point": [0.3, 0.3, 0.2], "speed": 0.1}],
          "robot_waypoints[0].point: missing"),
         ("human", {"response_mean": []}, "human.response_mean: expected a JSON object"),
-    ], ids=["string", "numbers", "no speed", "no point", "response_mean list"])
+        ("camera", {"fx": -1.0}, "camera: focal lengths must be positive"),
+        ("gear", {"n_a": 0.0}, "gear: gear ratios must be strictly positive"),
+        ("zones", {"activation_distance": 0.2},
+         "zones: zones require 0 < critical_distance < activation_distance"),
+        ("human", {"response_mean": {"9Z": 1.0}}, "human.response_mean: unknown pattern id '9Z'"),
+    ], ids=["string", "numbers", "no speed", "no point", "response_mean list",
+            "camera range", "gear range", "zones range", "unknown pattern"])
     def test_malformed_section_names_field_exit_2(self, capsys, tmp_path, monkeypatch,
                                                   key, value, message):
         from handguard import sim
@@ -647,6 +654,8 @@ class TestBadPoseInputs:
         ({"fx": 800.0, "focal": 800.0}, "intrinsics: unknown keys ['focal']"),
         ({"fx": "800"}, "intrinsics.fx: must be a finite number"),
         ([800.0, 800.0, 640.0, 360.0], "intrinsics: expected a JSON object"),
+        ({"fx": -1.0}, "intrinsics: focal lengths must be positive"),
+        ({"cx": 2000.0}, "intrinsics: principal point must lie inside the image"),
     ])
     def test_bad_intrinsics_exit_2(self, capsys, tmp_path, obs_file, command, doc, message):
         path = tmp_path / "intrinsics.json"
@@ -902,6 +911,16 @@ class TestAnalyze:
         assert code == 2
         assert out == ""
         assert "entries must be numbers in [0, 1]" in err
+
+    @pytest.mark.parametrize("mode", ["confusion", "rates"])
+    def test_oversized_field_exit_2(self, capsys, tmp_path, mode):
+        big = "1" * (csv.field_size_limit() + 1)
+        path = tmp_path / "input.csv"
+        path.write_text(f"participant,side,actual,perceived\n1,volar,1H,1H\n{big},volar,1H,1H\n")
+        code, out, err = run_cli(capsys, "analyze", mode, str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: row 3: field larger than field limit ({csv.field_size_limit()})\n"
 
     @pytest.mark.parametrize("mode", ["confusion", "anova", "rmanova", "pairwise"])
     def test_empty_trials_exit_2(self, capsys, tmp_path, mode):
