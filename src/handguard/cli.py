@@ -119,7 +119,7 @@ def cmd_simulate(args) -> int:
             doc = json.load(fh)
     except FileNotFoundError:
         return _fail(f"scenario file not found: {path}", EXIT_USAGE)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, bytes that are not UTF-8, the int digit limit
         return _fail(f"scenario JSON invalid: {exc}", EXIT_USAGE)
     if not isinstance(doc, dict):
         return _fail("scenario: expected a JSON object", EXIT_USAGE)

@@ -11,12 +11,11 @@ numpy's per-call cost would be most of the work, and builds a value only on
 the steps where it changes:
 - robot: the TCP moves along its loop unless the robot is halted.  Only on
   steps where it moves (not the first, none while halted) does `run`
-  recompute it on floats as a `Point3`, with its array for the true
-  distance and its velocity `(p - q) / dt`; other steps reuse the TCP and
-  pass a zero velocity;
+  recompute it on floats as a `Point3`, with its velocity `(p - q) / dt`;
+  other steps reuse the TCP and pass a zero velocity;
 - gimbal/marker (`_marker_view`): the servo's state is its two motor
   angles, a `gimbal.MotorDeltas` (a checked tuple, like every gimbal angle
-  pair); they step toward the camera direction, normalised with `_norm`,
+  pair); they step toward the camera direction, normalised with `_norm3`,
   and the marker rotation goes through the one Gram-Schmidt boundary
   (`geometry.orthonormalized`) into the one camera model; out come the
   corner pixels and the noiseless hand estimate as a `Point3`.  The stage
@@ -38,7 +37,10 @@ the steps where it changes:
   up a pattern when idle or returning; idle with nothing being measured it
   does nothing.  The noise and the human draw from the scenario's one
   generator in step order.
-The true distance and the human model stay on numpy, so the logged
+Every point of the step is a float triple: numpy's elementwise + - * /
+round like Python floats.  Numpy keeps the two BLAS calls whose bits Python
+cannot reproduce, the ddot in `_norm3` (an FMA chain) and the camera
+direction's wrist-frame product (the signs of its zeros), so the logged
 distances keep their bits.  `run` makes one `TraceRow` of plain values per
 step, whose fields are the trace CSV's columns (a new column is one field
 plus its format in `_CSV_ROW`); its text columns come from dicts built once
@@ -93,6 +95,8 @@ _CAM_FROM_WORLD = RigidTransform(
 _BASE_FROM_CAMERA = invert(_CAM_FROM_WORLD)
 _CW_R, _CW_T = _CAM_FROM_WORLD.rotation.ravel().tolist(), _CAM_FROM_WORLD.translation.tolist()
 _BC_R, _BC_T = _BASE_FROM_CAMERA.rotation.ravel().tolist(), _BASE_FROM_CAMERA.translation.tolist()
+_CX, _CY, _CZ = CAMERA_POSITION.tolist()
+_ESCAPE_VECTORS = {d: tuple(v.tolist()) for d, v in safety.DIRECTION_VECTORS.items()}
 _pack_view_inputs = struct.Struct("5d").pack
 _AT_REST = (0.0, 0.0, 0.0)  # TCP velocity on a step the robot does not move
 
@@ -110,9 +114,12 @@ def _hand_in_base(r, t, offset) -> Point3:
     return Point3(*_transform_point(_BC_R, _BC_T, *_transform_point(r, t, *offset)))
 
 
-def _norm(v: np.ndarray) -> float:
-    """np.linalg.norm(v) bit for bit: the root of one BLAS ddot, which may fuse
-    with FMA where a Python sum of squares does not."""
+def _norm3(x: float, y: float, z: float) -> float:
+    """np.linalg.norm((x, y, z)) bit for bit: the root of one BLAS ddot.  The
+    ddot may fuse as fma(z, z, fma(y, y, x * x)) where a Python sum of
+    squares rounds every product, and Python 3.11 has no math.fma, so the
+    step's distances keep their bits only through this call."""
+    v = np.array((x, y, z))
     return math.sqrt(v.dot(v))
 
 
@@ -359,7 +366,7 @@ class _HumanAgent:
         self.scenario = scenario
         self.model = scenario.human
         self.rng = rng
-        self.home = self.position = scenario.hand_home.as_array()
+        self.home = self.position = tuple(map(float, scenario.hand_home))
         self.phase = "idle"
         self.due = None
         self.escape_direction = None
@@ -385,25 +392,29 @@ class _HumanAgent:
             wrong = [d for d in safety.Direction if d is not direction]
             direction = wrong[self.rng.integers(len(wrong))]
         self.phase, self.due = "waiting", t + latency
-        self.escape_direction = safety.DIRECTION_VECTORS[direction]
-        self.open_measurements.append((key, t, self.position.copy()))
+        self.escape_direction = _ESCAPE_VECTORS[direction]
+        self.open_measurements.append((key, t, self.position))
 
     def step(self, k: int, distance: float) -> None:
         """Move the hand through step k, then close each open measurement
         once the hand is more than MOVEMENT_DETECTION_M from where it was.
-        An idle person with nothing being measured does nothing."""
+        An idle person with nothing being measured does nothing.  Points are
+        float triples, each coordinate rounded as numpy's p + d * s would."""
         if self.phase == "idle" and not self.open_measurements:
             return
         dt = self.scenario.dt
         t, step_len = k * dt, self.model.hand_speed * dt
+        px, py, pz = self.position
         if self.phase == "waiting" and t >= self.due - 1e-9:
             self.phase, self.due = "escaping", None
-            self.escape_origin = self.position.copy()
+            self.escape_origin = self.position
         if self.phase == "escaping":
-            travelled = _norm(self.position - self.escape_origin)
-            remaining = self.model.escape_displacement - travelled
+            ox, oy, oz = self.escape_origin
+            remaining = self.model.escape_displacement - _norm3(px - ox, py - oy, pz - oz)
             if remaining > 1e-12:
-                self.position = self.position + self.escape_direction * min(step_len, remaining)
+                s = min(step_len, remaining)
+                ux, uy, uz = self.escape_direction
+                px, py, pz = self.position = (px + ux * s, py + uy * s, pz + uz * s)
             else:
                 # escape complete; wait until outside the activation zone,
                 # then schedule the return home, which may begin this step
@@ -412,34 +423,40 @@ class _HumanAgent:
                 if self.due is not None and t >= self.due:
                     self.phase, self.due = "returning", None
         if self.phase == "returning":
-            delta = self.home - self.position
-            gap = _norm(delta)
+            hx, hy, hz = self.home
+            dx, dy, dz = hx - px, hy - py, hz - pz
+            gap = _norm3(dx, dy, dz)
             if gap <= step_len:
-                self.position = self.home
+                px, py, pz = self.position = self.home
                 self.phase = "idle"
             else:
-                self.position = self.position + delta * (step_len / gap)
+                f = step_len / gap
+                px, py, pz = self.position = (px + dx * f, py + dy * f, pz + dz * f)
         still_open = []
         for key, t0, origin in self.open_measurements:
-            if _norm(self.position - origin) > MOVEMENT_DETECTION_M:
+            ox, oy, oz = origin
+            if _norm3(px - ox, py - oy, pz - oz) > MOVEMENT_DETECTION_M:
                 self.response_times.setdefault(key, []).append(round((k + 1) * dt - t0, 10))
             else:
                 still_open.append((key, t0, origin))
         self.open_measurements = still_open
 
 
-def _marker_view(scenario: Scenario, hand_true: np.ndarray, servo: gimbal.MotorDeltas) -> tuple:
+def _marker_view(scenario: Scenario, hand: tuple, servo: gimbal.MotorDeltas) -> tuple:
     """The gimbal/marker stage of one step.  The servo's state is its two
     motor angles: they step toward the angles that turn the marker to the
     camera, or toward themselves when that direction is degenerate.
     Returns (next motor angles, the four corner pixels or None when the
     marker is out of frame or behind the camera, noiseless hand estimate in
     the base frame)."""
-    # gimbal keeps the marker normal on the camera
-    to_camera = CAMERA_POSITION - hand_true
-    to_camera = to_camera / _norm(to_camera)
+    # gimbal keeps the marker normal on the camera; the direction is one
+    # array from its division (a hand at the camera gives nan, as numpy
+    # did) through the wrist-frame product, whose zero signs BLAS sets
+    hx, hy, hz = hand
+    dx, dy, dz = _CX - hx, _CY - hy, _CZ - hz
+    to_camera = np.array((dx, dy, dz)) / _norm3(dx, dy, dz)
     try:
-        wanted = gimbal.correction_angles(WRIST_ROTATION.T @ to_camera)
+        wanted = gimbal.correction_angles((WRIST_ROTATION.T @ to_camera).tolist())
         motor_target = gimbal.motor_deltas(wanted, scenario.gear)
     except gimbal.GimbalDegeneracy:
         motor_target = servo
@@ -451,15 +468,18 @@ def _marker_view(scenario: Scenario, hand_true: np.ndarray, servo: gimbal.MotorD
     ox, oy, oz = scenario.hand_offset.offset
     r = orthonormalized(product_entries(_CAMERA_FROM_WRIST_R,
                                         gimbal.marker_rotation_entries(actual)))
-    t = _transform_point(r, _transform_point(_CW_R, _CW_T, *hand_true.tolist()), -ox, -oy, -oz)
+    t = _transform_point(r, _transform_point(_CW_R, _CW_T, hx, hy, hz), -ox, -oy, -oz)
     camera = scenario.camera
     try:
         uv = marker_pose.project_corners(r, t, scenario.marker_side / 2.0, camera)
     except marker_pose.PoseError:
         uv = None
-    if uv and any(u < 0 or v < 0 or u > camera.image_width or v > camera.image_height
-                  for u, v in uv):
-        uv = None
+    if uv is not None:
+        width, height = camera.image_width, camera.image_height
+        for u, v in uv:
+            if u < 0 or v < 0 or u > width or v > height:
+                uv = None
+                break
     return servo, uv, _hand_in_base(r, t, scenario.hand_offset.offset)
 
 
@@ -490,41 +510,43 @@ def run(scenario: Scenario, rows=None) -> tuple:
     servo = gimbal.MotorDeltas(0.0, 0.0)
     robot_time = 0.0
     tcp = _position_on_loop(loop, 0.0)
-    tcp_array = tcp.as_array()
     px, py, pz = tcp
-    hand_est = Point3(*human.position.tolist())
+    hand_est = Point3(*human.position)
     if rows is None:
         rows = []
     append = rows.append
-    critical = scenario.zones.critical_distance
+    zones, mapping = scenario.zones, scenario.mapping
+    critical = zones.critical_distance
+    # looked up once per run, so a wrapper put on the module attribute
+    # before the run sees every step
+    safety_step = safety.step
     min_distance = math.inf
     critical_violations = halts = 0
     view_inputs = view = hand_true = distance_true = None
     # the trace's text columns, looked up per step
     zone_text = {zone: zone.value for zone in safety.Zone}
     mode_text = {mode: mode.value for mode in safety.Mode}
-    pattern_text = {p: (str(p), d.value) for p, d in scenario.mapping.pattern_to_direction}
+    pattern_text = {p: (str(p), d.value) for p, d in mapping.pattern_to_direction}
     pattern_text[None] = ("", "")
 
     for k in range(steps):
         t = k * dt
-        # the TCP, its array, its velocity and the true distance change only
-        # when the robot moves
+        # the TCP, its velocity and the true distance change only when the
+        # robot moves
         if not halted and k > 0:
             robot_time += dt
             qx, qy, qz = px, py, pz
             tcp = _position_on_loop(loop, robot_time)
-            tcp_array = tcp.as_array()
             px, py, pz = tcp
             tcp_velocity = ((px - qx) / dt, (py - qy) / dt, (pz - qz) / dt)
             distance_true = None
         else:
             tcp_velocity = _AT_REST
         # the hand's coordinates and true distance change only when it moves:
-        # _HumanAgent replaces its position array then, and never writes into it
+        # _HumanAgent replaces its position triple then
         if human.position is not hand_true:
             hand_true = human.position
-            hx, hy, hz = hand_true.tolist()
+            hx, hy, hz = hand_true
             distance_true = None
 
         # the stage's inputs by their bits: == would take 0.0 for -0.0
@@ -541,21 +563,13 @@ def run(scenario: Scenario, rows=None) -> tuple:
         # else: keep last known hand_est
 
         if distance_true is None:
-            distance_true = _norm(hand_true - tcp_array)
+            distance_true = _norm3(hx - px, hy - py, hz - pz)
         ex, ey, ez = hand_est
         dx, dy, dz = ex - px, ey - py, ez - pz
         distance_est = math.sqrt(dx * dx + dy * dy + dz * dz)
 
-        state, commands = safety.step(
-            state,
-            distance_est,
-            hand_est,
-            tcp,
-            tcp_velocity,
-            t,
-            zones=scenario.zones,
-            mapping=scenario.mapping,
-        )
+        state, commands = safety_step(state, distance_est, hand_est, tcp, tcp_velocity, t,
+                                      zones, mapping)
         for command in commands:
             if command.kind is safety.CommandKind.START_PATTERN:
                 human.on_pattern(command.pattern, t)

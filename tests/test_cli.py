@@ -403,6 +403,22 @@ class TestSimulate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("content, reason", [
+        (b'\xff{"seed": 1}', "can't decode byte 0xff"),
+        (b'{"seed": ' + b"9" * 4400 + b"}", "Exceeds the limit (4300 digits)"),
+    ], ids=["not utf-8", "int past the digit limit"])
+    def test_unreadable_scenario_exit_2(self, capsys, tmp_path, content, reason):
+        path = tmp_path / "s.json"
+        path.write_bytes(content)
+        code, _, err = run_cli(
+            capsys, "simulate", "--scenario", str(path),
+            "--trace", str(tmp_path / "t.csv"), "--metrics", str(tmp_path / "m.json"),
+        )
+        assert code == 2
+        assert err.startswith("error: scenario JSON invalid: ") and err.count("\n") == 1
+        assert reason in err
+        assert not (tmp_path / "t.csv").exists()
+
 
 class TestPattern:
     def test_sweep_pattern(self, capsys):

@@ -23,7 +23,7 @@ from handguard.sim import (
     TraceRow,
     UnknownPattern,
     _leg_table,
-    _norm,
+    _norm3,
     _position_on_loop,
     run,
     sample_response_time,
@@ -138,10 +138,31 @@ COMPONENT = st.one_of(
 @settings(max_examples=500, deadline=None)
 @given(st.tuples(COMPONENT, COMPONENT, COMPONENT))
 def test_norm_is_numpy_norm_bit_for_bit(v):
-    # the gimbal stage normalises with _norm; the logged distances and the
+    # the gimbal stage normalises with _norm3; the logged distances and the
     # marker pixels keep their bits only if it rounds as numpy does
     a = np.array(v)
-    assert np.float64(_norm(a)).tobytes() == np.linalg.norm(a).tobytes()
+    assert np.float64(_norm3(*v)).tobytes() == np.linalg.norm(a).tobytes()
+
+
+def test_norm3_is_numpy_norm_on_seeded_vectors():
+    # signed zeros, subnormals, norms near 1e154 (squares near overflow, with
+    # no sum past it) and ordinary magnitudes, mixed within one vector
+    rng = np.random.default_rng(34)
+    special = [0.0, -0.0, 5e-324, -5e-324, sys.float_info.min / 3, -sys.float_info.min / 7,
+               5e153, -7e153]
+    near_overflow = rng.normal(size=(500, 3))
+    near_overflow *= rng.uniform(0.5e154, 1.3e154, size=(500, 1)) \
+        / np.linalg.norm(near_overflow, axis=1, keepdims=True)
+    vectors = np.concatenate([
+        rng.normal(size=(2000, 3)) * 10.0 ** rng.integers(-12, 12, size=(2000, 1)),
+        near_overflow,
+        rng.uniform(-1.0, 1.0, size=(500, 3)) * 1e-310,
+        rng.choice(special, size=(500, 3)),
+        np.where(rng.random((500, 3)) < 0.5, rng.choice(special, size=(500, 3)),
+                 rng.normal(size=(500, 3))),
+    ])
+    for x, y, z in vectors.tolist():
+        assert _norm3(x, y, z) == np.linalg.norm(np.array((x, y, z))), (x, y, z)
 
 
 class TestSampleResponseTime:
@@ -572,6 +593,64 @@ class TestSafetyInvariants:
                   f"{ended_halted} end halted, longest marker loss {longest:.2f} s")
 
 
+class _ArrayHumanAgent(sim._HumanAgent):
+    """The human stage as it ran on numpy float64 arrays: the reference for
+    the float triples, with the same phases, clock and draws."""
+
+    def __init__(self, scenario, rng):
+        super().__init__(scenario, rng)
+        self.home = self.position = scenario.hand_home.as_array()
+
+    def on_pattern(self, pattern, t):
+        key = str(pattern)
+        self.pattern_activations[key] = self.pattern_activations.get(key, 0) + 1
+        if self.phase in ("waiting", "escaping"):
+            return
+        latency = sim.sample_response_time(self.model, pattern, self.rng)
+        direction = self.scenario.mapping.direction_for(pattern)
+        if self.model.mis_response_probability > 0 and \
+                self.rng.random() < self.model.mis_response_probability:
+            wrong = [d for d in safety.Direction if d is not direction]
+            direction = wrong[self.rng.integers(len(wrong))]
+        self.phase, self.due = "waiting", t + latency
+        self.escape_direction = safety.DIRECTION_VECTORS[direction]
+        self.open_measurements.append((key, t, self.position.copy()))
+
+    def step(self, k, distance):
+        if self.phase == "idle" and not self.open_measurements:
+            return
+        dt = self.scenario.dt
+        t, step_len = k * dt, self.model.hand_speed * dt
+        if self.phase == "waiting" and t >= self.due - 1e-9:
+            self.phase, self.due = "escaping", None
+            self.escape_origin = self.position.copy()
+        if self.phase == "escaping":
+            travelled = np.linalg.norm(self.position - self.escape_origin)
+            remaining = self.model.escape_displacement - travelled
+            if remaining > 1e-12:
+                self.position = self.position + self.escape_direction * min(step_len, remaining)
+            else:
+                if distance >= self.scenario.zones.activation_distance and self.due is None:
+                    self.due = t + self.model.return_delay
+                if self.due is not None and t >= self.due:
+                    self.phase, self.due = "returning", None
+        if self.phase == "returning":
+            delta = self.home - self.position
+            gap = np.linalg.norm(delta)
+            if gap <= step_len:
+                self.position = self.home
+                self.phase = "idle"
+            else:
+                self.position = self.position + delta * (step_len / gap)
+        still_open = []
+        for key, t0, origin in self.open_measurements:
+            if np.linalg.norm(self.position - origin) > sim.MOVEMENT_DETECTION_M:
+                self.response_times.setdefault(key, []).append(round((k + 1) * dt - t0, 10))
+            else:
+                still_open.append((key, t0, origin))
+        self.open_measurements = still_open
+
+
 class TestHumanAgent:
     def agent(self, **human):
         human = {"response_jitter_sigma": 0.0, "mis_response_probability": 0.0, **human}
@@ -595,7 +674,7 @@ class TestHumanAgent:
                                         (200, "escaping", full - 1e-12, full + 1e-12)):
             human = self.reacting(steps)
             travelled = 0.0 if human.escape_origin is None \
-                else _norm(human.position - human.escape_origin)
+                else _norm3(*(p - o for p, o in zip(human.position, human.escape_origin)))
             assert human.phase == phase and low <= travelled <= high
             before = (human.phase, human.due, human.position, human.rng.bit_generator.state,
                       list(human.open_measurements))
@@ -642,6 +721,42 @@ class TestHumanAgent:
         assert human.position is position
         assert human.rng.bit_generator.state == drawn
         assert human.response_times == {} and human.open_measurements == []
+
+    def test_float_triples_move_the_hand_as_the_arrays_did(self):
+        # a scripted run of patterns and distances through both agents: every
+        # position equal, replaced on the same steps, home itself on arrival
+        scenario = default_scenario(hand_home=[0.1375, 0.6125, 0.2125],
+                                    human={"mis_response_probability": 0.25})
+        floats = sim._HumanAgent(scenario, np.random.default_rng(5))
+        arrays = _ArrayHumanAgent(scenario, np.random.default_rng(5))
+        script = np.random.default_rng(11)
+        patterns = [PatternId.parse(p) for p in ("1L", "2L", "3L", "5H")]
+        directions, seen = set(), collections.Counter()
+        for k in range(12000):
+            t = k * scenario.dt
+            if script.random() < 0.01:
+                pattern, before = patterns[script.integers(4)], floats.phase
+                floats.on_pattern(pattern, t)
+                arrays.on_pattern(pattern, t)
+                if floats.phase == "waiting" and before not in ("waiting", "escaping"):
+                    unit = sim._ESCAPE_VECTORS[scenario.mapping.direction_for(pattern)]
+                    directions.add(floats.escape_direction)
+                    seen["mis-response"] += floats.escape_direction != unit
+                    seen["taken up while returning"] += before == "returning"
+            before = floats.position, arrays.position
+            distance = 0.1 if k // 40 % 3 == 0 else 1.0
+            floats.step(k, distance)
+            arrays.step(k, distance)
+            assert floats.position == tuple(arrays.position.tolist()), k
+            assert (floats.position is before[0]) == (arrays.position is before[1]), k
+            assert (floats.position is floats.home) == (arrays.position is arrays.home), k
+            assert (floats.phase, floats.due) == (arrays.phase, arrays.due), k
+            seen[floats.phase] += 1
+        assert len(directions) == 4
+        assert seen["mis-response"] and seen["taken up while returning"] and seen["returning"]
+        assert floats.response_times == arrays.response_times
+        assert floats.pattern_activations == arrays.pattern_activations
+        assert floats.rng.bit_generator.state == arrays.rng.bit_generator.state
 
     def test_short_escapes_leave_measurements_open(self):
         # an escape shorter than MOVEMENT_DETECTION_M never closes its
@@ -745,11 +860,11 @@ class TestMarkerView:
         # run measures the true distance on those steps only
         calls = [0]
 
-        def counted(v):
+        def counted(x, y, z):
             calls[0] += sys._getframe(1).f_code is run.__code__
-            return _norm(v)
+            return _norm3(x, y, z)
 
-        monkeypatch.setattr(sim, "_norm", counted)
+        monkeypatch.setattr(sim, "_norm3", counted)
         rows, _ = run(default_scenario(seed=0))
         moved = sum(before is None or before[1:7] != row[1:7]
                     for before, row in zip([None] + rows[:-1], rows))
