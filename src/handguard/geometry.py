@@ -22,7 +22,9 @@ floats directly, as they do the one Rodrigues formula
 (``axis_angle_entries``) and the one 3x3 product (``product_entries``).
 ``Point3`` checks its coordinates finite whenever one is built; being a
 tuple, it costs little enough that the simulation builds one each time a
-hand estimate or the TCP changes, and passes it on without another check.
+hand estimate changes, and passes it on without another check.  The
+simulated TCP is a plain float triple: its loop is checked once, when the
+scenario is built.
 """
 
 from __future__ import annotations

@@ -105,7 +105,7 @@ def correction_angles(marker_normal_target) -> MarkerDeltas:
     Directions within 1e-9 of +/-y are unreachable (singularity).
     """
     dx, dy, dz = map(float, marker_normal_target)
-    if abs(math.hypot(dx, dy, dz) - 1.0) > 1e-9:
+    if not abs(math.hypot(dx, dy, dz) - 1.0) <= 1e-9:  # nan fails too
         raise ValueError("target direction must be a unit vector")
     if abs(dy) >= 1.0 - 1e-9:
         raise GimbalDegeneracy("target along the lateral axis is unreachable")
@@ -121,22 +121,21 @@ def marker_rotation_entries(m: MarkerDeltas) -> tuple:
             -sc, cc * sp, cc * cp)
 
 
-def _slew(current: float, target: float, max_step: float, limit: float) -> float:
-    delta = target - current
-    if abs(delta) > max_step:
-        delta = math.copysign(max_step, delta)
-    return min(max(current + delta, -limit), limit)
-
-
 def servo_step(angles: MotorDeltas, command: MotorDeltas, dt: float) -> MotorDeltas:
     """Advance the motor angles (rotations from rest) toward the commanded
     ones, respecting rate and range."""
     if dt <= 0:
         raise ValueError("dt must be positive")
+    a, b = angles
+    ta, tb = command
+    limit, step = SERVO_RANGE, SERVO_RATE_LIMIT * dt
     # Commanded targets are clamped to range first so the servo never chases
-    # an unreachable angle.
-    target_a = min(max(command.d_theta_a, -SERVO_RANGE), SERVO_RANGE)
-    target_b = min(max(command.d_theta_b, -SERVO_RANGE), SERVO_RANGE)
-    step = SERVO_RATE_LIMIT * dt
-    return MotorDeltas(_slew(angles.d_theta_a, target_a, step, SERVO_RANGE),
-                       _slew(angles.d_theta_b, target_b, step, SERVO_RANGE))
+    # an unreachable angle; each motor then moves at most `step` toward its
+    # target and stays in range.
+    da = min(max(ta, -limit), limit) - a
+    db = min(max(tb, -limit), limit) - b
+    if abs(da) > step:
+        da = math.copysign(step, da)
+    if abs(db) > step:
+        db = math.copysign(step, db)
+    return MotorDeltas(min(max(a + da, -limit), limit), min(max(b + db, -limit), limit))

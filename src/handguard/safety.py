@@ -49,6 +49,12 @@ class Mode(enum.Enum):
     HALTED = "halted"
 
 
+# the members `classify`, `step` and `robot_halted` test, bound once: an
+# `is` test on a module name skips the enum class's attribute lookup
+_CRITICAL, _ACTIVATION, _SAFE_ZONE = Zone.CRITICAL, Zone.ACTIVATION, Zone.SAFE
+_SAFE, _ALERT, _HALTED = Mode.SAFE, Mode.ALERT, Mode.HALTED
+
+
 class Direction(enum.Enum):
     RIGHT = "right"
     LEFT = "left"
@@ -130,7 +136,8 @@ class SafetyCommand:
 
 class SafetyState(NamedTuple):
     """The state machine after a sample: an immutable tuple that `step`
-    builds once per call, positionally."""
+    builds once per call with `tuple.__new__`, all that the generated
+    `__new__` does."""
 
     mode: Mode = Mode.SAFE
     active_pattern: PatternId | None = None
@@ -140,7 +147,7 @@ class SafetyState(NamedTuple):
 
     @property
     def robot_halted(self) -> bool:
-        return self.mode is Mode.HALTED
+        return self.mode is _HALTED
 
 
 def classify(distance: float, zones: SafetyZones) -> Zone:
@@ -149,10 +156,10 @@ def classify(distance: float, zones: SafetyZones) -> Zone:
     if not 0 <= distance < math.inf:
         raise ValueError("distance must be finite and >= 0")
     if distance < zones.critical_distance:
-        return Zone.CRITICAL
+        return _CRITICAL
     if distance < zones.activation_distance:
-        return Zone.ACTIVATION
-    return Zone.SAFE
+        return _ACTIVATION
+    return _SAFE_ZONE
 
 
 def select_direction(hand: Point3, tcp: Point3, tcp_velocity) -> Direction:
@@ -195,34 +202,34 @@ def step(
         raise NonMonotonicTime(f"t went backwards: {t} < {state.last_time}")
     zone = classify(distance, zones)
     commands = []
-    halted = state.robot_halted
+    halted = state.mode is _HALTED
     active_pattern = state.active_pattern
     pattern_ends_at = state.pattern_ends_at
 
     # a halted robot holds until the hand clears the critical distance plus
     # hysteresis; from there the zone decides, so a resume can start a pattern
     if halted and distance < zones.critical_distance + zones.resume_hysteresis:
-        mode = Mode.HALTED
-    elif zone is Zone.CRITICAL:
+        mode = _HALTED
+    elif zone is _CRITICAL:
         commands.append(SafetyCommand(CommandKind.HALT_ROBOT))
-        mode = Mode.HALTED
+        mode = _HALTED
     else:
         if halted:
             commands.append(SafetyCommand(CommandKind.RESUME_ROBOT))
-        if zone is Zone.ACTIVATION:
-            mode = Mode.ALERT
+        if zone is _ACTIVATION:
+            mode = _ALERT
             if t >= pattern_ends_at + COOLDOWN_PAD_S:
                 pattern = mapping.pattern_for(select_direction(hand, tcp, tcp_velocity))
                 commands.append(SafetyCommand(CommandKind.START_PATTERN, pattern))
                 active_pattern = pattern
                 pattern_ends_at = t + pattern_duration(pattern)
         else:
-            mode = Mode.SAFE
+            mode = _SAFE
 
-    if mode is not Mode.ALERT and t >= pattern_ends_at:
+    if mode is not _ALERT and t >= pattern_ends_at:
         active_pattern = None
 
-    return SafetyState(mode, active_pattern, pattern_ends_at, t, zone), commands
+    return tuple.__new__(SafetyState, (mode, active_pattern, pattern_ends_at, t, zone)), commands
 
 
 def max_robot_speed(

@@ -11,14 +11,16 @@ numpy's per-call cost would be most of the work, and builds a value only on
 the steps where it changes:
 - robot: the TCP moves along its loop unless the robot is halted.  Only on
   steps where it moves (not the first, none while halted) does `run`
-  recompute it on floats as a `Point3`, with its velocity `(p - q) / dt`;
-  other steps reuse the TCP and pass a zero velocity;
+  recompute it as a float triple, with its velocity `(p - q) / dt`; other
+  steps reuse the TCP and pass a zero velocity.  `_leg_table` rejects a
+  loop whose arithmetic could overflow, so no point on it needs a check;
 - gimbal/marker (`_marker_view`): the servo's state is its two motor
   angles, a `gimbal.MotorDeltas` (a checked tuple, like every gimbal angle
   pair); they step toward the camera direction, normalised with `_norm3`,
   and the marker rotation goes through the one Gram-Schmidt boundary
   (`geometry.orthonormalized`) into the one camera model; out come the
-  corner pixels and the noiseless hand estimate as a `Point3`.  The stage
+  corner pixels and the noiseless hand estimate as a `Point3`.  A hand at
+  the camera has no direction to turn to, so the servo holds.  The stage
   is a pure function of the true hand and the motor angles, so `run` calls
   it only when the bits of those five floats change;
 - perception (`_perceive`): with pixel noise, each visible step draws the
@@ -42,10 +44,11 @@ round like Python floats.  Numpy keeps the two BLAS calls whose bits Python
 cannot reproduce, the ddot in `_norm3` (an FMA chain) and the camera
 direction's wrist-frame product (the signs of its zeros), so the logged
 distances keep their bits.  `run` makes one `TraceRow` of plain values per
-step, whose fields are the trace CSV's columns (a new column is one field
-plus its format in `_CSV_ROW`); its text columns come from dicts built once
-per run (zone and mode to their values, each mapped pattern to its id and
-its direction's value).  Each row goes to the caller's sink as soon as it
+step, built with `tuple.__new__` as the generated constructor would, whose
+fields are the trace CSV's columns (a new column is one field plus its
+format in `_CSV_ROW`); the zone and mode columns are the members' `_value_`,
+and the pattern columns come from a dict built once per run (each mapped
+pattern to its id and its direction's value).  Each row goes to the caller's sink as soon as it
 is made: a list keeps it, `TraceCsv` writes it as one CSV line and drops
 it, so a streamed run's memory does not grow with its duration.  `run`
 folds `min_distance`, `critical_violations` and `halts` step by step from
@@ -61,6 +64,7 @@ import json
 import math
 import numbers
 import struct
+import sys
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -99,6 +103,9 @@ _CX, _CY, _CZ = CAMERA_POSITION.tolist()
 _ESCAPE_VECTORS = {d: tuple(v.tolist()) for d, v in safety.DIRECTION_VECTORS.items()}
 _pack_view_inputs = struct.Struct("5d").pack
 _AT_REST = (0.0, 0.0, 0.0)  # TCP velocity on a step the robot does not move
+# a shorter hand-to-camera direction has subnormal squares, so its norm is
+# too coarse to make it a unit vector (or 0); the gimbal holds there
+_SHORTEST_DIRECTION = math.sqrt(sys.float_info.min)
 
 
 def _transform_point(r, t, x: float, y: float, z: float) -> tuple:
@@ -321,19 +328,26 @@ class _Loop(NamedTuple):
 
 
 def _leg_table(waypoints) -> _Loop:
-    """The closed loop through the waypoints; no legs when all coincide."""
+    """The closed loop through the waypoints; no legs when all coincide.
+    A leg whose length, time or length times time overflows raises
+    ScenarioError, so every point `_position_on_loop` gives is finite."""
     legs = []
     n = len(waypoints)
     for i in range(n):
         a, speed = waypoints[i]
         b, _ = waypoints[(i + 1) % n]
         start = a.as_array()
-        delta = b.as_array() - start
-        length = float(np.linalg.norm(delta))
+        with np.errstate(over="ignore"):  # the check below names the leg
+            delta = b.as_array() - start
+            length = float(np.linalg.norm(delta))
         if length < 1e-12:
             continue
-        legs.append((tuple(start.tolist()), tuple((delta / length).tolist()),
-                     length, length / speed))
+        leg_time = length / speed
+        # bounds length * tm, the product `_position_on_loop` takes
+        if not math.isfinite(length * leg_time):
+            raise ScenarioError(f"robot_waypoints[{i}]: the leg to the next waypoint "
+                                "is too long: its length times its duration overflows float64")
+        legs.append((tuple(start.tolist()), tuple((delta / length).tolist()), length, leg_time))
     # left to right: the builtin sum compensates from Python 3.12 on
     cycle = 0.0
     for leg in legs:
@@ -341,17 +355,18 @@ def _leg_table(waypoints) -> _Loop:
     return _Loop(tuple(legs), cycle)
 
 
-def _position_on_loop(loop: _Loop, time_in_motion: float) -> Point3:
-    """The TCP after time_in_motion along the loop, elementwise as numpy's
-    start + direction * distance would round it."""
+def _position_on_loop(loop: _Loop, time_in_motion: float) -> tuple:
+    """The TCP after time_in_motion along the loop as a float triple,
+    elementwise as numpy's start + direction * distance would round it;
+    finite on every loop `_leg_table` accepts."""
     tm = time_in_motion % loop.cycle
     for (sx, sy, sz), (ux, uy, uz), length, leg_time in loop.legs:
         if tm <= leg_time:
             f = length * tm / leg_time
-            return Point3(sx + ux * f, sy + uy * f, sz + uz * f)
+            return (sx + ux * f, sy + uy * f, sz + uz * f)
         tm -= leg_time
     (sx, sy, sz), (ux, uy, uz), length, _ = loop.legs[-1]
-    return Point3(sx + ux * length, sy + uy * length, sz + uz * length)
+    return (sx + ux * length, sy + uy * length, sz + uz * length)
 
 
 class _HumanAgent:
@@ -445,21 +460,25 @@ class _HumanAgent:
 def _marker_view(scenario: Scenario, hand: tuple, servo: gimbal.MotorDeltas) -> tuple:
     """The gimbal/marker stage of one step.  The servo's state is its two
     motor angles: they step toward the angles that turn the marker to the
-    camera, or toward themselves when that direction is degenerate.
+    camera, or toward themselves when that direction is degenerate or the
+    hand is at the camera.
     Returns (next motor angles, the four corner pixels or None when the
     marker is out of frame or behind the camera, noiseless hand estimate in
     the base frame)."""
     # gimbal keeps the marker normal on the camera; the direction is one
-    # array from its division (a hand at the camera gives nan, as numpy
-    # did) through the wrist-frame product, whose zero signs BLAS sets
+    # array from its division through the wrist-frame product, whose zero
+    # signs BLAS sets
     hx, hy, hz = hand
     dx, dy, dz = _CX - hx, _CY - hy, _CZ - hz
-    to_camera = np.array((dx, dy, dz)) / _norm3(dx, dy, dz)
-    try:
-        wanted = gimbal.correction_angles((WRIST_ROTATION.T @ to_camera).tolist())
-        motor_target = gimbal.motor_deltas(wanted, scenario.gear)
-    except gimbal.GimbalDegeneracy:
-        motor_target = servo
+    norm = _norm3(dx, dy, dz)
+    motor_target = servo
+    if norm >= _SHORTEST_DIRECTION:
+        to_camera = np.array((dx, dy, dz)) / norm
+        try:
+            wanted = gimbal.correction_angles((WRIST_ROTATION.T @ to_camera).tolist())
+            motor_target = gimbal.motor_deltas(wanted, scenario.gear)
+        except gimbal.GimbalDegeneracy:
+            pass
     servo = gimbal.servo_step(servo, motor_target, scenario.dt)
     actual = gimbal.marker_deltas(servo, scenario.gear)
     # the marker sits at the hand minus the rotated hand offset; building it
@@ -523,9 +542,7 @@ def run(scenario: Scenario, rows=None) -> tuple:
     min_distance = math.inf
     critical_violations = halts = 0
     view_inputs = view = hand_true = distance_true = None
-    # the trace's text columns, looked up per step
-    zone_text = {zone: zone.value for zone in safety.Zone}
-    mode_text = {mode: mode.value for mode in safety.Mode}
+    # the active pattern's text columns, looked up per step
     pattern_text = {p: (str(p), d.value) for p, d in mapping.pattern_to_direction}
     pattern_text[None] = ("", "")
 
@@ -584,11 +601,12 @@ def run(scenario: Scenario, rows=None) -> tuple:
         if distance_true < min_distance:
             min_distance = distance_true
         pattern, direction = pattern_text[state.active_pattern]
-        append(TraceRow(
+        # a member's _value_ is its value without the enum property's call
+        append(tuple.__new__(TraceRow, (
             t, hx, hy, hz, px, py, pz, distance_true,
-            zone_text[state.zone], mode_text[state.mode], pattern, halted, direction,
+            state.zone._value_, state.mode._value_, pattern, halted, direction,
             marker_visible,
-        ))
+        )))
         human.step(k, distance_true)
 
     metrics = SimMetrics(

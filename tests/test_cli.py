@@ -378,7 +378,11 @@ class TestSimulate:
         ([1, 2], ["--seed", "3"], "scenario: expected a JSON object"),
         ({"robot_waypoints": [{"point": [0.3, 0.3, 0.2], "speed": 0.1}] * 3}, [],
          "robot_waypoints: all waypoints coincide"),
-    ], ids=["list", "list with seed", "coincident waypoints"])
+        ({"robot_waypoints": [{"point": [x, 0.0, 0.2], "speed": 0.04} for x in (1e308, -1e308)]},
+         [], "robot_waypoints[0]: the leg to the next waypoint is too long: "
+             "its length times its duration overflows float64"),
+    ], ids=["list", "list with seed", "coincident waypoints", "overflowing leg"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_scenario_rejected_at_load_exit_2(self, capsys, tmp_path, monkeypatch, doc, argv,
                                               message):
         from handguard import sim
@@ -395,6 +399,21 @@ class TestSimulate:
         )
         assert code == 2
         assert err == f"error: {message}\n"
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_hand_at_the_camera_runs(self, capsys, tmp_path):
+        # no direction from the hand to the camera: the gimbal holds
+        scen = json.loads(scenario_path("default.json").read_text())
+        scen.update(duration=0.05, hand_home=[0.0, 2.0, 0.6])
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scen))
+        code, out, err = run_cli(
+            capsys, "simulate", "--scenario", str(path),
+            "--trace", str(tmp_path / "t.csv"), "--metrics", str(tmp_path / "m.json"),
+        )
+        assert code == 0 and err == ""
+        rows = (tmp_path / "t.csv").read_text().splitlines()
+        assert len(rows) == 6 and rows[1].startswith("0.0000,0.000000,2.000000,0.600000,")
 
     def test_missing_scenario_file(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from handguard.gimbal import (
     SERVO_RANGE,
+    SERVO_RATE_LIMIT,
     GearParams,
     GimbalDegeneracy,
     MarkerDeltas,
@@ -30,6 +32,24 @@ def reference_rotation(m):
     rx = np.array([[1.0, 0.0, 0.0], [0.0, cp, -sp], [0.0, sp, cp]])
     ry = np.array([[cc, 0.0, sc], [0.0, 1.0, 0.0], [-sc, 0.0, cc]])
     return ry @ rx
+
+
+def _slew(current, target, max_step, limit):
+    delta = target - current
+    if abs(delta) > max_step:
+        delta = math.copysign(max_step, delta)
+    return min(max(current + delta, -limit), limit)
+
+
+def reference_servo_step(angles, command, dt):
+    """servo_step as it was written with one `_slew` call per motor."""
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    target_a = min(max(command.d_theta_a, -SERVO_RANGE), SERVO_RANGE)
+    target_b = min(max(command.d_theta_b, -SERVO_RANGE), SERVO_RANGE)
+    step = SERVO_RATE_LIMIT * dt
+    return MotorDeltas(_slew(angles.d_theta_a, target_a, step, SERVO_RANGE),
+                       _slew(angles.d_theta_b, target_b, step, SERVO_RANGE))
 
 
 class TestGearKinematics:
@@ -147,6 +167,13 @@ class TestCorrectionAngles:
         with pytest.raises(ValueError):
             correction_angles([0.0, 0.0, 2.0])
 
+    @pytest.mark.parametrize("target", [[math.nan] * 3, [0.0, 0.0, math.nan],
+                                        [math.inf, 0.0, 0.0]])
+    def test_non_finite_target_is_not_a_unit_vector(self, target):
+        # nan fails the unit check itself, not the MarkerDeltas built after it
+        with pytest.raises(ValueError, match="target direction must be a unit vector"):
+            correction_angles(target)
+
     def test_matches_numpy_reference_bit_for_bit(self):
         # the check and the angles read three floats; the numpy form they
         # replaced gives the same bits for arrays, lists and tuples
@@ -211,6 +238,29 @@ class TestServo:
     def test_rejects_non_positive_dt(self):
         with pytest.raises(ValueError):
             servo_step(self.REST, MotorDeltas(0, 0), dt=0.0)
+
+    def test_one_pass_slew_is_the_reference_bit_for_bit(self):
+        # seeded angles and commands, plus signed zeros, steps exactly at
+        # the rate limit, the range ends and commands past them
+        bits = struct.Struct("2d").pack
+        rng = np.random.default_rng(35)
+        edges = [0.0, -0.0, 0.06, -0.06, 0.03, SERVO_RANGE, -SERVO_RANGE,
+                 SERVO_RANGE - 0.06, -SERVO_RANGE + 0.06, 2.0, -2.0, 1e300, -1e300]
+        cases = [(a, b, ca, cb, 0.01) for a in edges[:7] for b in edges[:7]
+                 for ca in edges for cb in edges[::-1]]
+        for _ in range(20000):
+            a, b = rng.uniform(-1.7, 1.7, 2).tolist()
+            ca, cb = rng.uniform(-2.5, 2.5, 2).tolist()
+            dt = float(rng.choice([0.001, 0.01, 0.05, 1.0, rng.uniform(1e-4, 0.5)]))
+            cases.append((a, b, ca, cb, dt))
+            step = SERVO_RATE_LIMIT * dt  # a command exactly one step away
+            cases.append((a, b, a + step, b - step, dt))
+        for a, b, ca, cb, dt in cases:
+            angles, command = MotorDeltas(a, b), MotorDeltas(ca, cb)
+            out = servo_step(angles, command, dt)
+            want = reference_servo_step(angles, command, dt)
+            assert type(out) is MotorDeltas
+            assert bits(*out) == bits(*want), (a, b, ca, cb, dt)
 
     @given(a=FINITE, b=FINITE, cmd_a=FINITE, cmd_b=FINITE,
            dt=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))

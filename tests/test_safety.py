@@ -301,6 +301,38 @@ class TestStep:
         assert state.mode is Mode.ALERT and state.zone is Zone.ACTIVATION
         assert SafetyState().zone is Zone.SAFE
 
+    def test_states_equal_constructor_built_ones(self):
+        # a scripted pattern, halt, held halt, resume, pattern end, cooldown
+        # and second pattern: each state is a SafetyState equal, member for
+        # member, to one built by its constructor
+        p, ends, again = PatternId.parse("1L"), 0.1 + 1.0, 16 * 0.1 + 1.0
+        script = (
+            [(0.9, Mode.SAFE, None, -math.inf, Zone.SAFE, [])]
+            + [(0.35, Mode.ALERT, p, ends, Zone.ACTIVATION, [CommandKind.START_PATTERN])]
+            + [(0.2, Mode.HALTED, p, ends, Zone.CRITICAL, [CommandKind.HALT_ROBOT])]
+            + [(0.2, Mode.HALTED, p, ends, Zone.CRITICAL, [])]
+            + [(0.9, Mode.SAFE, p, ends, Zone.SAFE, [CommandKind.RESUME_ROBOT])]
+            + [(0.9, Mode.SAFE, p, ends, Zone.SAFE, [])] * 6
+            + [(0.9, Mode.SAFE, None, ends, Zone.SAFE, [])]
+            + [(0.35, Mode.ALERT, None, ends, Zone.ACTIVATION, [])] * 4
+            + [(0.35, Mode.ALERT, p, again, Zone.ACTIVATION, [CommandKind.START_PATTERN])]
+        )
+        states, commands = run_trace([row[0] for row in script])
+        for k, ((_, mode, pattern, ends_at, zone, want), state, got) in enumerate(
+                zip(script, states, commands)):
+            expected = SafetyState(mode=mode, active_pattern=pattern, pattern_ends_at=ends_at,
+                                   last_time=k * 0.1, zone=zone)
+            assert type(state) is SafetyState, k
+            assert state == expected, k
+            assert state.mode is mode and state.zone is zone, k
+            assert state.robot_halted is (mode is Mode.HALTED), k
+            assert kinds(got) == want, k
+
+    def test_member_value_attribute_is_its_value(self):
+        # the trace reads _value_, which skips the enum's value property
+        for member in (*Zone, *Mode):
+            assert member._value_ == member.value
+
     def test_determinism(self):
         rng = np.random.default_rng(9)
         distances = list(rng.uniform(0.1, 0.6, size=100))

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from handguard import haptics, marker_pose, safety, sim
+from handguard import gimbal, haptics, marker_pose, safety, sim
 from handguard.geometry import Point3
 from handguard.haptics import PatternId
 from handguard.sim import (
@@ -116,6 +116,33 @@ class TestRobotTcpPosition:
         wp = ((Point3(0, 0, 0), 0.1), (Point3(0, 0, 0), 0.1))
         with pytest.raises(ScenarioError, match="robot_waypoints: all waypoints coincide"):
             Scenario(robot_waypoints=wp)
+
+    def test_position_is_a_float_triple(self):
+        for tm in (0.0, 5.0, 12.5, 20.0):
+            p = _position_on_loop(self.LEGS, tm)
+            assert type(p) is tuple and len(p) == 3 and all(type(c) is float for c in p)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("ends, speed", [
+        ((1e308, -1e308), 0.04),  # the difference overflows
+        ((1e200, -1e200), 0.04),  # the norm's sum of squares overflows
+        ((5e307, -5e307), 1.0),  # a finite length, whose product with time overflows
+        ((0.0, 1e308), 0.04),  # a finite length, whose time overflows
+    ], ids=["difference", "norm", "length times time", "time"])
+    def test_rejects_a_leg_that_overflows(self, ends, speed):
+        # rejected with the waypoint's name and no numpy warning, so no
+        # accepted loop puts the TCP at an infinite or nan position
+        wp = tuple((Point3(x, 0.0, 0.2), speed) for x in ends)
+        with pytest.raises(ScenarioError, match=r"^robot_waypoints\[0\]: .* overflows float64"):
+            Scenario(robot_waypoints=wp)
+
+    @pytest.mark.filterwarnings("error")
+    def test_longest_accepted_leg_stays_finite(self):
+        # 2e153 m at 1 m/s: length times time is 4e306, and every point of
+        # the loop, to the end of its cycle, is finite
+        loop = _leg_table(((Point3(1e153, 0.0, 0.2), 1.0), (Point3(-1e153, 0.0, 0.2), 1.0)))
+        for tm in np.linspace(0.0, loop.cycle, 101).tolist():
+            assert all(math.isfinite(c) for c in _position_on_loop(loop, tm)), tm
 
     def test_cycle_adds_the_leg_times_left_to_right(self):
         # Python 3.12's builtin sum compensates: on this loop it gives the
@@ -777,6 +804,11 @@ class TestTrace:
         trace, _ = run(default_scenario(duration=1.0))
         assert len(trace) == 100
         assert all(type(row) is TraceRow for row in trace)
+        # and on halted, alert and safe steps, with the enums' values as text
+        rows, _ = run(default_scenario(duration=20.0, seed=0))
+        assert {row.state for row in rows} == {"safe", "alert", "halted"}
+        assert {row.zone for row in rows} == {"safe", "activation", "critical"}
+        assert all(type(row) is TraceRow for row in rows)
 
     def test_streamed_run_keeps_no_rows(self):
         # the rows of a 60 s run take about 1.8 MB when kept; streamed into a
@@ -870,6 +902,20 @@ class TestMarkerView:
                     for before, row in zip([None] + rows[:-1], rows))
         assert moved == 1445
         assert calls[0] == moved
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("hand", [(0.0, 2.0, 0.6), (1e-160, 2.0, 0.6), (-1e-170, 2.0, 0.6)],
+                             ids=["at the camera", "subnormal squares", "squares underflow"])
+    def test_hand_at_the_camera_holds_the_servo(self, hand):
+        # no direction to normalise: the servo holds, as on a degenerate
+        # direction, before any division
+        s = default_scenario()
+        servo = gimbal.MotorDeltas(0.1, -0.2)
+        assert sim._marker_view(s, hand, servo)[0] == servo
+        # 1e-150 m from the camera still has a direction, straight along -x
+        moved = sim._marker_view(s, (1e-150, 2.0, 0.6), servo)[0]
+        turned = sim._marker_view(s, (0.5, 2.0, 0.6), servo)[0]
+        assert moved != servo and moved == turned
 
     def test_correct_fits_stay_visible_at_two_px(self, monkeypatch):
         # the fit gate scales with the scenario's pixel noise; gated at a
